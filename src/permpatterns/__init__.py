@@ -38,7 +38,6 @@ from .selection import (
 )
 from .evaluation import (
     ErrorRates,
-    EvaluationReport,
     UndefinedDivergenceError,
     average_pcp,
     category_divergence,

@@ -11,15 +11,14 @@ import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
-from .core import BinaryMatrix, ConfigError, FitConfig
+from .core import ConfigError, FitConfig
 from .dataset import (
+    Dataset,
     DatasetError,
     ReputationCriteria,
     load_dataset,
@@ -38,7 +37,9 @@ from .evaluation import (
     write_error_curves,
     write_pattern_summary,
 )
-from .selection import InstabilityReport, InstabilityRecord, instability
+# _instability_job is bound here too: perfbench/tracer.py traces the
+# select-k pool job as cli._instability_job
+from .selection import _instability_job, select_k  # noqa: F401
 from .simulate import marginal_probs, pcp_histogram, simulate_independent
 
 EXIT_INPUT_ERROR = 2
@@ -73,14 +74,13 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
     return path
 
 
-def _load_matrix(input_path: str, fmt: str | None,
-                 column_map_path: str | None) -> tuple:
+def _read_dataset(input_path: str, fmt: str | None,
+                  column_map_path: str | None) -> Dataset:
     column_map = None
     if column_map_path:
         with open(column_map_path) as fh:
             column_map = json.load(fh)
-    ds = load_dataset(input_path, fmt=fmt, column_map=column_map)
-    return ds, ds.to_matrix()
+    return load_dataset(input_path, fmt=fmt, column_map=column_map)
 
 
 def _fail(message: str, code: int):
@@ -101,8 +101,6 @@ common_input = [
     click.option("--column-map", "column_map_path", default=None,
                  help="JSON file mapping schema columns to input columns."),
     click.option("--seed", default=0, show_default=True, type=int),
-    click.option("--threads", default=1, show_default=True, type=int,
-                 help="Data-parallel workers; 1 is bit-reproducible."),
     click.option("--out-dir", "out_dir", required=True,
                  type=click.Path(file_okay=False)),
 ]
@@ -119,13 +117,13 @@ def with_options(options):
 @main.command()
 @with_options(common_input)
 @click.option("--top-n", default=15, show_default=True, type=int)
-def stats(input_path, fmt, column_map_path, seed, threads, out_dir, top_n):
+def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
     """Descriptive statistics: permission frequencies, prices, ratings."""
     started = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        ds, _ = _load_matrix(input_path, fmt, column_map_path)
+        ds = _read_dataset(input_path, fmt, column_map_path)
         outputs = write_summary_csvs(summary_stats(ds, top_n=top_n), out)
     except DatasetError as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
@@ -135,61 +133,40 @@ def stats(input_path, fmt, column_map_path, seed, threads, out_dir, top_n):
     click.echo(f"wrote {len(outputs)} files to {out}")
 
 
-def _instability_job(args):
-    data, k, repetitions, config = args
-    return instability(BinaryMatrix(data), k, repetitions, config)
-
-
 @main.command("select-k")
 @with_options(common_input)
 @click.option("--k-min", required=True, type=int)
 @click.option("--k-max", required=True, type=int)
 @click.option("--repetitions", default=5, show_default=True, type=int)
-def select_k_cmd(input_path, fmt, column_map_path, seed, threads, out_dir,
-                 k_min, k_max, repetitions):
+@click.option("--threads", default=1, show_default=True,
+              type=click.IntRange(min=1),
+              help="Worker processes, one K each; results do not depend on it.")
+def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
+                 k_min, k_max, repetitions, threads):
     """Instability sweep over K; selects the minimum-median K."""
     started = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if k_min > k_max or k_min < 1:
         _fail(f"invalid K range [{k_min}, {k_max}]", EXIT_INPUT_ERROR)
+    if repetitions < 1:
+        _fail("repetitions must be at least 1", EXIT_INPUT_ERROR)
     try:
-        ds, x = _load_matrix(input_path, fmt, column_map_path)
+        x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
     except DatasetError as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
     if k_max > x.cols:
         _fail(f"k_max={k_max} exceeds the number of permissions D={x.cols}",
               EXIT_INPUT_ERROR)
-    config = FitConfig(seed=seed)
-    jobs = [(x.data, k, repetitions, config) for k in range(k_min, k_max + 1)]
-    records: list[InstabilityRecord] = []
-    failures: dict[int, str] = {}
-    try:
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                results = {job[1]: pool.submit(_instability_job, job)
-                           for job in jobs}
-            for k in sorted(results):
-                try:
-                    records.append(results[k].result())
-                except Exception as exc:  # fit failures keep the sweep going
-                    failures[k] = str(exc)
-        else:
-            for job in jobs:
-                try:
-                    records.append(_instability_job(job))
-                except ConfigError as exc:
-                    failures[job[1]] = str(exc)
-    except FloatingPointError as exc:
-        _fail(str(exc), EXIT_NUMERIC_ERROR)
-    if not records:
-        _fail("all K values failed: " + json.dumps(failures), EXIT_NUMERIC_ERROR)
-    best = min(records, key=lambda rec: (rec.median, rec.k))
-    report = InstabilityReport(records=tuple(records), selected_k=best.k)
+    report = select_k(x, range(k_min, k_max + 1), repetitions,
+                      FitConfig(seed=seed), threads=threads)
+    if report.selected_k is None:
+        _fail("all K values failed: " + json.dumps(report.failed_k),
+              EXIT_NUMERIC_ERROR)
     csv_path = out / "instability.csv"
     report.write_csv(csv_path)
     cfg = {"k_min": k_min, "k_max": k_max, "repetitions": repetitions,
-           "selected_k": report.selected_k, "failed_k": failures,
+           "selected_k": report.selected_k, "failed_k": report.failed_k,
            "input": input_path}
     outputs = [csv_path]
     outputs.append(_write_manifest(out, "select-k", cfg, [Path(input_path)],
@@ -205,7 +182,7 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, threads, out_dir,
               help="JSON with min_avg_rating, min_num_ratings, "
                    "max_low_num_ratings, test_size, split_seed.")
 @click.option("--kl-smoothing", default=0.5, show_default=True, type=float)
-def mine(input_path, fmt, column_map_path, seed, threads, out_dir, k,
+def mine(input_path, fmt, column_map_path, seed, out_dir, k,
          reputation_path, kl_smoothing):
     """Fit patterns on high-reputation apps and evaluate all three subsets."""
     started = time.monotonic()
@@ -221,7 +198,7 @@ def mine(input_path, fmt, column_map_path, seed, threads, out_dir, k,
         except (OSError, TypeError, ValueError) as exc:
             _fail(f"bad reputation config: {exc}", EXIT_INPUT_ERROR)
     try:
-        ds, _ = _load_matrix(input_path, fmt, column_map_path)
+        ds = _read_dataset(input_path, fmt, column_map_path)
         train_ds, test_high_ds, test_low_ds = filter_reputation(ds, criteria)
     except DatasetError as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
@@ -292,14 +269,14 @@ def mine(input_path, fmt, column_map_path, seed, threads, out_dir, k,
 @click.option("--bins", default=20, show_default=True, type=int)
 @click.option("--sim-n", default=None, type=int,
               help="Simulated dataset size (default: same as input).")
-def simulate(input_path, fmt, column_map_path, seed, threads, out_dir,
+def simulate(input_path, fmt, column_map_path, seed, out_dir,
              bins, sim_n):
     """Independent-request null model versus the real PCP distribution."""
     started = time.monotonic()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        ds, x = _load_matrix(input_path, fmt, column_map_path)
+        x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
     except DatasetError as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
     probs = marginal_probs(x)

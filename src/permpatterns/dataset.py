@@ -168,7 +168,7 @@ def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Datas
         for line, row in enumerate(payload, start=1):
             if not isinstance(row, dict):
                 raise DatasetError(f"{path}: entry {line} is not an object")
-            if "id" not in {column_map.get("id", "id")} | set(row):
+            if column_map.get("id", "id") not in row:
                 raise DatasetError(f"{path}: entry {line} lacks an id")
             rows.append((line, remap(row)))
 
@@ -229,11 +229,11 @@ def summary_stats(ds: Dataset, top_n: int | None = None) -> SummaryStats:
                   key=lambda item: (-item[1], item[0]))
     if top_n is not None:
         freq = freq[:top_n]
-    prices = sorted(a.price for a in ds.apps)
-    price_curve = []
-    for price in sorted(set(prices)):
-        below = sum(1 for p in prices if p <= price)
-        price_curve.append((price, below / n))
+    prices = np.sort(np.array([a.price for a in ds.apps], dtype=float))
+    distinct = np.unique(prices)
+    below = np.searchsorted(prices, distinct, side="right")
+    price_curve = [(price, count / n)
+                   for price, count in zip(distinct.tolist(), below.tolist())]
     ratings = tuple((a.avg_rating, a.num_ratings) for a in ds.apps
                     if a.num_ratings > 0 and a.avg_rating is not None)
     return SummaryStats(

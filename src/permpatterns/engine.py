@@ -240,6 +240,22 @@ def _initial_state(x: BinaryMatrix, k: int, config: FitConfig) -> FitState:
     return state
 
 
+def _converge(x: BinaryMatrix, state: FitState, temperature: float,
+              config: FitConfig) -> FitState:
+    """EM steps at a fixed temperature until the tempered log-likelihood
+    changes by at most the relative tolerance, or the step budget ends."""
+    state.temperature = temperature
+    state.log_likelihood = tempered_log_likelihood(x, state)
+    prev = state.log_likelihood
+    for _ in range(config.max_inner_iterations):
+        state = em_step(x, state)
+        cur = state.log_likelihood
+        if abs(cur - prev) <= config.tolerance * max(1.0, abs(prev)):
+            break
+        prev = cur
+    return state
+
+
 def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorization:
     """Fit K patterns to x by annealed EM; deterministic for a fixed seed.
 
@@ -256,15 +272,7 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
     state = _initial_state(x, k, config)
     temperature = config.initial_temperature
     while True:
-        state.temperature = temperature
-        state.log_likelihood = tempered_log_likelihood(x, state)
-        prev = state.log_likelihood
-        for _ in range(config.max_inner_iterations):
-            state = em_step(x, state)
-            cur = state.log_likelihood
-            if abs(cur - prev) <= config.tolerance * max(1.0, abs(prev)):
-                break
-            prev = cur
+        state = _converge(x, state, temperature, config)
         if temperature <= config.final_temperature:
             break
         temperature = max(temperature * config.cooling_factor,
@@ -272,15 +280,7 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
 
     # refinement at T=1: the cooled responsibilities are over-sharpened, so
     # re-estimate epsilon and r as plain maximum-likelihood values
-    state.temperature = 1.0
-    state.log_likelihood = tempered_log_likelihood(x, state)
-    prev = state.log_likelihood
-    for _ in range(config.max_inner_iterations):
-        state = em_step(x, state)
-        cur = state.log_likelihood
-        if abs(cur - prev) <= config.tolerance * max(1.0, abs(prev)):
-            break
-        prev = cur
+    state = _converge(x, state, 1.0, config)
 
     # order patterns by how many applications request them
     counts = state.z.sum(axis=0)

@@ -3,7 +3,6 @@ frequencies, and category divergence."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -140,49 +139,6 @@ def category_divergence(z: BinaryMatrix, categories: Sequence[str],
     p_g = (global_counts + smoothing) / (global_counts + smoothing).sum()
     p_k = (pattern_counts + smoothing) / (pattern_counts + smoothing).sum()
     return float(np.sum(p_g * np.log2(p_g / p_k)))
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """Bundle of the dataset-level evaluation quantities."""
-
-    train: ErrorRates
-    test_high: ErrorRates | None
-    test_low: ErrorRates | None
-    pcp: np.ndarray
-    pcp_undefined: tuple[int, ...]
-    pattern_freq: np.ndarray
-    pattern_order: np.ndarray
-    kl_bits: tuple[float, ...]   # NaN where undefined
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "mean_fn_train": self.train.mean_fn,
-            "mean_fp_train": self.train.mean_fp,
-            "pattern_frequencies": self.pattern_freq.tolist(),
-            "pattern_order": self.pattern_order.tolist(),
-            "kl_bits": [None if np.isnan(v) else v for v in self.kl_bits],
-            "pcp_undefined_columns": list(self.pcp_undefined),
-        }
-        if self.test_high is not None:
-            out["mean_fn_test_high"] = self.test_high.mean_fn
-            out["mean_fp_test_high"] = self.test_high.mean_fp
-        if self.test_low is not None:
-            out["mean_fn_test_low"] = self.test_low.mean_fn
-            out["mean_fp_test_low"] = self.test_low.mean_fp
-        return out
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-
-
-def write_pcp_csv(path, pcp: np.ndarray, permission_names: Sequence[str]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["permission"] + list(permission_names))
-        for s, name in enumerate(permission_names):
-            writer.writerow([name] + [repr(float(v)) for v in pcp[s]])
 
 
 def write_pattern_summary(path, u: BinaryMatrix, freq: np.ndarray,

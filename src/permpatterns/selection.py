@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import csv
 import statistics
-from dataclasses import dataclass, field
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, replace
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .core import BinaryMatrix, DimensionError, FitConfig
+from .core import BinaryMatrix, ConfigError, DimensionError, FitConfig
 from .engine import assign_matrix, fit
 
 
@@ -45,6 +45,11 @@ def match_patterns(u1: BinaryMatrix, u2: BinaryMatrix) -> np.ndarray:
     Among all minimum-cost permutations the lexicographically smallest one
     is returned, so u1 == u2 always yields the identity.
     """
+    # imported here, not at module level: scipy.optimize takes longer to load
+    # than the rest of the package and more memory, and callers that only
+    # fit or score apps never need it
+    from scipy.optimize import linear_sum_assignment
+
     if u1.shape != u2.shape:
         raise DimensionError(f"shape mismatch: {u1.shape} vs {u2.shape}")
     cost = _hamming_cost(u1, u2).astype(float)
@@ -115,7 +120,8 @@ class InstabilityRecord:
 @dataclass(frozen=True)
 class InstabilityReport:
     records: tuple[InstabilityRecord, ...]
-    selected_k: int
+    selected_k: int | None           # None when every K failed
+    failed_k: dict[int, str] = field(default_factory=dict)   # K -> error
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -130,7 +136,7 @@ class InstabilityReport:
 
 
 def instability(x: BinaryMatrix, k: int, repetitions: int,
-                config: FitConfig, exact_match: bool = False) -> InstabilityRecord:
+                config: FitConfig) -> InstabilityRecord:
     """Instability of K-pattern factorizations over repeated random splits.
 
     Each repetition fits both halves, transfers the first model onto the
@@ -145,19 +151,11 @@ def instability(x: BinaryMatrix, k: int, repetitions: int,
     for rep in range(repetitions):
         seed = config.seed + rep
         half1, half2 = split_dataset(x, seed)
-        cfg = FitConfig(
-            initial_temperature=config.initial_temperature,
-            cooling_factor=config.cooling_factor,
-            final_temperature=config.final_temperature,
-            tolerance=config.tolerance,
-            max_inner_iterations=config.max_inner_iterations,
-            seed=seed,
-        )
+        cfg = replace(config, seed=seed)
         fact1 = fit(half1, k, cfg)
         fact2 = fit(half2, k, cfg)
         transferred = assign_matrix(half2, fact1.u, fact1.r, fact1.epsilon)
-        matcher = match_patterns_exhaustive if exact_match else match_patterns
-        pi = matcher(fact1.u, fact2.u)
+        pi = match_patterns(fact1.u, fact2.u)
         aligned = np.zeros_like(transferred.data)
         aligned[:, pi] = transferred.data
         values.append(disagreement_score(BinaryMatrix(aligned), fact2.z))
@@ -171,13 +169,37 @@ def instability(x: BinaryMatrix, k: int, repetitions: int,
     )
 
 
+def _instability_job(args) -> InstabilityRecord | str:
+    """One K of the sweep; a failed fit comes back as its error message."""
+    x, k, repetitions, config = args
+    try:
+        return instability(x, k, repetitions, config)
+    except (ConfigError, FloatingPointError) as exc:
+        return str(exc)
+
+
 def select_k(x: BinaryMatrix, k_range, repetitions: int,
-             config: FitConfig) -> InstabilityReport:
+             config: FitConfig, threads: int = 1) -> InstabilityReport:
     """Run the instability analysis for each K; pick the minimum median,
-    ties broken toward smaller K."""
+    ties broken toward smaller K.
+
+    With ``threads > 1`` the K values run in a pool of that many worker
+    processes; the report is the same as a serial sweep's.  A K whose fits
+    raise ``ConfigError`` or ``FloatingPointError`` is listed in
+    ``failed_k`` and the sweep goes on; any other exception propagates.
+    """
     k_range = list(k_range)
     if not k_range:
         raise ValueError("k_range must be nonempty")
-    records = tuple(instability(x, k, repetitions, config) for k in k_range)
-    best = min(records, key=lambda rec: (rec.median, rec.k))
-    return InstabilityReport(records=records, selected_k=best.k)
+    jobs = [(x, k, repetitions, config) for k in k_range]
+    if threads > 1:
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+            outcomes = list(pool.map(_instability_job, jobs))
+    else:
+        outcomes = [_instability_job(job) for job in jobs]
+    records = tuple(o for o in outcomes if isinstance(o, InstabilityRecord))
+    failed = {k: o for k, o in zip(k_range, outcomes) if isinstance(o, str)}
+    best = min(records, key=lambda rec: (rec.median, rec.k), default=None)
+    return InstabilityReport(records=records,
+                             selected_k=None if best is None else best.k,
+                             failed_k=failed)

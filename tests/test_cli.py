@@ -1,9 +1,11 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from permpatterns import selection
 from permpatterns.cli import main
 from permpatterns.simulate import plant_factorization
 
@@ -85,6 +87,45 @@ class TestSelectK:
                                       "--out-dir", str(tmp_path / "out"),
                                       "--k-min", "4", "--k-max", "2"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_zero_repetitions_exits_2(self, runner, tmp_path, threads):
+        data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+        result = runner.invoke(main, ["select-k", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "--k-min", "2", "--k-max", "3",
+                                      "--repetitions", "0",
+                                      "--threads", threads])
+        assert result.exit_code == 2
+        assert "repetitions" in result.output
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the patched fit only "
+                               "when forked")
+    def test_threads_do_not_change_outputs(self, runner, tmp_path,
+                                           monkeypatch):
+        real_fit = selection.fit
+
+        def fit(x, k, config):
+            if k == 3:
+                raise FloatingPointError("overflow in em_step")
+            return real_fit(x, k, config)
+
+        monkeypatch.setattr(selection, "fit", fit)
+        data = planted_csv(tmp_path / "apps.csv", n=80, d=8, k=2)
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out{threads}"
+            result = runner.invoke(main, ["select-k", "--input", str(data),
+                                          "--out-dir", str(out),
+                                          "--k-min", "2", "--k-max", "4",
+                                          "--repetitions", "2",
+                                          "--threads", threads])
+            assert result.exit_code == 0, result.output
+            config = json.loads((out / "manifest.json").read_text())["config"]
+            assert config["failed_k"] == {"3": "overflow in em_step"}
+            outputs.append((out / "instability.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestMine:

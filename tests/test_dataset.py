@@ -78,6 +78,9 @@ class TestLoadDataset:
         assert ds.vocabulary == ("a", "b", "c")
         assert ds.apps[1].avg_rating is None
         assert ds.missing_rating_ids == ("a2",)
+        path.write_text(json.dumps([{"name": "No id", "permissions": ["a"]}]))
+        with pytest.raises(DatasetError, match="entry 1 lacks an id"):
+            load_dataset(path)
 
     def test_column_map(self, tmp_path):
         path = tmp_path / "apps.csv"
@@ -87,9 +90,14 @@ class TestLoadDataset:
         mapping = {"id": "package", "name": "title", "category": "cat",
                    "price": "cost", "avg_rating": "stars",
                    "num_ratings": "votes", "permissions": "perms"}
-        ds = load_dataset(path, column_map=mapping)
-        assert ds.apps[0].id == "p1"
-        assert ds.apps[0].permissions == {"a", "b"}
+        json_path = tmp_path / "apps.json"
+        json_path.write_text(json.dumps([
+            {"package": "p1", "title": "One", "cat": "Tools", "cost": 0,
+             "stars": 4.5, "votes": 200, "perms": ["a", "b"]}]))
+        for source in (path, json_path):
+            ds = load_dataset(source, column_map=mapping)
+            assert ds.apps[0].id == "p1"
+            assert ds.apps[0].permissions == {"a", "b"}
 
     def test_rating_out_of_range(self, tmp_path):
         path = write_csv(tmp_path / "apps.csv",
@@ -195,9 +203,14 @@ class TestSummaryStats:
             AppRecord(id=f"a{i}", name="", category="", price=price,
                       avg_rating=4.0, num_ratings=10,
                       permissions=frozenset({"p"}))
-            for i, price in enumerate([0.0, 0.0, 0.99, 1.99])
+            for i, price in enumerate([1.99, 0.0, 0.99, 0.0, 4.99, 0.99, 0.0,
+                                       1.99])
         )
         ds = Dataset(apps=apps, vocabulary=("p",))
         stats = summary_stats(ds)
-        assert stats.price_cumulative[0] == (0.0, 0.5)
-        assert stats.price_cumulative[-1] == (1.99, 1.0)
+        prices = [app.price for app in apps]
+        assert [p for p, _ in stats.price_cumulative] == [0.0, 0.99, 1.99, 4.99]
+        for price, frac in stats.price_cumulative:
+            assert frac == sum(p <= price for p in prices) / len(prices)
+        assert stats.price_cumulative[0] == (0.0, 0.375)
+        assert stats.price_cumulative[-1] == (4.99, 1.0)

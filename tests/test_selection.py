@@ -159,6 +159,30 @@ class TestSelectK:
         best = min(records, key=lambda rec: (rec.median, rec.k))
         assert best.k == 2
 
+    def test_threads_do_not_change_the_report(self):
+        # K=12 exceeds D=10, so its fits raise ConfigError
+        x, _, _ = plant_factorization(60, 10, 2, 0.3, 0.4, 0.05, 0.5, seed=15)
+        serial = select_k(x, [2, 3, 12], repetitions=1, config=FAST)
+        pooled = select_k(x, [2, 3, 12], repetitions=1, config=FAST,
+                          threads=2)
+        assert pooled == serial
+        assert [rec.k for rec in serial.records] == [2, 3]
+        assert list(serial.failed_k) == [12]
+        assert "exceeds" in serial.failed_k[12]
+
+    def test_all_k_failed(self):
+        x = BinaryMatrix(np.eye(4, dtype=int))
+        report = select_k(x, [5, 6], repetitions=1, config=FAST)
+        assert report.selected_k is None
+        assert report.records == ()
+        assert sorted(report.failed_k) == [5, 6]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_other_errors_propagate(self, threads):
+        x = BinaryMatrix(np.ones((1, 4), dtype=int))   # too small to split
+        with pytest.raises(DimensionError):
+            select_k(x, [2, 3], repetitions=1, config=FAST, threads=threads)
+
     def test_empty_range_rejected(self):
         x = BinaryMatrix(np.zeros((10, 4), dtype=int))
         with pytest.raises(ValueError):
