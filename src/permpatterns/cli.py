@@ -158,6 +158,9 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
     if k_max > x.cols:
         _fail(f"k_max={k_max} exceeds the number of permissions D={x.cols}",
               EXIT_INPUT_ERROR)
+    if x.rows < 2:
+        _fail(f"select-k needs at least 2 apps to split, got {x.rows}",
+              EXIT_INPUT_ERROR)
     report = select_k(x, range(k_min, k_max + 1), repetitions,
                       FitConfig(seed=seed), threads=threads)
     if report.selected_k is None:

@@ -86,7 +86,7 @@ class ReputationCriteria:
 
 def _parse_record(row: dict, line: int, seen_ids: set,
                   missing_rating_ids: list) -> AppRecord:
-    app_id = str(row["id"]).strip()
+    app_id = "" if row["id"] is None else str(row["id"]).strip()
     if not app_id:
         raise DatasetError(f"line {line}: empty id")
     if app_id in seen_ids:

@@ -29,6 +29,10 @@ PARAM_FLOOR = 1e-6
 # cells so the flip search never materializes huge 3-d temporaries.
 _CHUNK_CELLS = 20_000_000
 
+# Bounds the (row, start, candidate, permission) cells of one assign_matrix
+# chunk: the multiply-adds of one greedy step's candidate products.
+_ASSIGN_CELLS = 4_000_000
+
 
 @dataclass
 class FitState:
@@ -40,10 +44,6 @@ class FitState:
     epsilon: float
     temperature: float
     log_likelihood: float = float("nan")   # tempered, at self.temperature
-
-    def copy(self) -> "FitState":
-        return FitState(self.beta.copy(), self.z.copy(), self.r,
-                        self.epsilon, self.temperature, self.log_likelihood)
 
 
 def boolean_product(z: BinaryMatrix, u: BinaryMatrix) -> BinaryMatrix:
@@ -83,9 +83,14 @@ def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return z.astype(float) @ log_beta
 
 
+def _clip(p: float) -> float:
+    return float(np.clip(p, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
+
+
 def _log_signal(x: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """Per-entry log p_S(x | z, beta)."""
-    q = np.exp(np.minimum(log_q, 0.0))
+    log_q = np.minimum(log_q, 0.0)
+    q = np.exp(log_q)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_one_minus_q = np.log1p(-q)
     # q == 1 and x == 1 is an impossible signal event
@@ -94,8 +99,20 @@ def _log_signal(x: np.ndarray, log_q: np.ndarray) -> np.ndarray:
 
 
 def _log_noise(x: np.ndarray, r: float) -> np.ndarray:
-    r = float(np.clip(r, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
+    r = _clip(r)
     return np.where(x == 1, np.log(r), np.log1p(-r))
+
+
+def _mixture_terms(x: np.ndarray, log_q: np.ndarray, r: float, eps: float,
+                   inv_t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Tempered per-entry log-terms (log(eps*p_N)/T, log((1-eps)*p_S)/T).
+
+    log_q may have extra leading axes; eps of 0 or 1 gives -inf terms.
+    """
+    with np.errstate(divide="ignore"):
+        a = (np.log(eps) + _log_noise(x, r)) * inv_t
+        b = (np.log1p(-eps) + _log_signal(x, log_q)) * inv_t
+    return a, b
 
 
 def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
@@ -103,45 +120,28 @@ def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     xd = x.data
     if xd.shape != (state.z.shape[0], state.beta.shape[1]):
         raise DimensionError("x shape does not match the fit state")
-    log_ps = _log_signal(xd, _log_q(state.z, state.beta))
-    log_pn = _log_noise(xd, state.r)
-    eps = float(np.clip(state.epsilon, 0.0, 1.0))
-    with np.errstate(divide="ignore"):
-        a = np.log(eps) + log_pn if eps > 0 else np.full_like(log_pn, -np.inf)
-        b = np.log1p(-eps) + log_ps if eps < 1 else np.full_like(log_ps, -np.inf)
+    a, b = _mixture_terms(xd, _log_q(state.z, state.beta), state.r,
+                          float(np.clip(state.epsilon, 0.0, 1.0)), 1.0)
     return float(np.sum(np.logaddexp(a, b)))
 
 
 def tempered_log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     """Sum over entries of log[(eps*p_N)^(1/T) + ((1-eps)*p_S)^(1/T)]."""
-    xd = x.data
-    inv_t = 1.0 / state.temperature
-    eps = float(np.clip(state.epsilon, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
-    a = (np.log(eps) + _log_noise(xd, state.r)) * inv_t
-    b = (np.log1p(-eps) + _log_signal(xd, _log_q(state.z, state.beta))) * inv_t
+    a, b = _mixture_terms(x.data, _log_q(state.z, state.beta), state.r,
+                          _clip(state.epsilon), 1.0 / state.temperature)
     return float(np.sum(np.logaddexp(a, b)))
 
 
-def _noise_responsibility(x: np.ndarray, state: FitState) -> np.ndarray:
-    """Tempered posterior that each entry was generated by the noise model."""
-    inv_t = 1.0 / state.temperature
-    eps = float(np.clip(state.epsilon, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
-    a = (np.log(eps) + _log_noise(x, state.r)) * inv_t
-    b = (np.log1p(-eps) + _log_signal(x, _log_q(state.z, state.beta))) * inv_t
-    return np.exp(a - np.logaddexp(a, b))
-
-
 def _update_beta(x: np.ndarray, z: np.ndarray, beta: np.ndarray,
-                 signal_weight: np.ndarray) -> np.ndarray:
+                 log_q: np.ndarray, signal_weight: np.ndarray) -> np.ndarray:
     """Exact M-step for beta from the latent-cause decomposition.
 
     For entries with x=1 the posterior that pattern k fired is
     (1 - beta[k, d]) / (1 - q[i, d]); entries with x=0 count fully as
     "did not fire".  The update is the weighted fraction of non-firings
     among rows assigned to the pattern, which cannot decrease the
-    tempered objective.
+    tempered objective.  log_q is _log_q(z, beta).
     """
-    log_q = _log_q(z, beta)
     q = np.exp(np.minimum(log_q, 0.0))
     one_minus_q = np.clip(1.0 - q, 1e-300, 1.0)
     zf = z.astype(float)
@@ -158,48 +158,41 @@ def _update_beta(x: np.ndarray, z: np.ndarray, beta: np.ndarray,
     return new_beta
 
 
-def _row_tempered_ll(x: np.ndarray, log_q: np.ndarray, r: float,
-                     epsilon: float, inv_t: float) -> np.ndarray:
-    """Tempered log-likelihood of each row; log_q may have extra leading axes."""
-    eps = float(np.clip(epsilon, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
-    a = (np.log(eps) + _log_noise(x, r)) * inv_t
-    b = (np.log1p(-eps) + _log_signal(x, np.minimum(log_q, 0.0))) * inv_t
-    return np.logaddexp(a, b).sum(axis=-1)
-
-
 def _update_z(x: np.ndarray, state: FitState, max_passes: int) -> np.ndarray:
     """Greedy single-bit flips per row, accepting only tempered-LL gains.
 
     Rows are independent, so one flip per row per pass is applied
-    simultaneously; the result does not depend on row order.
+    simultaneously; the result does not depend on row order.  A row that
+    did not flip would not flip again, so a pass searches only the last
+    pass's flipped rows.
     """
     z = state.z.copy()
     n, k_count = z.shape
     d = state.beta.shape[1]
-    inv_t = 1.0 / state.temperature
+    r, eps, inv_t = state.r, state.epsilon, 1.0 / state.temperature
     with np.errstate(divide="ignore"):
         log_beta = np.log(np.clip(state.beta, 1e-300, 1.0))
     chunk = max(1, _CHUNK_CELLS // max(1, k_count * d))
+    flipped = np.ones(n, dtype=bool)
     for _ in range(max_passes):
-        improved = False
+        search, flipped = flipped, np.zeros(n, dtype=bool)
         for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            xs = x[lo:hi]
-            zs = z[lo:hi]
-            log_q = zs.astype(float) @ log_beta
-            base = _row_tempered_ll(xs, log_q, state.r, state.epsilon, inv_t)
+            rows = lo + np.flatnonzero(search[lo:lo + chunk])
+            log_q = (z[lo:lo + chunk].astype(float) @ log_beta)[rows - lo]
+            xs, zs = x[rows], z[rows]
+            base = np.logaddexp(*_mixture_terms(
+                xs, log_q, r, eps, inv_t)).sum(axis=-1)
             # flipping bit k adds log_beta[k] when z=0 and removes it when z=1
             sign = 1.0 - 2.0 * zs.astype(float)
             log_q_flip = log_q[:, None, :] + sign[:, :, None] * log_beta[None, :, :]
-            flip = _row_tempered_ll(xs[:, None, :], log_q_flip,
-                                    state.r, state.epsilon, inv_t)
+            flip = np.logaddexp(*_mixture_terms(
+                xs[:, None, :], log_q_flip, r, eps, inv_t)).sum(axis=-1)
             delta = flip - base[:, None]
             best = np.argmax(delta, axis=1)
-            rows = np.nonzero(delta[np.arange(hi - lo), best] > 1e-12)[0]
-            if rows.size:
-                z[lo + rows, best[rows]] ^= 1
-                improved = True
-        if not improved:
+            gain = delta[np.arange(rows.size), best] > 1e-12
+            z[rows[gain], best[gain]] ^= 1
+            flipped[rows[gain]] = True
+        if not flipped.any():
             break
     return z
 
@@ -216,14 +209,16 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
         raise DimensionError("x shape does not match the fit state")
     xf = xd.astype(float)
 
-    rho = _noise_responsibility(xd, state)
-    eps = float(np.clip(rho.mean(), PARAM_FLOOR, 1.0 - PARAM_FLOOR))
+    log_q = _log_q(state.z, state.beta)
+    a, b = _mixture_terms(xd, log_q, state.r, _clip(state.epsilon),
+                          1.0 / state.temperature)
+    rho = np.exp(a - np.logaddexp(a, b))    # tempered noise responsibility
+    eps = _clip(rho.mean())
     rho_sum = rho.sum()
-    r = float(np.clip((rho * xf).sum() / rho_sum, PARAM_FLOOR, 1.0 - PARAM_FLOOR)) \
-        if rho_sum > 0 else state.r
+    r = _clip((rho * xf).sum() / rho_sum) if rho_sum > 0 else state.r
 
-    new = replace(state.copy(), r=r, epsilon=eps)
-    new.beta = _update_beta(xf, state.z, state.beta, 1.0 - rho)
+    new = replace(state, r=r, epsilon=eps,
+                  beta=_update_beta(xf, state.z, state.beta, log_q, 1.0 - rho))
     new.z = _update_z(xd, new, max_passes=2 * state.z.shape[1])
     new.log_likelihood = tempered_log_likelihood(x, new)
     return new
@@ -295,15 +290,69 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
                          seed=config.seed)
 
 
-def _row_mixture_ll(x_row: np.ndarray, covered: np.ndarray,
-                    log_terms: tuple[float, float, float, float]) -> float:
-    log_match1, log_match0, log_miss1, log_miss0 = log_terms
-    ones = x_row == 1
-    n11 = int(np.count_nonzero(covered & ones))
-    n01 = int(np.count_nonzero(~covered & ones))
-    n10 = int(np.count_nonzero(covered & ~ones))
-    n00 = int(np.count_nonzero(~covered & ~ones))
-    return n11 * log_match1 + n00 * log_match0 + n01 * log_miss1 + n10 * log_miss0
+def _first_better(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Left-to-right scan of the last axis: a score replaces the best so far
+    (initially base) only if it beats it by more than 1e-12, so scores tied
+    up to rounding keep the first.  The kept index, or -1 if base stands."""
+    best_i, best = np.full(base.shape, -1), base
+    for i in range(scores.shape[-1]):
+        better = scores[..., i] > best + 1e-12
+        best_i[better] = i
+        best = np.where(better, scores[..., i], best)
+    return best_i
+
+
+def _set_ll(n11, n10, ones, d: int, r: float, eps: float) -> np.ndarray:
+    """Log-likelihood of rows with `ones` of d entries requested when the
+    assigned patterns cover n11 requested and n10 unrequested entries."""
+    # covered and x agree -> eps*p_N + (1-eps); disagree -> eps*p_N
+    log_match1 = float(np.log(eps * r + (1 - eps)))        # covered, x=1
+    log_match0 = float(np.log(eps * (1 - r) + (1 - eps)))  # uncovered, x=0
+    log_miss1 = float(np.log(eps * r))                     # uncovered, x=1
+    log_miss0 = float(np.log(eps * (1 - r)))               # covered, x=0
+    return (n11 * log_match1 + (d - ones - n10) * log_match0
+            + (ones - n11) * log_miss1 + n10 * log_miss0)
+
+
+def _greedy_assign(x: np.ndarray, u: BinaryMatrix,
+                   r: float, epsilon: float) -> np.ndarray:
+    """assign_patterns for every row of the bool (N, D) array x at once.
+
+    The N * (K+1) pairs of a row and a start run side by side; each step
+    scores every candidate of every pair still moving by matrix products.
+    """
+    r, eps = _clip(r), _clip(epsilon)
+    n, d = x.shape
+    k = u.rows
+    # pair p is row p // (K+1) from the empty set (p % (K+1) == 0) or from
+    # the singleton of pattern p % (K+1) - 1
+    xs = np.repeat(x, k + 1, axis=0)
+    ones = xs.sum(axis=1)
+    selected = np.tile(np.eye(k + 1, k, -1, dtype=bool), (n, 1))
+    uf = u.data.astype(float)
+    cover = selected @ uf           # how many selected patterns cover an entry
+    ll = np.empty(len(xs))          # each pair's current log-likelihood
+    for adding in (True, False):
+        live = np.arange(len(xs))
+        while live.size:
+            xl, cov = xs[live], cover[live]
+            covered = cov > 0
+            n11, n10 = (covered & xl).sum(axis=1), (covered & ~xl).sum(axis=1)
+            # entries a candidate flips: adding covers the uncovered ones,
+            # removing uncovers those it alone covers
+            flips = ~covered if adding else cov == 1
+            sign = 1 if adding else -1
+            cand = _set_ll(n11[:, None] + sign * ((flips & xl) @ uf.T),
+                           n10[:, None] + sign * ((flips & ~xl) @ uf.T),
+                           ones[live, None], d, r, eps)
+            cand[selected[live] == adding] = -np.inf
+            ll[live] = _set_ll(n11, n10, ones[live], d, r, eps)
+            best = _first_better(cand, ll[live])
+            live, best = live[best >= 0], best[best >= 0]
+            selected[live, best] = adding
+            cover[live] += sign * uf[best]
+    start = _first_better(ll.reshape(n, k + 1), np.full(n, -np.inf))
+    return selected.reshape(n, k + 1, k)[np.arange(n), start].astype(np.uint8)
 
 
 def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
@@ -313,74 +362,24 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     Runs the add-then-prune greedy from the empty set and, to escape
     single-pattern traps, from each singleton seed; the highest-likelihood
     result wins.  Deterministic; ties go to the earliest start and lowest
-    pattern index.
+    pattern index: a greedy step scans the candidates by index and keeps
+    one only when it beats the best so far by more than 1e-12, and the
+    starts are scanned the same way.  Equals the row's assign_matrix result.
     """
     x_row = np.asarray(x_row).astype(np.uint8)
     if x_row.shape != (u.cols,):
         raise DimensionError(f"row length {x_row.shape} != D={u.cols}")
-    r = float(np.clip(r, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
-    eps = float(np.clip(epsilon, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
-    # covered and x agree -> eps*p_N + (1-eps); disagree -> eps*p_N
-    log_terms = (
-        float(np.log(eps * r + (1 - eps))),        # covered, x=1
-        float(np.log(eps * (1 - r) + (1 - eps))),  # uncovered, x=0
-        float(np.log(eps * r)),                    # uncovered, x=1
-        float(np.log(eps * (1 - r))),              # covered, x=0
-    )
-    k_count = u.rows
-    ud = u.data.astype(bool)
-
-    def score(counts):
-        covered = counts > 0
-        return _row_mixture_ll(x_row, covered, log_terms)
-
-    def greedy_from(seed):
-        selected = np.zeros(k_count, dtype=np.uint8)
-        cover_count = np.zeros(u.cols, dtype=np.int64)
-        if seed is not None:
-            selected[seed] = 1
-            cover_count += ud[seed]
-        current = score(cover_count)
-        while True:
-            best_k, best_score = -1, current
-            for k in range(k_count):
-                if selected[k]:
-                    continue
-                cand = score(cover_count + ud[k])
-                if cand > best_score + 1e-12:
-                    best_k, best_score = k, cand
-            if best_k < 0:
-                break
-            selected[best_k] = 1
-            cover_count += ud[best_k]
-            current = best_score
-        while True:
-            best_k, best_score = -1, current
-            for k in range(k_count):
-                if not selected[k]:
-                    continue
-                cand = score(cover_count - ud[k])
-                if cand > best_score + 1e-12:
-                    best_k, best_score = k, cand
-            if best_k < 0:
-                break
-            selected[best_k] = 0
-            cover_count -= ud[best_k]
-            current = best_score
-        return selected, current
-
-    best_selected, best_ll = greedy_from(None)
-    for seed in range(k_count):
-        selected, ll = greedy_from(seed)
-        if ll > best_ll + 1e-12:
-            best_selected, best_ll = selected, ll
-    return best_selected
+    return _greedy_assign(x_row[None] == 1, u, r, epsilon)[0]
 
 
 def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
                   r: float, epsilon: float) -> BinaryMatrix:
     """assign_patterns applied to every row of x."""
+    if x.cols != u.cols:
+        raise DimensionError(f"row length {x.cols} != D={u.cols}")
+    chunk = max(1, _ASSIGN_CELLS // max(1, (u.rows + 1) * u.rows * u.cols))
     out = np.zeros((x.rows, u.rows), dtype=np.uint8)
-    for i in range(x.rows):
-        out[i] = assign_patterns(x.row(i), u, r, epsilon)
+    for lo in range(0, x.rows, chunk):
+        out[lo:lo + chunk] = _greedy_assign(x.data[lo:lo + chunk] == 1, u,
+                                            r, epsilon)
     return BinaryMatrix(out)

@@ -88,6 +88,18 @@ class TestSelectK:
                                       "--k-min", "4", "--k-max", "2"])
         assert result.exit_code == 2
 
+    def test_fewer_than_two_apps_exits_2(self, runner, tmp_path):
+        data = tmp_path / "apps.csv"
+        data.write_text(CSV_HEADER + "app0,App 0,Tools,0,4.5,500,p0;p1;p2\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["select-k", "--input", str(data),
+                                      "--out-dir", str(out),
+                                      "--k-min", "1", "--k-max", "2",
+                                      "--repetitions", "1"])
+        assert result.exit_code == 2
+        assert "at least 2 apps" in result.output
+        assert not (out / "instability.csv").exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_zero_repetitions_exits_2(self, runner, tmp_path, threads):
         data = planted_csv(tmp_path / "apps.csv", n=40, d=5)

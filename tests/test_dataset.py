@@ -78,9 +78,14 @@ class TestLoadDataset:
         assert ds.vocabulary == ("a", "b", "c")
         assert ds.apps[1].avg_rating is None
         assert ds.missing_rating_ids == ("a2",)
-        path.write_text(json.dumps([{"name": "No id", "permissions": ["a"]}]))
-        with pytest.raises(DatasetError, match="entry 1 lacks an id"):
-            load_dataset(path)
+        for entry, message in (
+                ({"name": "No id", "permissions": ["a"]},
+                 "entry 1 lacks an id"),
+                ({"id": None, "name": "Null id", "permissions": ["a"]},
+                 "line 1: empty id")):
+            path.write_text(json.dumps([entry]))
+            with pytest.raises(DatasetError, match=message):
+                load_dataset(path)
 
     def test_column_map(self, tmp_path):
         path = tmp_path / "apps.csv"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from permpatterns import (
     BinaryMatrix,
     FitConfig,
+    assign_matrix,
     assign_patterns,
     binarize,
     boolean_product,
+    engine,
     fit,
     log_likelihood,
     matrix_from_rows,
@@ -193,8 +196,7 @@ class TestEmStep:
         base = log_likelihood(x, state)
         for i in range(x.rows):
             for j in range(3):
-                flipped = state.copy()
-                flipped.z = state.z.copy()
+                flipped = replace(state, z=state.z.copy())
                 flipped.z[i, j] ^= 1
                 assert log_likelihood(x, flipped) <= base + 1e-9
         new = em_step(x, state)
@@ -320,3 +322,42 @@ class TestAssignPatterns:
             if got_ll >= best_ll - 0.01 * abs(best_ll):
                 hits += 1
         assert hits >= 0.95 * trials
+
+    def test_matrix_chunks_equal_single_rows(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        u = random_binary(rng, (6, 15), 0.3)
+        x = random_binary(rng, (23, 15), 0.35)
+        # 7 starts x 6 candidates x 15 permissions: 4 rows a chunk
+        monkeypatch.setattr(engine, "_ASSIGN_CELLS", 4 * 7 * 6 * 15)
+        chunks = []
+        greedy = engine._greedy_assign
+
+        def counted(rows, *args):
+            chunks.append(len(rows))
+            return greedy(rows, *args)
+
+        monkeypatch.setattr(engine, "_greedy_assign", counted)
+        got = assign_matrix(x, u, 0.3, 0.1).data
+        assert chunks == [4, 4, 4, 4, 4, 3]
+        rows = [assign_patterns(x.row(i), u, 0.3, 0.1) for i in range(x.rows)]
+        assert got.tolist() == np.array(rows).tolist()
+
+    def test_no_single_move_beats_result(self):
+        rng = np.random.default_rng(14)
+        for _ in range(60):
+            k, d = int(rng.integers(1, 9)), int(rng.integers(3, 20))
+            u = random_binary(rng, (k, d), rng.uniform(0.1, 0.5))
+            x = random_binary(rng, (5, d), rng.uniform(0.1, 0.6))
+            r, eps = rng.uniform(0.05, 0.95), rng.uniform(0.01, 0.4)
+            for row, z in zip(x.data, assign_matrix(x, u, r, eps).data):
+                got = assignment_ll(row, u, z, r, eps)
+                # the empty set, each singleton, each single add or removal
+                eye = list(np.eye(k, dtype=np.uint8))
+                moves = [0 * z] + eye + [z ^ e for e in eye]
+                for move in moves:
+                    assert assignment_ll(row, u, move, r, eps) <= got + 1e-9
+
+    def test_matrix_dimension_mismatch(self):
+        u = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
+        with pytest.raises(DimensionError):
+            assign_matrix(matrix_from_rows([[1, 0], [0, 1]]), u, 0.5, 0.05)
