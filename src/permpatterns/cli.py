@@ -2,15 +2,19 @@
 
 Every command takes a single ``--seed`` from which all sub-seeds are
 derived, writes its outputs as plain CSV/JSON into ``--out-dir``, and
-finishes by writing a run manifest.  Exit codes: 0 success, 2 input or
+finishes by writing a run manifest.  The library modules return data;
+this module alone writes files.  Exit codes: 0 success, 2 input or
 configuration error, 3 internal numeric failure.
 """
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import math
 import sys
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 import click
@@ -24,7 +28,6 @@ from .dataset import (
     load_dataset,
     filter_reputation,
     summary_stats,
-    write_summary_csvs,
 )
 from .engine import assign_matrix, fit
 from .evaluation import (
@@ -34,8 +37,6 @@ from .evaluation import (
     pattern_frequencies,
     pcp_matrix,
     average_pcp,
-    write_error_curves,
-    write_pattern_summary,
 )
 # _instability_job is bound here too: perfbench/tracer.py traces the
 # select-k pool job as cli._instability_job
@@ -54,33 +55,60 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict,
-                    inputs: list[Path], seed: int, outputs: list[Path],
-                    started: float, failed_stage: str | None = None) -> Path:
-    manifest = {
+def _cell(value):
+    # repr round-trips a float exactly; numpy floats are float subclasses
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    return value
+
+
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    """Write one table: a float cell as its repr, NaN as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+    return path
+
+
+def _write_json(path: Path, obj) -> Path:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+    return path
+
+
+def _write_manifest(out_dir: Path, command: str, input_path: str, seed: int,
+                    config: dict, outputs: list[Path], started: float) -> Path:
+    return _write_json(out_dir / "manifest.json", {
         "command": command,
-        "config": config,
-        "input_digests": {str(p): _sha256(p) for p in inputs if p.exists()},
+        "config": {**config, "input": input_path},
+        "input_digests": {str(Path(input_path)): _sha256(Path(input_path))},
         "seed": seed,
         "version": __version__,
         "outputs": sorted(str(p) for p in outputs),
         "duration_seconds": round(time.monotonic() - started, 3),
-    }
-    if failed_stage:
-        manifest["failed_stage"] = failed_stage
-    path = out_dir / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-    return path
+    })
+
+
+def _start(out_dir: str) -> tuple[Path, float]:
+    """Start the run's clock and create its output directory."""
+    started = time.monotonic()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out, started
 
 
 def _read_dataset(input_path: str, fmt: str | None,
                   column_map_path: str | None) -> Dataset:
+    """Load the input; an unreadable or malformed one exits with code 2."""
     column_map = None
     if column_map_path:
         with open(column_map_path) as fh:
             column_map = json.load(fh)
-    return load_dataset(input_path, fmt=fmt, column_map=column_map)
+    try:
+        return load_dataset(input_path, fmt=fmt, column_map=column_map)
+    except DatasetError as exc:
+        _fail(str(exc), EXIT_INPUT_ERROR)
 
 
 def _fail(message: str, code: int):
@@ -119,17 +147,19 @@ def with_options(options):
 @click.option("--top-n", default=15, show_default=True, type=int)
 def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
     """Descriptive statistics: permission frequencies, prices, ratings."""
-    started = time.monotonic()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        ds = _read_dataset(input_path, fmt, column_map_path)
-        outputs = write_summary_csvs(summary_stats(ds, top_n=top_n), out)
-    except DatasetError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
-    outputs.append(_write_manifest(out, "stats",
-                                   {"top_n": top_n, "input": input_path},
-                                   [Path(input_path)], seed, outputs, started))
+    out, started = _start(out_dir)
+    summary = summary_stats(_read_dataset(input_path, fmt, column_map_path),
+                            top_n=top_n)
+    outputs = [
+        _write_csv(out / "permission_frequencies.csv",
+                   ["permission", "fraction"], summary.permission_frequencies),
+        _write_csv(out / "price_cumulative.csv",
+                   ["price", "cumulative_fraction"], summary.price_cumulative),
+        _write_csv(out / "ratings.csv", ["avg_rating", "num_ratings"],
+                   summary.rating_table),
+    ]
+    outputs.append(_write_manifest(out, "stats", input_path, seed,
+                                   {"top_n": top_n}, outputs, started))
     click.echo(f"wrote {len(outputs)} files to {out}")
 
 
@@ -144,17 +174,12 @@ def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
 def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
                  k_min, k_max, repetitions, threads):
     """Instability sweep over K; selects the minimum-median K."""
-    started = time.monotonic()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out, started = _start(out_dir)
     if k_min > k_max or k_min < 1:
         _fail(f"invalid K range [{k_min}, {k_max}]", EXIT_INPUT_ERROR)
     if repetitions < 1:
         _fail("repetitions must be at least 1", EXIT_INPUT_ERROR)
-    try:
-        x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
-    except DatasetError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+    x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
     if k_max > x.cols:
         _fail(f"k_max={k_max} exceeds the number of permissions D={x.cols}",
               EXIT_INPUT_ERROR)
@@ -166,14 +191,16 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
     if report.selected_k is None:
         _fail("all K values failed: " + json.dumps(report.failed_k),
               EXIT_NUMERIC_ERROR)
-    csv_path = out / "instability.csv"
-    report.write_csv(csv_path)
+    rows = [(rec.k, rep, rep_seed, s, rec.median, rec.std,
+             int(rec.k == report.selected_k))
+            for rec in report.records
+            for rep, (rep_seed, s) in enumerate(zip(rec.seeds, rec.values))]
+    outputs = [_write_csv(out / "instability.csv",
+                          ["K", "repetition", "seed", "s", "median_s", "std_s",
+                           "selected"], rows)]
     cfg = {"k_min": k_min, "k_max": k_max, "repetitions": repetitions,
-           "selected_k": report.selected_k, "failed_k": report.failed_k,
-           "input": input_path}
-    outputs = [csv_path]
-    outputs.append(_write_manifest(out, "select-k", cfg, [Path(input_path)],
-                                   seed, outputs, started))
+           "selected_k": report.selected_k, "failed_k": report.failed_k}
+    _write_manifest(out, "select-k", input_path, seed, cfg, outputs, started)
     click.echo(f"selected K = {report.selected_k}")
 
 
@@ -188,11 +215,7 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
 def mine(input_path, fmt, column_map_path, seed, out_dir, k,
          reputation_path, kl_smoothing):
     """Fit patterns on high-reputation apps and evaluate all three subsets."""
-    started = time.monotonic()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    if k < 1:
-        _fail("K must be at least 1", EXIT_INPUT_ERROR)
+    out, started = _start(out_dir)
     criteria = ReputationCriteria()
     if reputation_path:
         try:
@@ -200,17 +223,14 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
                 criteria = ReputationCriteria(**json.load(fh))
         except (OSError, TypeError, ValueError) as exc:
             _fail(f"bad reputation config: {exc}", EXIT_INPUT_ERROR)
+    ds = _read_dataset(input_path, fmt, column_map_path)
     try:
-        ds = _read_dataset(input_path, fmt, column_map_path)
         train_ds, test_high_ds, test_low_ds = filter_reputation(ds, criteria)
     except DatasetError as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
     if train_ds.n == 0:
         _fail("reputation filter left an empty training set", EXIT_INPUT_ERROR)
     x_train = train_ds.to_matrix()
-    if k > x_train.cols:
-        _fail(f"K={k} exceeds the number of permissions D={x_train.cols}",
-              EXIT_INPUT_ERROR)
     try:
         fact = fit(x_train, k, FitConfig(seed=seed))
     except ConfigError as exc:
@@ -218,27 +238,17 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
     except FloatingPointError as exc:
         _fail(str(exc), EXIT_NUMERIC_ERROR)
 
-    outputs = []
-    model_path = out / "factorization.json"
-    with open(model_path, "w") as fh:
-        json.dump(fact.to_json_dict(), fh, indent=2, sort_keys=True)
-    outputs.append(model_path)
-
-    curves_path = out / "error_curves.csv"
+    # (tag, apps, residuals) of each nonempty subset
     rates_train = error_rates(x_train, fact.z, fact.u)
-    write_error_curves(curves_path, rates_train, "train")
-    summary = {"train": {"mean_fn": rates_train.mean_fn,
-                         "mean_fp": rates_train.mean_fp, "n": train_ds.n}}
+    scored = [("train", train_ds.n, rates_train)]
     for tag, subset in (("test_high", test_high_ds), ("test_low", test_low_ds)):
-        if subset.n == 0:
-            continue
-        x_sub = subset.to_matrix()
-        z_sub = assign_matrix(x_sub, fact.u, fact.r, fact.epsilon)
-        rates = error_rates(x_sub, z_sub, fact.u)
-        write_error_curves(curves_path, rates, tag, append=True)
-        summary[tag] = {"mean_fn": rates.mean_fn, "mean_fp": rates.mean_fp,
-                        "n": subset.n}
-    outputs.append(curves_path)
+        if subset.n:
+            x_sub = subset.to_matrix()
+            z_sub = assign_matrix(x_sub, fact.u, fact.r, fact.epsilon)
+            scored.append((tag, subset.n, error_rates(x_sub, z_sub, fact.u)))
+    curves = [(tag, t, fn, fp) for tag, _, rates in scored
+              for t, (fn, fp) in enumerate(zip_longest(
+                  rates.cumulative_fn, rates.cumulative_fp, fillvalue=0.0))]
 
     freq, order = pattern_frequencies(fact.z)
     categories = [a.category for a in train_ds.apps]
@@ -249,20 +259,26 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
                                           smoothing=kl_smoothing))
         except UndefinedDivergenceError:
             kl.append(float("nan"))
-    summary_path = out / "pattern_summary.csv"
-    write_pattern_summary(summary_path, fact.u, freq, order, kl,
-                          train_ds.vocabulary)
-    outputs.append(summary_path)
+    # Table-5-style summary: one row per pattern, most frequent first
+    patterns = [(pos + 1, freq[pos], kl[orig],
+                 ";".join(perm for perm, bit
+                          in zip(train_ds.vocabulary, fact.u.data[orig]) if bit))
+                for pos, orig in enumerate(order)]
 
-    residuals_path = out / "residuals.json"
-    with open(residuals_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    outputs.append(residuals_path)
-
+    outputs = [
+        _write_json(out / "factorization.json", fact.to_json_dict()),
+        _write_csv(out / "error_curves.csv",
+                   ["dataset", "t", "fraction_fn_gt_t", "fraction_fp_gt_t"],
+                   curves),
+        _write_csv(out / "pattern_summary.csv",
+                   ["pattern", "frequency", "kl_bits", "permissions"], patterns),
+        _write_json(out / "residuals.json",
+                    {tag: {"mean_fn": rates.mean_fn, "mean_fp": rates.mean_fp,
+                           "n": n} for tag, n, rates in scored}),
+    ]
     cfg = {"K": k, "reputation": criteria.__dict__,
-           "kl_smoothing": kl_smoothing, "input": input_path}
-    outputs.append(_write_manifest(out, "mine", cfg, [Path(input_path)],
-                                   seed, outputs, started))
+           "kl_smoothing": kl_smoothing}
+    _write_manifest(out, "mine", input_path, seed, cfg, outputs, started)
     click.echo(f"fitted K={k}: mean fn={rates_train.mean_fn:.4f} "
                f"fp={rates_train.mean_fp:.4f}")
 
@@ -275,37 +291,30 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
 def simulate(input_path, fmt, column_map_path, seed, out_dir,
              bins, sim_n):
     """Independent-request null model versus the real PCP distribution."""
-    started = time.monotonic()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    try:
-        x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
-    except DatasetError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+    out, started = _start(out_dir)
+    x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
     probs = marginal_probs(x)
     sim = simulate_independent(probs, sim_n or x.rows, seed)
     pcp_real, undef_real = pcp_matrix(x)
     pcp_sim, undef_sim = pcp_matrix(sim)
     hist = pcp_histogram(pcp_real, pcp_sim, bins=bins)
-    hist_path = out / "pcp_histogram.csv"
-    hist.write_csv(hist_path)
     avg_real, flag_real = average_pcp(pcp_real, undef_real)
     avg_sim, flag_sim = average_pcp(pcp_sim, undef_sim)
-    summary_path = out / "pcp_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump({
+    outputs = [
+        _write_csv(out / "pcp_histogram.csv",
+                   ["bin_center", "count_real", "count_sim"],
+                   zip(hist.bin_centers, hist.counts_real, hist.counts_sim)),
+        _write_json(out / "pcp_summary.json", {
             "average_pcp_real": avg_real,
             "average_pcp_simulated": avg_sim,
             "no_defined_pairs_real": flag_real,
             "no_defined_pairs_simulated": flag_sim,
             "undefined_columns_real": undef_real,
             "undefined_columns_simulated": undef_sim,
-        }, fh, indent=2, sort_keys=True)
-    outputs = [hist_path, summary_path]
-    outputs.append(_write_manifest(out, "simulate",
-                                   {"bins": bins, "sim_n": sim_n or x.rows,
-                                    "input": input_path},
-                                   [Path(input_path)], seed, outputs, started))
+        }),
+    ]
+    _write_manifest(out, "simulate", input_path, seed,
+                    {"bins": bins, "sim_n": sim_n or x.rows}, outputs, started)
     click.echo(f"average PCP: real={avg_real:.4f} simulated={avg_sim:.4f}")
 
 

@@ -15,6 +15,12 @@ class ConfigError(ValueError):
     """Raised for invalid fitting or pipeline configuration."""
 
 
+def check_binary(arr: np.ndarray) -> None:
+    """Raise ValueError unless every entry of ``arr`` equals 0 or 1."""
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("entries must be exactly 0 or 1")
+
+
 @dataclass(frozen=True)
 class BinaryMatrix:
     """Immutable dense 0/1 matrix with optional row/column labels.
@@ -31,8 +37,7 @@ class BinaryMatrix:
         arr = np.asarray(self.data)
         if arr.ndim != 2:
             raise DimensionError(f"expected a 2-d array, got ndim={arr.ndim}")
-        if arr.size and not np.isin(arr, (0, 1)).all():
-            raise ValueError("matrix entries must be exactly 0 or 1")
+        check_binary(arr)
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)

@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -60,11 +61,6 @@ class Dataset:
                             row_labels=[a.id for a in self.apps],
                             col_labels=self.vocabulary)
 
-    def subset(self, ids: Sequence[str]) -> "Dataset":
-        wanted = set(ids)
-        apps = tuple(a for a in self.apps if a.id in wanted)
-        return Dataset(apps=apps, vocabulary=self.vocabulary)
-
 
 @dataclass(frozen=True)
 class ReputationCriteria:
@@ -78,6 +74,16 @@ class ReputationCriteria:
     split_seed: int = 0
 
     def __post_init__(self):
+        # the CLI reads these from a user's JSON file; a bool is neither a
+        # threshold nor a count
+        if (isinstance(self.min_avg_rating, bool)
+                or not isinstance(self.min_avg_rating, numbers.Real)):
+            raise ValueError("min_avg_rating must be a number")
+        for name in ("min_num_ratings", "max_low_num_ratings", "test_size",
+                     "split_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer")
         if self.min_num_ratings < 0 or self.max_low_num_ratings < 0:
             raise ValueError("rating-count thresholds must be non-negative")
         if self.test_size < 0:
@@ -241,30 +247,3 @@ def summary_stats(ds: Dataset, top_n: int | None = None) -> SummaryStats:
         price_cumulative=tuple(price_curve),
         rating_table=ratings,
     )
-
-
-def write_summary_csvs(stats: SummaryStats, out_dir) -> list[Path]:
-    out_dir = Path(out_dir)
-    paths = []
-    freq_path = out_dir / "permission_frequencies.csv"
-    with open(freq_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["permission", "fraction"])
-        for perm, frac in stats.permission_frequencies:
-            writer.writerow([perm, repr(float(frac))])
-    paths.append(freq_path)
-    price_path = out_dir / "price_cumulative.csv"
-    with open(price_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["price", "cumulative_fraction"])
-        for price, frac in stats.price_cumulative:
-            writer.writerow([repr(float(price)), repr(float(frac))])
-    paths.append(price_path)
-    rating_path = out_dir / "ratings.csv"
-    with open(rating_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["avg_rating", "num_ratings"])
-        for rating, count in stats.rating_table:
-            writer.writerow([repr(float(rating)), int(count)])
-    paths.append(rating_path)
-    return paths

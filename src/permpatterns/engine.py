@@ -20,6 +20,7 @@ from .core import (
     DimensionError,
     Factorization,
     FitConfig,
+    check_binary,
 )
 
 # Keeps the noise log-terms finite; beta may still reach exact 0/1.
@@ -366,9 +367,10 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     one only when it beats the best so far by more than 1e-12, and the
     starts are scanned the same way.  Equals the row's assign_matrix result.
     """
-    x_row = np.asarray(x_row).astype(np.uint8)
+    x_row = np.asarray(x_row)
     if x_row.shape != (u.cols,):
         raise DimensionError(f"row length {x_row.shape} != D={u.cols}")
+    check_binary(x_row)
     return _greedy_assign(x_row[None] == 1, u, r, epsilon)[0]
 
 

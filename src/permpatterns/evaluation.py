@@ -2,7 +2,6 @@
 frequencies, and category divergence."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,19 +51,6 @@ def error_rates(x: BinaryMatrix, z: BinaryMatrix, u: BinaryMatrix) -> ErrorRates
         cumulative_fn=_cumulative_gt(fn),
         cumulative_fp=_cumulative_gt(fp),
     )
-
-
-def write_error_curves(path, rates: ErrorRates, tag: str, append=False) -> None:
-    top = max(len(rates.cumulative_fn), len(rates.cumulative_fp))
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
-        writer = csv.writer(fh)
-        if not append:
-            writer.writerow(["dataset", "t", "fraction_fn_gt_t", "fraction_fp_gt_t"])
-        for t in range(top):
-            fn = rates.cumulative_fn[t] if t < len(rates.cumulative_fn) else 0.0
-            fp = rates.cumulative_fp[t] if t < len(rates.cumulative_fp) else 0.0
-            writer.writerow([tag, t, repr(float(fn)), repr(float(fp))])
 
 
 def pcp_matrix(x: BinaryMatrix) -> tuple[np.ndarray, list[int]]:
@@ -139,21 +125,3 @@ def category_divergence(z: BinaryMatrix, categories: Sequence[str],
     p_g = (global_counts + smoothing) / (global_counts + smoothing).sum()
     p_k = (pattern_counts + smoothing) / (pattern_counts + smoothing).sum()
     return float(np.sum(p_g * np.log2(p_g / p_k)))
-
-
-def write_pattern_summary(path, u: BinaryMatrix, freq: np.ndarray,
-                          order: np.ndarray, kl_bits: Sequence[float],
-                          permission_names: Sequence[str]) -> None:
-    """Table-5-style summary: one row per pattern, most frequent first."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pattern", "frequency", "kl_bits", "permissions"])
-        for pos, orig in enumerate(order):
-            members = [permission_names[d] for d in np.nonzero(u.data[orig])[0]]
-            kl = kl_bits[orig]
-            writer.writerow([
-                pos + 1,
-                repr(float(freq[pos])),
-                "" if np.isnan(kl) else repr(float(kl)),
-                ";".join(members),
-            ])

@@ -8,7 +8,6 @@ instability over repeated splits.
 """
 from __future__ import annotations
 
-import csv
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -122,17 +121,6 @@ class InstabilityReport:
     records: tuple[InstabilityRecord, ...]
     selected_k: int | None           # None when every K failed
     failed_k: dict[int, str] = field(default_factory=dict)   # K -> error
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["K", "repetition", "seed", "s",
-                             "median_s", "std_s", "selected"])
-            for rec in self.records:
-                sel = int(rec.k == self.selected_k)
-                for rep, (seed, s) in enumerate(zip(rec.seeds, rec.values)):
-                    writer.writerow([rec.k, rep, seed, repr(s),
-                                     repr(rec.median), repr(rec.std), sel])
 
 
 def instability(x: BinaryMatrix, k: int, repetitions: int,

@@ -1,7 +1,6 @@
 """Synthetic data: independent-request null models and planted factorizations."""
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,14 +60,6 @@ class PcpHistogram:
     counts_real: np.ndarray
     counts_sim: np.ndarray
     underflow_threshold: float = UNDERFLOW_THRESHOLD
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["bin_center", "count_real", "count_sim"])
-            for center, cr, cs in zip(self.bin_centers, self.counts_real,
-                                      self.counts_sim):
-                writer.writerow([repr(float(center)), int(cr), int(cs)])
 
 
 def _bin_counts(pcp: np.ndarray, edges: np.ndarray) -> np.ndarray:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from permpatterns import selection
+from permpatterns import cli, selection
 from permpatterns.cli import main
+from permpatterns.dataset import load_dataset
+from permpatterns.evaluation import UndefinedDivergenceError
 from permpatterns.simulate import plant_factorization
 
 CSV_HEADER = "id,name,category,price,avg_rating,num_ratings,permissions\n"
@@ -27,6 +29,28 @@ def planted_csv(path, n=300, d=12, k=3, epsilon=0.0, seed=0,
     return path
 
 
+def read_table(path):
+    """Header and rows of an output CSV, whose every line ends in CRLF."""
+    text = path.read_bytes().decode()
+    assert text.endswith("\r\n")
+    assert "\n" not in text.replace("\r\n", "")
+    header, *rows = [line.split(",") for line in text[:-2].split("\r\n")]
+    return header, rows
+
+
+def is_float_cell(cell):
+    return repr(float(cell)) == cell
+
+
+def is_int_cell(cell):
+    return str(int(cell)) == cell
+
+
+def assert_json_format(path):
+    text = path.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -42,6 +66,23 @@ class TestStats:
         for name in ("permission_frequencies.csv", "price_cumulative.csv",
                      "ratings.csv", "manifest.json"):
             assert (out / name).exists()
+
+    def test_output_format(self, runner, tmp_path):
+        data = planted_csv(tmp_path / "apps.csv", d=6)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["stats", "--input", str(data),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 0, result.output
+        header, rows = read_table(out / "permission_frequencies.csv")
+        assert header == ["permission", "fraction"]
+        assert rows[0][0].startswith("perm") and is_float_cell(rows[0][1])
+        header, rows = read_table(out / "price_cumulative.csv")
+        assert header == ["price", "cumulative_fraction"]
+        assert rows == [["0.0", "1.0"]]
+        header, rows = read_table(out / "ratings.csv")
+        assert header == ["avg_rating", "num_ratings"]
+        assert rows[0] == ["4.5", "500"] and len(rows) == 300
+        assert_json_format(out / "manifest.json")
 
     def test_missing_file_exits_2(self, runner, tmp_path):
         result = runner.invoke(main, ["stats", "--input",
@@ -73,6 +114,28 @@ class TestSelectK:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["selected_k"] == 3
         assert (out / "instability.csv").exists()
+
+    def test_output_format(self, runner, tmp_path):
+        data = planted_csv(tmp_path / "apps.csv", n=80, d=8, k=2)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["select-k", "--input", str(data),
+                                      "--out-dir", str(out), "--seed", "4",
+                                      "--k-min", "2", "--k-max", "3",
+                                      "--repetitions", "2"])
+        assert result.exit_code == 0, result.output
+        header, rows = read_table(out / "instability.csv")
+        assert header == ["K", "repetition", "seed", "s", "median_s",
+                          "std_s", "selected"]
+        # one row per (K, repetition); the seed of repetition i is seed + i
+        assert [row[:3] for row in rows] == [["2", "0", "4"], ["2", "1", "5"],
+                                             ["3", "0", "4"], ["3", "1", "5"]]
+        for row in rows:
+            assert all(is_float_cell(cell) for cell in row[3:6])
+        selected = json.loads((out / "manifest.json").read_text())[
+            "config"]["selected_k"]
+        assert [row[6] for row in rows] == [
+            str(int(int(row[0]) == selected)) for row in rows]
+        assert_json_format(out / "manifest.json")
 
     def test_k_max_exceeding_d_exits_2(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
@@ -179,6 +242,91 @@ class TestMine:
         lo = residuals["test_low"]["mean_fn"] + residuals["test_low"]["mean_fp"]
         assert lo > hi
 
+    def test_output_format(self, runner, tmp_path, monkeypatch):
+        # noisy high-reputation apps, 30 of them held out, and low-reputation
+        # apps from another model: all three subsets have residual curves
+        x_hi, _, _ = plant_factorization(200, 10, 3, 0.3, 0.3, 0.05, 0.5,
+                                         seed=3)
+        x_lo, _, _ = plant_factorization(40, 10, 3, 0.3, 0.3, 0.1, 0.5,
+                                         seed=4)
+        lines = [CSV_HEADER]
+        for tag, x, ratings in (("hi", x_hi, 500), ("lo", x_lo, 2)):
+            for i in range(x.rows):
+                perms = ";".join(f"perm{j}" for j in np.nonzero(x.row(i))[0])
+                lines.append(f"{tag}{i},A,Tools,0,4.5,{ratings},{perms}\n")
+        data = tmp_path / "apps.csv"
+        data.write_text("".join(lines))
+        config = tmp_path / "reputation.json"
+        config.write_text(json.dumps({"test_size": 30}))
+        # pattern 1 gets no divergence, as when no app is assigned it
+        real_divergence = cli.category_divergence
+
+        def divergence(z, categories, idx, smoothing):
+            if idx == 1:
+                raise UndefinedDivergenceError("pattern 1 is empty")
+            return real_divergence(z, categories, idx, smoothing=smoothing)
+
+        monkeypatch.setattr(cli, "category_divergence", divergence)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["mine", "--input", str(data),
+                                      "--out-dir", str(out), "-k", "3",
+                                      "--reputation-config", str(config)])
+        assert result.exit_code == 0, result.output
+
+        header, rows = read_table(out / "error_curves.csv")
+        assert header == ["dataset", "t", "fraction_fn_gt_t",
+                          "fraction_fp_gt_t"]
+        tags = [row[0] for row in rows]
+        assert sorted(set(tags), key=tags.index) == ["train", "test_high",
+                                                     "test_low"]
+        for tag in set(tags):
+            curve = [row[1:] for row in rows if row[0] == tag]
+            assert [t for t, _, _ in curve] == [str(t) for t in
+                                                range(len(curve))]
+            assert all(is_float_cell(fn) and is_float_cell(fp)
+                       for _, fn, fp in curve)
+            # both curves end at 0.0, the longer one at its first t that
+            # no app exceeds, the shorter one padded with zeros up to it
+            assert curve[-1][1:] == ["0.0", "0.0"]
+            assert len(curve) == 1 or curve[-2][1:] != ["0.0", "0.0"]
+
+        header, rows = read_table(out / "pattern_summary.csv")
+        assert header == ["pattern", "frequency", "kl_bits", "permissions"]
+        assert [row[0] for row in rows] == ["1", "2", "3"]
+        assert all(is_float_cell(row[1]) for row in rows)
+        assert sum(row[2] == "" for row in rows) == 1
+        assert all(is_float_cell(row[2]) for row in rows if row[2])
+        vocabulary = load_dataset(data).vocabulary
+        model = json.loads((out / "factorization.json").read_text())
+        expected = sorted(";".join(p for p, bit in zip(vocabulary, u) if bit)
+                          for u in model["u"])
+        assert sorted(row[3] for row in rows) == expected
+        assert any(";" in row[3] for row in rows)
+
+        residuals = json.loads((out / "residuals.json").read_text())
+        assert {tag: residuals[tag]["n"] for tag in residuals} == {
+            "train": 170, "test_high": 30, "test_low": 40}
+        for name in ("factorization.json", "residuals.json",
+                     "manifest.json"):
+            assert_json_format(out / name)
+
+    @pytest.mark.parametrize("config", [
+        {"test_size": 1.5},
+        {"min_avg_rating": "4"},
+        {"min_num_ratings": True, "test_size": True},
+    ])
+    def test_mistyped_reputation_config_exits_2(self, runner, tmp_path,
+                                                config):
+        data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+        path = tmp_path / "reputation.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["mine", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "-k", "2", "--reputation-config",
+                                      str(path)])
+        assert result.exit_code == 2
+        assert "bad reputation config" in result.output
+
     def test_k_zero_exits_2(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
         result = runner.invoke(main, ["mine", "--input", str(data),
@@ -206,6 +354,24 @@ class TestSimulate:
         summary = json.loads((out / "pcp_summary.json").read_text())
         assert summary["average_pcp_real"] > summary["average_pcp_simulated"]
         assert (out / "pcp_histogram.csv").exists()
+
+    def test_output_format(self, runner, tmp_path):
+        data = planted_csv(tmp_path / "apps.csv", n=200, d=10, k=2)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--input", str(data),
+                                      "--out-dir", str(out), "--bins", "8"])
+        assert result.exit_code == 0, result.output
+        header, rows = read_table(out / "pcp_histogram.csv")
+        assert header == ["bin_center", "count_real", "count_sim"]
+        assert len(rows) == 8
+        for center, real, sim in rows:
+            assert is_float_cell(center)
+            assert is_int_cell(real) and is_int_cell(sim)
+        d = load_dataset(data).d
+        for col in (1, 2):
+            assert sum(int(row[col]) for row in rows) == d * (d - 1)
+        for name in ("pcp_summary.json", "manifest.json"):
+            assert_json_format(out / name)
 
     def test_fixed_seed_byte_identical(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=200, d=10, k=2)

@@ -30,8 +30,12 @@ def test_matrix_from_rows_rejects_ragged():
 
 
 def test_matrix_rejects_non_binary():
-    with pytest.raises(ValueError):
-        BinaryMatrix(np.array([[0, 2]]))
+    for entries in ([[0, 2]], [[0.5, 1]], [[-1, 0]], [[257, 1]],
+                    [[np.nan, 1]], [["1", "0"]]):
+        with pytest.raises(ValueError):
+            BinaryMatrix(np.array(entries))
+    accepted = BinaryMatrix(np.array([[True, False]]))
+    assert accepted.data.tolist() == [[1, 0]]
 
 
 def test_matrix_is_immutable():

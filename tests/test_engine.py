@@ -357,6 +357,12 @@ class TestAssignPatterns:
                 for move in moves:
                     assert assignment_ll(row, u, move, r, eps) <= got + 1e-9
 
+    def test_non_binary_row_rejected(self):
+        u = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
+        for row in ([2, 0.5, 1.0], [257, 257, 0]):
+            with pytest.raises(ValueError):
+                assign_patterns(np.array(row), u, 0.5, 0.05)
+
     def test_matrix_dimension_mismatch(self):
         u = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
         with pytest.raises(DimensionError):

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import permpatterns
 from permpatterns import (
     BinaryMatrix,
     FitConfig,
@@ -14,7 +19,7 @@ from permpatterns import (
     split_dataset,
 )
 from permpatterns.core import DimensionError
-from permpatterns.selection import InstabilityRecord, InstabilityReport
+from permpatterns.selection import InstabilityRecord
 from permpatterns.simulate import plant_factorization
 
 
@@ -188,17 +193,14 @@ class TestSelectK:
         with pytest.raises(ValueError):
             select_k(x, [], repetitions=1, config=FAST)
 
-    def test_csv_output(self, tmp_path):
-        report = InstabilityReport(
-            records=(
-                InstabilityRecord(k=2, values=(0.5, 0.4), seeds=(0, 1),
-                                  median=0.45, std=0.05),
-            ),
-            selected_k=2,
-        )
-        path = tmp_path / "instability.csv"
-        report.write_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "K,repetition,seed,s,median_s,std_s,selected"
-        assert len(lines) == 3
-        assert lines[1].startswith("2,0,0,0.5")
+
+def test_package_import_leaves_out_scipy_optimize():
+    # match_patterns imports it on first call; every CLI process and every
+    # caller that only scores apps would otherwise pay for loading it
+    src = str(Path(permpatterns.__file__).parents[1])
+    code = ("import sys, permpatterns; "
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
