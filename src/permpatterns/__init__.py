@@ -53,7 +53,6 @@ from .simulate import (
     simulate_independent,
 )
 from .dataset import (
-    AppRecord,
     Dataset,
     DatasetError,
     ReputationCriteria,

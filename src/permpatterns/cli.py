@@ -100,11 +100,19 @@ def _start(out_dir: str) -> tuple[Path, float]:
 
 def _read_dataset(input_path: str, fmt: str | None,
                   column_map_path: str | None) -> Dataset:
-    """Load the input; an unreadable or malformed one exits with code 2."""
+    """Load the input; an unreadable or malformed input or column map
+    exits with code 2."""
     column_map = None
     if column_map_path:
-        with open(column_map_path) as fh:
-            column_map = json.load(fh)
+        try:
+            with open(column_map_path) as fh:
+                column_map = json.load(fh)
+        except (OSError, ValueError) as exc:
+            _fail(f"bad column map: {exc}", EXIT_INPUT_ERROR)
+        if not (isinstance(column_map, dict)
+                and all(isinstance(v, str) for v in column_map.values())):
+            _fail(f"bad column map: {column_map_path} is not a JSON object "
+                  "of column names", EXIT_INPUT_ERROR)
     try:
         return load_dataset(input_path, fmt=fmt, column_map=column_map)
     except DatasetError as exc:
@@ -144,7 +152,8 @@ def with_options(options):
 
 @main.command()
 @with_options(common_input)
-@click.option("--top-n", default=15, show_default=True, type=int)
+@click.option("--top-n", default=15, show_default=True,
+              type=click.IntRange(min=0))
 def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
     """Descriptive statistics: permission frequencies, prices, ratings."""
     out, started = _start(out_dir)
@@ -251,11 +260,10 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
                   rates.cumulative_fn, rates.cumulative_fp, fillvalue=0.0))]
 
     freq, order = pattern_frequencies(fact.z)
-    categories = [a.category for a in train_ds.apps]
     kl = []
     for idx in range(k):
         try:
-            kl.append(category_divergence(fact.z, categories, idx,
+            kl.append(category_divergence(fact.z, train_ds.categories, idx,
                                           smoothing=kl_smoothing))
         except UndefinedDivergenceError:
             kl.append(float("nan"))
@@ -285,16 +293,18 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
 
 @main.command()
 @with_options(common_input)
-@click.option("--bins", default=20, show_default=True, type=int)
-@click.option("--sim-n", default=None, type=int,
+@click.option("--bins", default=20, show_default=True,
+              type=click.IntRange(min=1))
+@click.option("--sim-n", default=None, type=click.IntRange(min=1),
               help="Simulated dataset size (default: same as input).")
 def simulate(input_path, fmt, column_map_path, seed, out_dir,
              bins, sim_n):
     """Independent-request null model versus the real PCP distribution."""
     out, started = _start(out_dir)
     x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
+    sim_n = x.rows if sim_n is None else sim_n
     probs = marginal_probs(x)
-    sim = simulate_independent(probs, sim_n or x.rows, seed)
+    sim = simulate_independent(probs, sim_n, seed)
     pcp_real, undef_real = pcp_matrix(x)
     pcp_sim, undef_sim = pcp_matrix(sim)
     hist = pcp_histogram(pcp_real, pcp_sim, bins=bins)
@@ -314,7 +324,7 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
         }),
     ]
     _write_manifest(out, "simulate", input_path, seed,
-                    {"bins": bins, "sim_n": sim_n or x.rows}, outputs, started)
+                    {"bins": bins, "sim_n": sim_n}, outputs, started)
     click.echo(f"average PCP: real={avg_real:.4f} simulated={avg_sim:.4f}")
 
 

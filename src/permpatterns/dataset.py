@@ -11,12 +11,13 @@ import csv
 import json
 import numbers
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
-from .core import BinaryMatrix
+from .core import BinaryMatrix, DimensionError
 
 REQUIRED_COLUMNS = ("id", "name", "category", "price", "avg_rating",
                     "num_ratings", "permissions")
@@ -27,39 +28,57 @@ class DatasetError(ValueError):
 
 
 @dataclass(frozen=True)
-class AppRecord:
-    id: str
-    name: str
-    category: str
-    price: float
-    avg_rating: Optional[float]   # None when the app has no ratings
-    num_ratings: int
-    permissions: frozenset[str]
-
-
-@dataclass(frozen=True)
 class Dataset:
-    apps: tuple[AppRecord, ...]
-    vocabulary: tuple[str, ...]   # sorted union of all permission names
-    missing_rating_ids: tuple[str, ...] = ()
+    """N apps as columns: entry i of every column, and row i of ``matrix``,
+    describe app i.
+
+    ``avg_rating`` is NaN for an unrated app, whose ``num_ratings`` is 0.
+    ``matrix`` is the N x D permission matrix; its row labels are ``ids``
+    and its column labels the sorted union of all permission names.
+    """
+
+    ids: tuple[str, ...]
+    names: tuple[str, ...]
+    categories: tuple[str, ...]
+    price: np.ndarray           # float64
+    avg_rating: np.ndarray      # float64, NaN when unrated
+    num_ratings: np.ndarray     # int64
+    matrix: BinaryMatrix
+
+    def __post_init__(self):
+        for name in ("ids", "names", "categories"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name, dtype in (("price", np.float64), ("avg_rating", np.float64),
+                            ("num_ratings", np.int64)):
+            arr = np.array(getattr(self, name), dtype=dtype)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        n = self.matrix.rows
+        for name in ("ids", "names", "categories", "price", "avg_rating",
+                     "num_ratings"):
+            if len(getattr(self, name)) != n:
+                raise DimensionError(
+                    f"{len(getattr(self, name))} {name} for {n} matrix rows")
 
     @property
     def n(self) -> int:
-        return len(self.apps)
+        return len(self.ids)
 
     @property
     def d(self) -> int:
-        return len(self.vocabulary)
+        return self.matrix.cols
+
+    @property
+    def vocabulary(self) -> tuple[str, ...]:
+        return self.matrix.col_labels
+
+    @property
+    def missing_rating_ids(self) -> tuple[str, ...]:
+        """Ids of the unrated apps, in row order."""
+        return tuple(compress(self.ids, np.isnan(self.avg_rating).tolist()))
 
     def to_matrix(self) -> BinaryMatrix:
-        index = {p: j for j, p in enumerate(self.vocabulary)}
-        data = np.zeros((self.n, self.d), dtype=np.uint8)
-        for i, app in enumerate(self.apps):
-            for perm in app.permissions:
-                data[i, index[perm]] = 1
-        return BinaryMatrix(data,
-                            row_labels=[a.id for a in self.apps],
-                            col_labels=self.vocabulary)
+        return self.matrix
 
 
 @dataclass(frozen=True)
@@ -90,45 +109,97 @@ class ReputationCriteria:
             raise ValueError("test size must be non-negative")
 
 
-def _parse_record(row: dict, line: int, seen_ids: set,
-                  missing_rating_ids: list) -> AppRecord:
-    app_id = "" if row["id"] is None else str(row["id"]).strip()
-    if not app_id:
-        raise DatasetError(f"line {line}: empty id")
-    if app_id in seen_ids:
-        raise DatasetError(f"line {line}: duplicate app id {app_id!r}")
-    seen_ids.add(app_id)
+def _read_csv(path: Path, column_map: dict) -> list[tuple]:
+    """The schema's columns of a CSV file; a missing trailing field reads
+    as empty."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
+        names = [column_map.get(k, k) for k in REQUIRED_COLUMNS]
+        unknown = set(names) - set(header)
+        if unknown:
+            raise DatasetError(f"{path}: missing columns {sorted(unknown)}")
+        # a name repeated in the header reads its last column
+        where = {name: i for i, name in enumerate(header)}
+        pick = itemgetter(*(where[name] for name in names))
+        width = len(header)
+        # a blank line is not a record and has no line number
+        rows = [pick(row) if len(row) >= width
+                else pick(row + [""] * (width - len(row)))
+                for row in reader if row]
+    return list(zip(*rows)) or [()] * len(names)
+
+
+def _read_json(path: Path, column_map: dict) -> list[list]:
+    """The schema's columns of a JSON array of objects; a missing key reads
+    as None."""
     try:
-        price = float(row.get("price") or 0.0)
-        raw_rating = row.get("avg_rating")
-        rating = float(raw_rating) if raw_rating not in (None, "") else None
-        raw_count = row.get("num_ratings")
-        count = int(raw_count) if raw_count not in (None, "") else 0
-    except (TypeError, ValueError) as exc:
-        raise DatasetError(f"line {line}: {exc}") from exc
-    if rating is not None and not 1.0 <= rating <= 5.0:
-        raise DatasetError(f"line {line}: avg_rating {rating} outside [1, 5]")
-    if count < 0:
-        raise DatasetError(f"line {line}: negative num_ratings")
-    if rating is None:
-        # treated as unrated: count forced to 0, flagged in the load report
-        count = 0
-        missing_rating_ids.append(app_id)
-    perms_field = row.get("permissions")
-    if isinstance(perms_field, (list, tuple)):
-        perms = frozenset(str(p).strip() for p in perms_field if str(p).strip())
-    else:
-        perms = frozenset(p.strip() for p in str(perms_field or "").split(";")
-                          if p.strip())
-    return AppRecord(
-        id=app_id,
-        name=str(row.get("name") or ""),
-        category=str(row.get("category") or ""),
-        price=price,
-        avg_rating=rating,
-        num_ratings=count,
-        permissions=perms,
-    )
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DatasetError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(payload, list):
+        raise DatasetError(f"{path}: expected a JSON array of objects")
+    id_key = column_map.get("id", "id")
+    for line, entry in enumerate(payload, start=1):
+        if not isinstance(entry, dict):
+            raise DatasetError(f"{path}: entry {line} is not an object")
+        if id_key not in entry:
+            raise DatasetError(f"{path}: entry {line} lacks an id")
+    return [[entry.get(column_map.get(k, k)) for entry in payload]
+            for k in REQUIRED_COLUMNS]
+
+
+def _convert(values, convert, dtype, failures: list) -> np.ndarray:
+    """``convert`` applied to every value, as an array.  The first value it
+    rejects goes into ``failures`` as (index, message); that entry and the
+    later ones read as 0."""
+    try:
+        return np.array([convert(v) for v in values], dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    out = np.zeros(len(values), dtype=dtype)
+    for i, value in enumerate(values):
+        try:
+            out[i] = convert(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            failures.append((i, str(exc)))
+            break
+    return out
+
+
+def _first_repeat(ids: tuple[str, ...]) -> int:
+    """Index of the first id that an earlier one equals."""
+    seen = set()
+    for i, app_id in enumerate(ids):
+        if app_id in seen:
+            return i
+        seen.add(app_id)
+
+
+def _permission_matrix(fields, ids: tuple[str, ...]) -> BinaryMatrix:
+    """The N x D matrix of the permission fields, columns in sorted name
+    order.  Each distinct field is split once: apps repeat permission sets."""
+    # a JSON list of names, or a ';'-separated string
+    fields = [tuple(map(str, f)) if isinstance(f, list) else str(f or "")
+              for f in fields]
+    code_of = {field: i for i, field in enumerate(dict.fromkeys(fields))}
+    codes = np.fromiter(map(code_of.__getitem__, fields), dtype=np.intp,
+                        count=len(fields))
+    token_sets = [{t.strip() for t in (field if isinstance(field, tuple)
+                                       else field.split(";"))} - {""}
+                  for field in code_of]
+    vocabulary = tuple(sorted(set().union(*token_sets)))
+    column = {p: j for j, p in enumerate(vocabulary)}
+    distinct = np.zeros((len(token_sets), len(vocabulary)), dtype=np.uint8)
+    distinct[np.repeat(np.arange(len(token_sets)),
+                       [len(tokens) for tokens in token_sets]),
+             np.fromiter((column[p] for tokens in token_sets for p in tokens),
+                         dtype=np.intp)] = 1
+    return BinaryMatrix(distinct[codes], row_labels=ids,
+                        col_labels=vocabulary)
 
 
 def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Dataset:
@@ -136,7 +207,10 @@ def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Datas
 
     ``column_map`` maps schema names to the file's column names, e.g.
     ``{"id": "package", "permissions": "perm_list"}``, so external dumps
-    can be consumed without rewriting.
+    can be consumed without rewriting.  A bad value is reported for the
+    first app that has one, by line: its CSV record's number, the header
+    being line 1 and blank lines not counted, or its JSON entry's number
+    counting from 1.
     """
     path = Path(path)
     if not path.exists():
@@ -146,44 +220,64 @@ def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Datas
     if fmt not in ("csv", "json"):
         raise DatasetError(f"unsupported format {fmt!r}")
     column_map = column_map or {}
-
-    def remap(row: dict) -> dict:
-        return {key: row.get(column_map.get(key, key)) for key in REQUIRED_COLUMNS}
-
-    rows: list[tuple[int, dict]] = []
     if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DatasetError(f"{path}: empty file")
-            needed = {column_map.get(k, k) for k in REQUIRED_COLUMNS}
-            unknown = needed - set(reader.fieldnames)
-            if unknown:
-                raise DatasetError(
-                    f"{path}: missing columns {sorted(unknown)}")
-            for line, row in enumerate(reader, start=2):
-                rows.append((line, remap(row)))
+        columns, first_line = _read_csv(path, column_map), 2
     else:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
-        if not isinstance(payload, list):
-            raise DatasetError(f"{path}: expected a JSON array of objects")
-        for line, row in enumerate(payload, start=1):
-            if not isinstance(row, dict):
-                raise DatasetError(f"{path}: entry {line} is not an object")
-            if column_map.get("id", "id") not in row:
-                raise DatasetError(f"{path}: entry {line} lacks an id")
-            rows.append((line, remap(row)))
+        columns, first_line = _read_json(path, column_map), 1
+    (id_col, name_col, category_col, price_col, rating_col, count_col,
+     permission_col) = columns
 
-    seen: set = set()
-    missing: list = []
-    apps = [_parse_record(row, line, seen, missing) for line, row in rows]
-    vocab = tuple(sorted(set().union(*(a.permissions for a in apps)) if apps else ()))
-    return Dataset(apps=tuple(apps), vocabulary=vocab,
-                   missing_rating_ids=tuple(missing))
+    # each check runs on a whole column; an app failing several checks
+    # reports the first of them in this order
+    failures: list[tuple[int, str]] = []
+    ids = tuple(["" if v is None else str(v).strip() for v in id_col])
+    if "" in ids:
+        failures.append((ids.index(""), "empty id"))
+    if len(set(ids)) < len(ids):
+        i = _first_repeat(ids)
+        failures.append((i, f"duplicate app id {ids[i]!r}"))
+    price = _convert(price_col, lambda v: float(v or 0.0), np.float64,
+                     failures)
+    rated = np.fromiter((v not in (None, "") for v in rating_col),
+                        dtype=bool, count=len(rating_col))
+    rating = _convert(rating_col,
+                      lambda v: float(v) if v not in (None, "") else np.nan,
+                      np.float64, failures)
+    count = _convert(count_col,
+                     lambda v: int(v) if v not in (None, "") else 0,
+                     np.int64, failures)
+    outside = rated & ~((rating >= 1.0) & (rating <= 5.0))
+    if outside.any():
+        i = int(outside.argmax())
+        failures.append((i, f"avg_rating {float(rating[i])} outside [1, 5]"))
+    if (count < 0).any():
+        failures.append((int((count < 0).argmax()), "negative num_ratings"))
+    if failures:
+        # min keeps the earliest check among those failing on one app
+        row, message = min(failures, key=itemgetter(0))
+        raise DatasetError(f"line {row + first_line}: {message}")
+    count[~rated] = 0   # unrated: the count is not trusted
+
+    return Dataset(ids=ids,
+                   names=tuple([str(v or "") for v in name_col]),
+                   categories=tuple([str(v or "") for v in category_col]),
+                   price=price, avg_rating=rating, num_ratings=count,
+                   matrix=_permission_matrix(permission_col, ids))
+
+
+def _take(ds: Dataset, rows: np.ndarray) -> Dataset:
+    """The apps at ``rows`` of ``ds``, in that order."""
+    pick = rows.tolist()
+
+    def of(column):
+        return tuple(column[i] for i in pick)
+
+    ids = of(ds.ids)
+    return Dataset(ids=ids, names=of(ds.names), categories=of(ds.categories),
+                   price=ds.price[rows], avg_rating=ds.avg_rating[rows],
+                   num_ratings=ds.num_ratings[rows],
+                   matrix=BinaryMatrix(ds.matrix.data[rows], row_labels=ids,
+                                       col_labels=ds.vocabulary))
 
 
 def filter_reputation(ds: Dataset, criteria: ReputationCriteria
@@ -194,23 +288,19 @@ def filter_reputation(ds: Dataset, criteria: ReputationCriteria
     of them becomes test_high and the rest train.  test_low is every app
     with fewer than the low threshold of ratings, regardless of score.
     """
-    high = [a for a in ds.apps
-            if a.avg_rating is not None
-            and a.avg_rating >= criteria.min_avg_rating
-            and a.num_ratings >= criteria.min_num_ratings]
-    low = [a for a in ds.apps if a.num_ratings < criteria.max_low_num_ratings]
+    # NaN, an unrated app, compares false
+    high = np.flatnonzero((ds.avg_rating >= criteria.min_avg_rating)
+                          & (ds.num_ratings >= criteria.min_num_ratings))
+    low = np.flatnonzero(ds.num_ratings < criteria.max_low_num_ratings)
     if criteria.test_size > len(high):
         raise DatasetError(
             f"test size {criteria.test_size} exceeds the high-reputation "
             f"population of {len(high)}")
     rng = np.random.default_rng(criteria.split_seed)
-    picked = set(rng.choice(len(high), size=criteria.test_size,
-                            replace=False).tolist())
-    test_high = tuple(a for i, a in enumerate(high) if i in picked)
-    train = tuple(a for i, a in enumerate(high) if i not in picked)
-    return (Dataset(apps=train, vocabulary=ds.vocabulary),
-            Dataset(apps=test_high, vocabulary=ds.vocabulary),
-            Dataset(apps=tuple(low), vocabulary=ds.vocabulary))
+    picked = np.zeros(len(high), dtype=bool)
+    picked[rng.choice(len(high), size=criteria.test_size,
+                      replace=False)] = True
+    return _take(ds, high[~picked]), _take(ds, high[picked]), _take(ds, low)
 
 
 @dataclass(frozen=True)
@@ -227,21 +317,19 @@ def summary_stats(ds: Dataset, top_n: int | None = None) -> SummaryStats:
     """Descriptive statistics: top permissions, cumulative price curve, and
     the rating scatter (zero-rating apps excluded)."""
     n = max(ds.n, 1)
-    counts = {p: 0 for p in ds.vocabulary}
-    for app in ds.apps:
-        for perm in app.permissions:
-            counts[perm] += 1
-    freq = sorted(((p, c / n) for p, c in counts.items()),
+    fractions = (ds.matrix.data.sum(axis=0) / n).tolist()
+    freq = sorted(zip(ds.vocabulary, fractions),
                   key=lambda item: (-item[1], item[0]))
     if top_n is not None:
         freq = freq[:top_n]
-    prices = np.sort(np.array([a.price for a in ds.apps], dtype=float))
+    prices = np.sort(ds.price)
     distinct = np.unique(prices)
     below = np.searchsorted(prices, distinct, side="right")
     price_curve = [(price, count / n)
                    for price, count in zip(distinct.tolist(), below.tolist())]
-    ratings = tuple((a.avg_rating, a.num_ratings) for a in ds.apps
-                    if a.num_ratings > 0 and a.avg_rating is not None)
+    rated = (ds.num_ratings > 0) & ~np.isnan(ds.avg_rating)
+    ratings = tuple(zip(ds.avg_rating[rated].tolist(),
+                        ds.num_ratings[rated].tolist()))
     return SummaryStats(
         permission_frequencies=tuple(freq),
         price_cumulative=tuple(price_curve),

@@ -91,6 +91,28 @@ class TestStats:
         assert result.exit_code == 2
         assert "nope.csv" in result.output
 
+    @pytest.mark.parametrize("content", [None, "{", '["id"]',
+                                         '{"id": 3}'])
+    def test_bad_column_map_exits_2(self, runner, tmp_path, content):
+        # a missing file, malformed JSON, not an object, a non-string name
+        data = planted_csv(tmp_path / "apps.csv", n=30, d=5)
+        mapping = tmp_path / "map.json"
+        if content is not None:
+            mapping.write_text(content)
+        result = runner.invoke(main, ["stats", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "--column-map", str(mapping)])
+        assert result.exit_code == 2
+        assert "error: bad column map" in result.output
+
+    def test_negative_top_n_exits_2(self, runner, tmp_path):
+        data = planted_csv(tmp_path / "apps.csv", n=30, d=4)
+        result = runner.invoke(main, ["stats", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "--top-n", "-1"])
+        assert result.exit_code == 2
+        assert "--top-n" in result.output
+
     def test_top_n_larger_than_d(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", d=5)
         out = tmp_path / "out"
@@ -372,6 +394,16 @@ class TestSimulate:
             assert sum(int(row[col]) for row in rows) == d * (d - 1)
         for name in ("pcp_summary.json", "manifest.json"):
             assert_json_format(out / name)
+
+    @pytest.mark.parametrize("option,value", [
+        ("--sim-n", "-5"), ("--sim-n", "0"), ("--bins", "0")])
+    def test_bad_size_exits_2(self, runner, tmp_path, option, value):
+        data = planted_csv(tmp_path / "apps.csv", n=30, d=5)
+        result = runner.invoke(main, ["simulate", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      option, value])
+        assert result.exit_code == 2
+        assert option in result.output
 
     def test_fixed_seed_byte_identical(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=200, d=10, k=2)

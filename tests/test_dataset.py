@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from permpatterns import (
+    BinaryMatrix,
     Dataset,
     DatasetError,
     ReputationCriteria,
@@ -18,6 +19,23 @@ CSV_HEADER = "id,name,category,price,avg_rating,num_ratings,permissions\n"
 
 def write_csv(path, rows):
     path.write_text(CSV_HEADER + "".join(rows))
+    return path
+
+
+VALID = {"id": "app1", "name": "One", "category": "Tools", "price": "0.99",
+         "avg_rating": "4.5", "num_ratings": "200", "permissions": "a;b"}
+# the line number of the first app: CSV counts the header, JSON entries
+FIRST_LINE = {"csv": 2, "json": 1}
+
+
+def write_records(tmp_path, fmt, records):
+    """The same apps as a CSV or a JSON file, values as given."""
+    path = tmp_path / f"apps.{fmt}"
+    if fmt == "json":
+        path.write_text(json.dumps(records))
+    else:
+        write_csv(path, [",".join(r[key] for key in VALID) + "\n"
+                         for r in records])
     return path
 
 
@@ -76,7 +94,7 @@ class TestLoadDataset:
         ]))
         ds = load_dataset(path)
         assert ds.vocabulary == ("a", "b", "c")
-        assert ds.apps[1].avg_rating is None
+        assert np.isnan(ds.avg_rating[1])
         assert ds.missing_rating_ids == ("a2",)
         for entry, message in (
                 ({"name": "No id", "permissions": ["a"]},
@@ -101,14 +119,126 @@ class TestLoadDataset:
              "stars": 4.5, "votes": 200, "perms": ["a", "b"]}]))
         for source in (path, json_path):
             ds = load_dataset(source, column_map=mapping)
-            assert ds.apps[0].id == "p1"
-            assert ds.apps[0].permissions == {"a", "b"}
+            assert ds.ids == ("p1",)
+            assert permission_sets(ds) == [{"a", "b"}]
 
     def test_rating_out_of_range(self, tmp_path):
         path = write_csv(tmp_path / "apps.csv",
                          ["app1,One,Tools,0,6.0,10,a\n"])
         with pytest.raises(DatasetError):
             load_dataset(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("field,value,message", [
+        ("id", " ", "empty id"),
+        ("id", "app1", "duplicate app id 'app1'"),
+        ("price", "oops", "could not convert string to float: 'oops'"),
+        ("avg_rating", "x", "could not convert string to float: 'x'"),
+        ("avg_rating", "6.0", "avg_rating 6.0 outside [1, 5]"),
+        ("avg_rating", "nan", "avg_rating nan outside [1, 5]"),
+        ("num_ratings", "many",
+         "invalid literal for int() with base 10: 'many'"),
+        ("num_ratings", "-1", "negative num_ratings"),
+    ])
+    def test_row_error_message_and_line(self, tmp_path, fmt, field, value,
+                                        message):
+        bad = {**VALID, "id": "app3", field: value}
+        path = write_records(tmp_path, fmt,
+                             [VALID, dict(VALID, id="app2"), bad, bad])
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"line {FIRST_LINE[fmt] + 2}: {message}"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_first_failing_row_wins(self, tmp_path, fmt):
+        # the first app with an error is reported, whatever the later apps
+        # fail; within one app the id comes first, then price, rating and
+        # count, then the rating's range and the count's sign
+        records = [VALID,
+                   dict(VALID, id="app2", price="x", num_ratings="-3"),
+                   dict(VALID, id="app3", avg_rating="9", num_ratings="y"),
+                   dict(VALID, id="")]
+        for rows, line, message in (
+                (records, 1, "could not convert string to float: 'x'"),
+                (records[2:], 0,
+                 "invalid literal for int() with base 10: 'y'"),
+                ([dict(records[2], id="")], 0, "empty id"),
+                ([VALID, dict(VALID, price="x")], 1,
+                 "duplicate app id 'app1'"),
+                ([dict(VALID, id="app2", avg_rating="9", num_ratings="-1")],
+                 0, "avg_rating 9.0 outside [1, 5]")):
+            path = write_records(tmp_path, fmt, rows)
+            with pytest.raises(DatasetError) as info:
+                load_dataset(path)
+            line += FIRST_LINE[fmt]
+            assert str(info.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_count_beyond_int64_rejected(self, tmp_path, fmt):
+        path = write_records(tmp_path, fmt, [
+            VALID, dict(VALID, id="app2", num_ratings=str(2 ** 63))])
+        line = FIRST_LINE[fmt] + 1
+        with pytest.raises(DatasetError, match=f"^line {line}: "):
+            load_dataset(path)
+
+    def test_short_csv_row_loads_with_defaults(self, tmp_path):
+        path = write_csv(tmp_path / "apps.csv", [
+            "app1,One,Tools,2.5,4.5,200,a\n",
+            "app2,Two\n",
+        ])
+        ds = load_dataset(path)
+        assert ds.n == 2 and ds.vocabulary == ("a",)
+        assert ds.missing_rating_ids == ("app2",)
+        assert ds.to_matrix().data.tolist() == [[1], [0]]
+        stats = summary_stats(ds)
+        assert stats.price_cumulative == ((0.0, 0.5), (2.5, 1.0))
+        assert stats.rating_table == ((4.5, 200),)
+        path.write_text(CSV_HEADER + "app1,One,Tools,0,4.5,200,a\n\n"
+                        "app2,Two,Tools,oops,4.5,200,a\n")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        # the blank line is not a record
+        assert str(info.value) == (
+            "line 3: could not convert string to float: 'oops'")
+
+    def test_unrated_count_forced_to_zero(self, tmp_path):
+        path = write_csv(tmp_path / "apps.csv", [
+            "app1,One,Tools,0,,500,a\n",
+            "app2,Two,Tools,0,4.0,7,a\n",
+        ])
+        ds = load_dataset(path)
+        assert ds.missing_rating_ids == ("app1",)
+        assert summary_stats(ds).rating_table == ((4.0, 7),)
+        _, _, low = filter_reputation(
+            ds, ReputationCriteria(max_low_num_ratings=1))
+        assert low.n == 1
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_permission_tokens(self, tmp_path, fmt):
+        # whitespace around tokens, a token repeated in one field, empty
+        # tokens and an empty field; the vocabulary is sorted
+        path = write_records(tmp_path, fmt, [
+            dict(VALID, permissions=" b ; a;;b ;"),
+            dict(VALID, id="app2", permissions="c;c"),
+            dict(VALID, id="app3", permissions=""),
+            dict(VALID, id="app4", permissions=" "),
+        ])
+        ds = load_dataset(path)
+        assert ds.vocabulary == ("a", "b", "c")
+        assert ds.to_matrix().data.tolist() == [
+            [1, 1, 0], [0, 0, 1], [0, 0, 0], [0, 0, 0]]
+        assert summary_stats(ds).permission_frequencies == (
+            ("a", 0.25), ("b", 0.25), ("c", 0.25))
+
+    def test_json_permission_list(self, tmp_path):
+        path = write_records(tmp_path, "json", [
+            dict(VALID, permissions=[" b", "a", "b", " ", ""]),
+            dict(VALID, id="app2", permissions=[]),
+            dict(VALID, id="app3", permissions=None),
+        ])
+        ds = load_dataset(path)
+        assert ds.vocabulary == ("a", "b")
+        assert ds.to_matrix().data.tolist() == [[1, 1], [0, 0], [0, 0]]
 
     def test_matrix_row_lookup_roundtrip(self, tmp_path):
         path = write_csv(tmp_path / "apps.csv", [
@@ -117,21 +247,31 @@ class TestLoadDataset:
         ])
         ds = load_dataset(path)
         m = ds.to_matrix()
-        for i, app in enumerate(ds.apps):
-            perms = {ds.vocabulary[d] for d in np.nonzero(m.row(i))[0]}
-            assert perms == set(app.permissions)
+        assert m.row_labels == ds.ids == ("app1", "app2")
+        assert m.col_labels == ds.vocabulary
+        for i, perms in enumerate([{"a", "c"}, {"b"}]):
+            assert {ds.vocabulary[d] for d in np.nonzero(m.row(i))[0]} == perms
 
 
-def make_dataset(specs):
-    from permpatterns.dataset import AppRecord
-    apps = []
-    vocab = set()
-    for i, (rating, count, perms) in enumerate(specs):
-        apps.append(AppRecord(id=f"app{i}", name=f"App {i}", category="Tools",
-                              price=0.0, avg_rating=rating, num_ratings=count,
-                              permissions=frozenset(perms)))
-        vocab |= set(perms)
-    return Dataset(apps=tuple(apps), vocabulary=tuple(sorted(vocab)))
+def permission_sets(ds):
+    """The permission names of each app, read back from the matrix."""
+    return [{p for p, bit in zip(ds.vocabulary, row) if bit}
+            for row in ds.to_matrix().data]
+
+
+def make_dataset(specs, prices=None):
+    """A dataset of (avg_rating or None, num_ratings, permissions) apps."""
+    vocab = tuple(sorted(set().union(*(perms for _, _, perms in specs))))
+    ids = tuple(f"app{i}" for i in range(len(specs)))
+    data = np.array([[p in perms for p in vocab] for _, _, perms in specs],
+                    dtype=np.uint8).reshape(len(specs), len(vocab))
+    return Dataset(
+        ids=ids, names=tuple(f"App {i}" for i in range(len(specs))),
+        categories=("Tools",) * len(specs),
+        price=np.zeros(len(specs)) if prices is None else prices,
+        avg_rating=[np.nan if r is None else r for r, _, _ in specs],
+        num_ratings=[count for _, count, _ in specs],
+        matrix=BinaryMatrix(data, row_labels=ids, col_labels=vocab))
 
 
 class TestFilterReputation:
@@ -158,11 +298,9 @@ class TestFilterReputation:
         ds = make_dataset(specs)
         train, test_high, test_low = filter_reputation(
             ds, ReputationCriteria(test_size=5, split_seed=1))
-        ids = [a.id for subset in (train, test_high, test_low)
-               for a in subset.apps]
-        high_ids = {a.id for a in train.apps} | {a.id for a in test_high.apps}
+        high_ids = set(train.ids) | set(test_high.ids)
         assert len(high_ids) == train.n + test_high.n
-        assert high_ids.isdisjoint({a.id for a in test_low.apps})
+        assert high_ids.isdisjoint(test_low.ids)
 
     def test_oversized_test_set_rejected(self):
         ds = make_dataset([(4.5, 200, {"a"})])
@@ -175,7 +313,7 @@ class TestFilterReputation:
         crit = ReputationCriteria(test_size=10, split_seed=3)
         _, th1, _ = filter_reputation(ds, crit)
         _, th2, _ = filter_reputation(ds, crit)
-        assert [a.id for a in th1.apps] == [a.id for a in th2.apps]
+        assert th1.ids == th2.ids
 
 
 class TestSummaryStats:
@@ -203,19 +341,71 @@ class TestSummaryStats:
         assert len(stats.rating_table) == 1
 
     def test_price_curve_cumulative(self):
-        from permpatterns.dataset import AppRecord
-        apps = tuple(
-            AppRecord(id=f"a{i}", name="", category="", price=price,
-                      avg_rating=4.0, num_ratings=10,
-                      permissions=frozenset({"p"}))
-            for i, price in enumerate([1.99, 0.0, 0.99, 0.0, 4.99, 0.99, 0.0,
-                                       1.99])
-        )
-        ds = Dataset(apps=apps, vocabulary=("p",))
+        prices = [1.99, 0.0, 0.99, 0.0, 4.99, 0.99, 0.0, 1.99]
+        ds = make_dataset([(4.0, 10, {"p"})] * len(prices), prices=prices)
         stats = summary_stats(ds)
-        prices = [app.price for app in apps]
         assert [p for p, _ in stats.price_cumulative] == [0.0, 0.99, 1.99, 4.99]
         for price, frac in stats.price_cumulative:
             assert frac == sum(p <= price for p in prices) / len(prices)
         assert stats.price_cumulative[0] == (0.0, 0.375)
         assert stats.price_cumulative[-1] == (4.99, 1.0)
+
+
+def test_random_csv_matches_numpy(tmp_path):
+    """A 5,000-app CSV with repeated permission sets, tied prices and
+    unrated apps loads into the arrays it was written from."""
+    rng = np.random.default_rng(11)
+    n, d = 5000, 12
+    vocab = tuple(f"perm{j:02d}" for j in range(d))
+    templates = (rng.random((40, d)) < 0.3).astype(np.uint8)
+    x = templates[rng.integers(0, 40, n)]
+    x[rng.random((n, d)) < 0.02] ^= 1
+    x[np.arange(d), np.arange(d)] = 1
+    price = rng.choice([0.0, 0.0, 0.99, 1.99, 4.99], n)
+    unrated = rng.random(n) < 0.2
+    rating = rng.integers(100, 501, n) / 100
+    count = rng.integers(0, 1000, n)   # an unrated app's count is ignored
+    ids = tuple(f"app{i}" for i in range(n))
+    lines = [CSV_HEADER]
+    for i in range(n):
+        perms = ";".join(vocab[j]
+                         for j in rng.permutation(np.flatnonzero(x[i])))
+        shown = "" if unrated[i] else repr(float(rating[i]))
+        lines.append(f"{ids[i]},App {i},C{i % 7},{float(price[i])!r},{shown},"
+                     f"{count[i]},{perms}\n")
+    path = tmp_path / "apps.csv"
+    path.write_text("".join(lines))
+    ds = load_dataset(path)
+
+    m = ds.to_matrix()
+    assert np.array_equal(m.data, x)
+    assert m.col_labels == ds.vocabulary == vocab
+    assert m.row_labels == ds.ids == ids
+    assert ds.missing_rating_ids == tuple(np.array(ids)[unrated])
+    count = np.where(unrated, 0, count)
+    assert np.array_equal(ds.num_ratings, count)
+
+    stats = summary_stats(ds)
+    fractions = x.sum(axis=0) / n
+    assert stats.permission_frequencies == tuple(sorted(
+        zip(vocab, fractions.tolist()), key=lambda item: (-item[1], item[0])))
+    assert stats.price_cumulative == tuple(
+        (p, int((price <= p).sum()) / n) for p in np.unique(price).tolist())
+    shown = ~unrated & (count > 0)
+    assert stats.rating_table == tuple(zip(rating[shown].tolist(),
+                                           count[shown].tolist()))
+
+    criteria = ReputationCriteria(test_size=100, split_seed=5)
+    train, test_high, test_low = filter_reputation(ds, criteria)
+    high = np.flatnonzero(~unrated & (rating >= 4.0) & (count >= 100))
+    held = np.isin(np.arange(len(high)), np.random.default_rng(5).choice(
+        len(high), size=100, replace=False))
+    for subset, rows in ((train, high[~held]), (test_high, high[held]),
+                         (test_low, np.flatnonzero(count < 10))):
+        assert subset.ids == tuple(np.array(ids)[rows])
+        assert subset.to_matrix().row_labels == subset.ids
+        assert np.array_equal(subset.to_matrix().data, x[rows])
+        assert subset.vocabulary == vocab
+        assert np.array_equal(subset.price, price[rows])
+        assert np.array_equal(subset.num_ratings, count[rows])
+        assert subset.categories == tuple(f"C{i % 7}" for i in rows)
