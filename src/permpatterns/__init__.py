@@ -5,6 +5,10 @@ residual, conditional-probability, divergence, and simulation analyses."""
 
 __version__ = "0.1.0"
 
+# The package root exports what callers outside the package import from it:
+# the names the README's Library section uses and the types they return or
+# raise, plus the comparison and scoring helpers the benchmark and the
+# acceptance checks call.  Everything else is imported from its module.
 from .core import (
     BinaryMatrix,
     ConfigError,
@@ -12,18 +16,13 @@ from .core import (
     Factorization,
     FitConfig,
     hamming_distance,
-    matrix_from_rows,
 )
 from .engine import (
-    FitState,
     assign_matrix,
     assign_patterns,
-    binarize,
     boolean_product,
-    em_step,
     fit,
     log_likelihood,
-    signal_bernoulli_param,
     tempered_log_likelihood,
 )
 from .selection import (
@@ -34,21 +33,15 @@ from .selection import (
     match_patterns,
     match_patterns_exhaustive,
     select_k,
-    split_dataset,
 )
 from .evaluation import (
     ErrorRates,
-    UndefinedDivergenceError,
     average_pcp,
-    category_divergence,
     error_rates,
-    pattern_frequencies,
     pcp_matrix,
 )
 from .simulate import (
-    PcpHistogram,
     marginal_probs,
-    pcp_histogram,
     plant_factorization,
     simulate_independent,
 )
@@ -58,5 +51,4 @@ from .dataset import (
     ReputationCriteria,
     filter_reputation,
     load_dataset,
-    summary_stats,
 )

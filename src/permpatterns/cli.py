@@ -31,10 +31,8 @@ from .dataset import (
 )
 from .engine import assign_matrix, fit
 from .evaluation import (
-    UndefinedDivergenceError,
     category_divergence,
     error_rates,
-    pattern_frequencies,
     pcp_matrix,
     average_pcp,
 )
@@ -259,19 +257,14 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
               for t, (fn, fp) in enumerate(zip_longest(
                   rates.cumulative_fn, rates.cumulative_fp, fillvalue=0.0))]
 
-    freq, order = pattern_frequencies(fact.z)
-    kl = []
-    for idx in range(k):
-        try:
-            kl.append(category_divergence(fact.z, train_ds.categories, idx,
-                                          smoothing=kl_smoothing))
-        except UndefinedDivergenceError:
-            kl.append(float("nan"))
-    # Table-5-style summary: one row per pattern, most frequent first
-    patterns = [(pos + 1, freq[pos], kl[orig],
+    # Table-5-style summary: one row per pattern, most frequent first, the
+    # order fit returns them in
+    freq = fact.z.data.mean(axis=0)
+    kl = category_divergence(fact.z, train_ds.categories, kl_smoothing)
+    patterns = [(j + 1, freq[j], kl[j],
                  ";".join(perm for perm, bit
-                          in zip(train_ds.vocabulary, fact.u.data[orig]) if bit))
-                for pos, orig in enumerate(order)]
+                          in zip(train_ds.vocabulary, fact.u.data[j]) if bit))
+                for j in range(k)]
 
     outputs = [
         _write_json(out / "factorization.json", fact.to_json_dict()),
@@ -302,6 +295,8 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
     """Independent-request null model versus the real PCP distribution."""
     out, started = _start(out_dir)
     x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
+    if x.rows < 1:
+        _fail("simulate needs at least one app", EXIT_INPUT_ERROR)
     sim_n = x.rows if sim_n is None else sim_n
     probs = marginal_probs(x)
     sim = simulate_independent(probs, sim_n, seed)

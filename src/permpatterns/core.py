@@ -1,8 +1,8 @@
 """Binary matrices and the containers shared by the mining pipeline."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class BinaryMatrix:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def __getitem__(self, idx):
         return self.data[idx]
 
@@ -84,19 +81,6 @@ class BinaryMatrix:
 
     def __hash__(self):
         return hash((self.shape, self.data.tobytes()))
-
-
-def matrix_from_rows(rows: Sequence[Sequence[int]],
-                     row_labels=None, col_labels=None) -> BinaryMatrix:
-    """Build a BinaryMatrix from an iterable of equal-length 0/1 vectors."""
-    rows = list(rows)
-    if not rows:
-        raise DimensionError("at least one row is required")
-    width = len(rows[0])
-    for i, r in enumerate(rows):
-        if len(r) != width:
-            raise DimensionError(f"row {i} has length {len(r)}, expected {width}")
-    return BinaryMatrix(np.asarray(rows), row_labels=row_labels, col_labels=col_labels)
 
 
 def hamming_distance(a: BinaryMatrix, b: BinaryMatrix) -> int:

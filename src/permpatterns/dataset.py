@@ -114,21 +114,27 @@ def _read_csv(path: Path, column_map: dict) -> list[tuple]:
     as empty."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{path}: empty file")
-        names = [column_map.get(k, k) for k in REQUIRED_COLUMNS]
-        unknown = set(names) - set(header)
-        if unknown:
-            raise DatasetError(f"{path}: missing columns {sorted(unknown)}")
-        # a name repeated in the header reads its last column
-        where = {name: i for i, name in enumerate(header)}
-        pick = itemgetter(*(where[name] for name in names))
-        width = len(header)
-        # a blank line is not a record and has no line number
-        rows = [pick(row) if len(row) >= width
-                else pick(row + [""] * (width - len(row)))
-                for row in reader if row]
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
+            names = [column_map.get(k, k) for k in REQUIRED_COLUMNS]
+            unknown = set(names) - set(header)
+            if unknown:
+                raise DatasetError(f"{path}: missing columns {sorted(unknown)}")
+            # a name repeated in the header reads its last column
+            where = {name: i for i, name in enumerate(header)}
+            pick = itemgetter(*(where[name] for name in names))
+            width = len(header)
+            # a blank line is not a record and has no line number
+            rows = [pick(row) if len(row) >= width
+                    else pick(row + [""] * (width - len(row)))
+                    for row in reader if row]
+        except csv.Error as exc:
+            # such as a field over the csv module's size limit, which is
+            # left as it is: raising it would hold for the whole process
+            raise DatasetError(
+                f"{path}: line {reader.line_num}: {exc}") from exc
     return list(zip(*rows)) or [()] * len(names)
 
 
@@ -220,10 +226,15 @@ def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Datas
     if fmt not in ("csv", "json"):
         raise DatasetError(f"unsupported format {fmt!r}")
     column_map = column_map or {}
-    if fmt == "csv":
-        columns, first_line = _read_csv(path, column_map), 2
-    else:
-        columns, first_line = _read_json(path, column_map), 1
+    try:
+        if fmt == "csv":
+            columns, first_line = _read_csv(path, column_map), 2
+        else:
+            columns, first_line = _read_json(path, column_map), 1
+    except OSError as exc:
+        raise DatasetError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc.reason}") from exc
     (id_col, name_col, category_col, price_col, rating_col, count_col,
      permission_col) = columns
 

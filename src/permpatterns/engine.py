@@ -67,16 +67,6 @@ def binarize(beta: np.ndarray) -> BinaryMatrix:
     return BinaryMatrix((beta < 0.5).astype(np.uint8))
 
 
-def signal_bernoulli_param(z_row: np.ndarray, beta: np.ndarray, d: int) -> float:
-    """q = prod_k beta[k, d] ** z_row[k]; p(x=1 | signal) is 1 - q."""
-    z_row = np.asarray(z_row)
-    beta = np.asarray(beta, dtype=float)
-    mask = z_row.astype(bool)
-    if not mask.any():
-        return 1.0
-    return float(np.prod(beta[mask, d]))
-
-
 def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """log q for every entry, shape (N, D); exact zeros map to -inf-ish."""
     with np.errstate(divide="ignore"):

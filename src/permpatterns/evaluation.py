@@ -1,5 +1,5 @@
-"""Reconstruction residuals, pairwise conditional probabilities, pattern
-frequencies, and category divergence."""
+"""Reconstruction residuals, pairwise conditional probabilities, and
+category divergence."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,10 +9,6 @@ import numpy as np
 
 from .core import BinaryMatrix, DimensionError
 from .engine import boolean_product
-
-
-class UndefinedDivergenceError(ValueError):
-    """Raised when a pattern has no assigned applications."""
 
 
 @dataclass(frozen=True)
@@ -87,21 +83,10 @@ def average_pcp(pcp: np.ndarray, undefined: Sequence[int]) -> tuple[float, bool]
     return float(pcp[mask].mean()), False
 
 
-def pattern_frequencies(z: BinaryMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Fraction of applications assigned each pattern, sorted descending.
-
-    Returns (frequencies, permutation) where permutation[j] is the original
-    pattern index in sorted position j.  Patterns overlap, so the fractions
-    need not sum to 1.
-    """
-    freq = z.data.mean(axis=0)
-    order = np.lexsort((np.arange(freq.shape[0]), -freq))
-    return freq[order], order
-
-
 def category_divergence(z: BinaryMatrix, categories: Sequence[str],
-                        k: int, smoothing: float = 0.5) -> float:
-    """KL(p_global || p_pattern) in bits between category distributions.
+                        smoothing: float = 0.5) -> np.ndarray:
+    """KL(p_global || p_pattern) in bits between category distributions,
+    one value per pattern; NaN for a pattern with no assigned applications.
 
     Both empirical distributions get add-``smoothing`` counts before
     normalization; without it the divergence is infinite whenever the
@@ -109,19 +94,16 @@ def category_divergence(z: BinaryMatrix, categories: Sequence[str],
     """
     if len(categories) != z.rows:
         raise DimensionError(f"{len(categories)} categories for {z.rows} rows")
-    if not 0 <= k < z.cols:
-        raise IndexError(f"pattern index {k} out of range for K={z.cols}")
-    members = z.data[:, k].astype(bool)
-    if not members.any():
-        raise UndefinedDivergenceError(f"pattern {k} has no assigned applications")
     cats = sorted(set(categories))
     idx = {c: i for i, c in enumerate(cats)}
-    global_counts = np.zeros(len(cats))
-    pattern_counts = np.zeros(len(cats))
-    for label, is_member in zip(categories, members):
-        global_counts[idx[label]] += 1
-        if is_member:
-            pattern_counts[idx[label]] += 1
+    one_hot = np.zeros((z.rows, len(cats)))
+    one_hot[np.arange(z.rows), [idx[c] for c in categories]] = 1.0
+    global_counts = one_hot.sum(axis=0)
+    pattern_counts = z.data.T.astype(float) @ one_hot     # (K, categories)
     p_g = (global_counts + smoothing) / (global_counts + smoothing).sum()
-    p_k = (pattern_counts + smoothing) / (pattern_counts + smoothing).sum()
-    return float(np.sum(p_g * np.log2(p_g / p_k)))
+    nonempty = pattern_counts.sum(axis=1) > 0
+    p_k = pattern_counts[nonempty] + smoothing
+    p_k /= p_k.sum(axis=1, keepdims=True)
+    kl = np.full(z.cols, np.nan)
+    kl[nonempty] = np.sum(p_g * np.log2(p_g / p_k), axis=1)
+    return kl

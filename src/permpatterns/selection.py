@@ -133,8 +133,6 @@ def instability(x: BinaryMatrix, k: int, repetitions: int,
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    if k < 1:
-        raise ValueError("K must be >= 1")
     values, seeds = [], []
     for rep in range(repetitions):
         seed = config.seed + rep

@@ -59,7 +59,6 @@ class PcpHistogram:
     bin_centers: np.ndarray
     counts_real: np.ndarray
     counts_sim: np.ndarray
-    underflow_threshold: float = UNDERFLOW_THRESHOLD
 
 
 def _bin_counts(pcp: np.ndarray, edges: np.ndarray) -> np.ndarray:

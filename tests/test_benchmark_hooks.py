@@ -1,0 +1,63 @@
+"""The benchmark's span tracer (perfbench/tracer.py) finds the functions it
+wraps: a renamed hook would otherwise surface only as a failed benchmark run."""
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import permpatterns
+from permpatterns import FitConfig, plant_factorization
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(tracer):
+    """Every function the tracer may replace, by where it is bound."""
+    modules = [permpatterns] + [
+        importlib.import_module(f"permpatterns.{layer}")
+        for layer in tracer.LAYERS]
+    out = {(mod.__name__, attr): obj for mod in modules
+           for attr, obj in vars(mod).items() if inspect.isfunction(obj)}
+    cli = importlib.import_module("permpatterns.cli")
+    for command in cli.main.commands.values():
+        out[("command", command.name)] = command.callback
+    out[("Dataset", "to_matrix")] = permpatterns.Dataset.to_matrix
+    return out
+
+
+def test_tracer_installs_records_and_uninstalls(tmp_path):
+    tracer = load_tracer()
+    for name in tracer.ATTRS:
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"permpatterns.{layer}")
+        assert inspect.isfunction(getattr(module, attr)), name
+    before = bindings(tracer)
+    x, _, _ = plant_factorization(40, 6, 2, 0.3, 0.4, 0.0, 0.5, seed=0)
+    config = FitConfig(seed=0, cooling_factor=0.5, max_inner_iterations=5)
+
+    spans = tracer.Tracer(tmp_path)
+    uninstall = tracer.install(spans)
+    try:
+        assert permpatterns.select_k is not before[("permpatterns",
+                                                    "select_k")]
+        permpatterns.select_k(x, [2], repetitions=1, config=config)
+    finally:
+        uninstall()
+    spans.flush()
+
+    recorded = tracer.load_spans(tmp_path)
+    names = {span["name"] for span in recorded}
+    assert {"selection.select_k", "engine.fit"} <= names
+    assert [span["k"] for span in recorded
+            if span["name"] == "selection.instability"] == [2]
+    after = bindings(tracer)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)

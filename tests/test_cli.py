@@ -8,7 +8,6 @@ from click.testing import CliRunner
 from permpatterns import cli, selection
 from permpatterns.cli import main
 from permpatterns.dataset import load_dataset
-from permpatterns.evaluation import UndefinedDivergenceError
 from permpatterns.simulate import plant_factorization
 
 CSV_HEADER = "id,name,category,price,avg_rating,num_ratings,permissions\n"
@@ -22,7 +21,7 @@ def planted_csv(path, n=300, d=12, k=3, epsilon=0.0, seed=0,
     rng = np.random.default_rng(seed + 1)
     lines = [CSV_HEADER]
     for i in range(n):
-        perms = ";".join(f"perm{j}" for j in np.nonzero(x.row(i))[0])
+        perms = ";".join(f"perm{j}" for j in np.nonzero(x[i])[0])
         cat = categories[rng.integers(len(categories))]
         lines.append(f"app{i},App {i},{cat},0,{rating},{num_ratings},{perms}\n")
     path.write_text("".join(lines))
@@ -90,6 +89,30 @@ class TestStats:
                                       "--out-dir", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "nope.csv" in result.output
+
+    @pytest.mark.parametrize("name,content,message", [
+        ("latin1.csv", CSV_HEADER.encode() + b"a1,Caf\xe9,Tools,0,4.5,200,a\n",
+         "not UTF-8"),
+        ("latin1.json", b'[{"id": "a1", "name": "Caf\xe9"}]', "not UTF-8"),
+        # one field over the csv module's 131,072-character limit
+        ("long.csv", (CSV_HEADER + "a1,A,Tools,0,4.5,200,"
+                      + ";".join(f"p{i}" for i in range(30000))).encode(),
+         "line 2: field larger than field limit"),
+        ("folder", None, "cannot read"),
+    ])
+    def test_unreadable_input_exits_2(self, runner, tmp_path, name, content,
+                                      message):
+        path = tmp_path / name
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        result = runner.invoke(main, ["stats", "--input", str(path),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ")
+        assert message in result.output
+        assert result.output.count("\n") == 1
 
     @pytest.mark.parametrize("content", [None, "{", '["id"]',
                                          '{"id": 3}'])
@@ -248,10 +271,10 @@ class TestMine:
         x_lo, _, _ = plant_factorization(80, d, k, 0.3, 0.3, 0.0, 0.5, seed=99)
         lines = [CSV_HEADER]
         for i in range(n):
-            perms = ";".join(f"perm{j}" for j in np.nonzero(x_hi.row(i))[0])
+            perms = ";".join(f"perm{j}" for j in np.nonzero(x_hi[i])[0])
             lines.append(f"hi{i},A,Tools,0,4.5,500,{perms}\n")
         for i in range(80):
-            perms = ";".join(f"perm{j}" for j in np.nonzero(x_lo.row(i))[0])
+            perms = ";".join(f"perm{j}" for j in np.nonzero(x_lo[i])[0])
             lines.append(f"lo{i},B,Games,0,5.0,2,{perms}\n")
         data = tmp_path / "apps.csv"
         data.write_text("".join(lines))
@@ -274,7 +297,7 @@ class TestMine:
         lines = [CSV_HEADER]
         for tag, x, ratings in (("hi", x_hi, 500), ("lo", x_lo, 2)):
             for i in range(x.rows):
-                perms = ";".join(f"perm{j}" for j in np.nonzero(x.row(i))[0])
+                perms = ";".join(f"perm{j}" for j in np.nonzero(x[i])[0])
                 lines.append(f"{tag}{i},A,Tools,0,4.5,{ratings},{perms}\n")
         data = tmp_path / "apps.csv"
         data.write_text("".join(lines))
@@ -283,10 +306,10 @@ class TestMine:
         # pattern 1 gets no divergence, as when no app is assigned it
         real_divergence = cli.category_divergence
 
-        def divergence(z, categories, idx, smoothing):
-            if idx == 1:
-                raise UndefinedDivergenceError("pattern 1 is empty")
-            return real_divergence(z, categories, idx, smoothing=smoothing)
+        def divergence(z, categories, smoothing):
+            kl = real_divergence(z, categories, smoothing)
+            kl[1] = np.nan
+            return kl
 
         monkeypatch.setattr(cli, "category_divergence", divergence)
         out = tmp_path / "out"
@@ -394,6 +417,14 @@ class TestSimulate:
             assert sum(int(row[col]) for row in rows) == d * (d - 1)
         for name in ("pcp_summary.json", "manifest.json"):
             assert_json_format(out / name)
+
+    def test_no_apps_exits_2(self, runner, tmp_path):
+        data = tmp_path / "apps.csv"
+        data.write_text(CSV_HEADER)
+        result = runner.invoke(main, ["simulate", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "at least one app" in result.output
 
     @pytest.mark.parametrize("option,value", [
         ("--sim-n", "-5"), ("--sim-n", "0"), ("--bins", "0")])

@@ -7,9 +7,10 @@ from permpatterns import (
     DimensionError,
     FitConfig,
     hamming_distance,
-    matrix_from_rows,
 )
 from permpatterns.core import ConfigError
+
+from helpers import matrix_from_rows
 
 
 def test_matrix_from_rows_copies_entries():
@@ -90,7 +91,7 @@ binary_rows = st.integers(1, 6).flatmap(
 def test_row_roundtrip(rows):
     m = matrix_from_rows(rows)
     for i, row in enumerate(rows):
-        assert m.row(i).tolist() == row
+        assert m[i].tolist() == row
 
 
 @given(st.integers(0, 2**30), st.integers(2, 5), st.integers(2, 5))

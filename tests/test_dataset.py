@@ -11,8 +11,8 @@ from permpatterns import (
     filter_reputation,
     load_dataset,
     marginal_probs,
-    summary_stats,
 )
+from permpatterns.dataset import summary_stats
 
 CSV_HEADER = "id,name,category,price,avg_rating,num_ratings,permissions\n"
 
@@ -56,7 +56,7 @@ class TestLoadDataset:
             "app2,Two,Games,0,3.0,50,\n",
         ])
         ds = load_dataset(path)
-        assert ds.to_matrix().row(1).tolist() == [0]
+        assert ds.to_matrix()[1].tolist() == [0]
 
     def test_duplicate_id(self, tmp_path):
         path = write_csv(tmp_path / "apps.csv", [
@@ -250,7 +250,7 @@ class TestLoadDataset:
         assert m.row_labels == ds.ids == ("app1", "app2")
         assert m.col_labels == ds.vocabulary
         for i, perms in enumerate([{"a", "c"}, {"b"}]):
-            assert {ds.vocabulary[d] for d in np.nonzero(m.row(i))[0]} == perms
+            assert {ds.vocabulary[d] for d in np.nonzero(m[i])[0]} == perms
 
 
 def permission_sets(ds):

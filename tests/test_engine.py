@@ -10,19 +10,18 @@ from permpatterns import (
     FitConfig,
     assign_matrix,
     assign_patterns,
-    binarize,
     boolean_product,
     engine,
     fit,
     log_likelihood,
-    matrix_from_rows,
-    signal_bernoulli_param,
     tempered_log_likelihood,
 )
 from permpatterns.core import ConfigError, DimensionError
 from permpatterns.evaluation import error_rates
-from permpatterns.engine import FitState, em_step
+from permpatterns.engine import FitState, binarize, em_step
 from permpatterns.simulate import plant_factorization
+
+from helpers import matrix_from_rows, signal_bernoulli_param
 
 
 def random_binary(rng, shape, p=0.5):
@@ -54,7 +53,7 @@ class TestBooleanProduct:
         z = matrix_from_rows([[0, 0], [1, 0]])
         u = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
         out = boolean_product(z, u)
-        assert out.row(0).tolist() == [0, 0, 0]
+        assert out[0].tolist() == [0, 0, 0]
 
     def test_matches_triple_loop(self):
         rng = np.random.default_rng(2)
@@ -92,7 +91,7 @@ class TestBooleanProduct:
         out = boolean_product(z, u)
         for i in range(5):
             for d in range(4):
-                q = signal_bernoulli_param(z.row(i), beta, d)
+                q = signal_bernoulli_param(z[i], beta, d)
                 assert (out[i, d] == 1) == (q == 0.0)
 
 
@@ -339,7 +338,7 @@ class TestAssignPatterns:
         monkeypatch.setattr(engine, "_greedy_assign", counted)
         got = assign_matrix(x, u, 0.3, 0.1).data
         assert chunks == [4, 4, 4, 4, 4, 3]
-        rows = [assign_patterns(x.row(i), u, 0.3, 0.1) for i in range(x.rows)]
+        rows = [assign_patterns(x[i], u, 0.3, 0.1) for i in range(x.rows)]
         assert got.tolist() == np.array(rows).tolist()
 
     def test_no_single_move_beats_result(self):

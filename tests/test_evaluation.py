@@ -5,16 +5,16 @@ import pytest
 
 from permpatterns import (
     BinaryMatrix,
-    UndefinedDivergenceError,
     average_pcp,
     boolean_product,
-    category_divergence,
     error_rates,
     hamming_distance,
-    matrix_from_rows,
-    pattern_frequencies,
     pcp_matrix,
 )
+from permpatterns.core import DimensionError
+from permpatterns.evaluation import category_divergence
+
+from helpers import matrix_from_rows
 
 
 def random_binary(rng, shape, p=0.5):
@@ -147,37 +147,15 @@ class TestAveragePcp:
         assert avg == pytest.approx(sum(vals) / len(vals))
 
 
-class TestPatternFrequencies:
-    def test_identity(self):
-        z = BinaryMatrix(np.eye(3, dtype=int))
-        freq, order = pattern_frequencies(z)
-        assert freq.tolist() == pytest.approx([1 / 3] * 3)
-        assert order.tolist() == [0, 1, 2]
-
-    def test_overlap_allowed(self):
-        z = BinaryMatrix(np.ones((4, 3), dtype=int))
-        freq, _ = pattern_frequencies(z)
-        assert freq.tolist() == [1.0, 1.0, 1.0]
-        assert freq.sum() == 3.0
-
-    def test_matches_column_counts(self):
-        rng = np.random.default_rng(7)
-        z = random_binary(rng, (25, 5), 0.4)
-        freq, order = pattern_frequencies(z)
-        expected = z.data.mean(axis=0)
-        for pos, orig in enumerate(order):
-            assert freq[pos] == expected[orig]
-        assert list(freq) == sorted(freq, reverse=True)
-
-
 class TestCategoryDivergence:
     def test_uniform_random_assignment_near_zero(self):
         rng = np.random.default_rng(8)
         n = 20000
         categories = [f"c{i % 5}" for i in range(n)]
         z = BinaryMatrix((rng.random((n, 1)) < 0.3).astype(np.uint8))
-        kl = category_divergence(z, categories, 0)
-        assert kl == pytest.approx(0.0, abs=0.05)
+        kl = category_divergence(z, categories)
+        assert kl.shape == (1,)
+        assert kl[0] == pytest.approx(0.0, abs=0.05)
 
     def test_concentrated_pattern_matches_summation_oracle(self):
         # pattern members all in category 0 of 4 equal categories
@@ -187,13 +165,25 @@ class TestCategoryDivergence:
         members[:per_cat] = 1
         z = BinaryMatrix(members)
         smoothing = 0.5
-        kl = category_divergence(z, categories, 0, smoothing=smoothing)
+        kl = category_divergence(z, categories, smoothing=smoothing)
         p_g = [(per_cat + smoothing) / (200 + 2.0)] * 4
         p_k_counts = [per_cat, 0, 0, 0]
         tot = per_cat + 4 * smoothing
         p_k = [(c + smoothing) / tot for c in p_k_counts]
         expected = sum(g * math.log2(g / k) for g, k in zip(p_g, p_k))
-        assert kl == pytest.approx(expected, abs=1e-12)
+        assert kl[0] == pytest.approx(expected, abs=1e-12)
+
+    def test_each_pattern_as_if_alone(self):
+        # the K values of one call equal K one-pattern calls
+        rng = np.random.default_rng(10)
+        n = 60
+        categories = [f"c{rng.integers(4)}" for _ in range(n)]
+        z = random_binary(rng, (n, 5), 0.3)
+        kl = category_divergence(z, categories, smoothing=0.25)
+        for k in range(5):
+            alone = category_divergence(BinaryMatrix(z.data[:, [k]]),
+                                        categories, smoothing=0.25)
+            assert kl[k] == alone[0]
 
     def test_non_negative_and_zero_iff_equal(self):
         rng = np.random.default_rng(9)
@@ -201,17 +191,21 @@ class TestCategoryDivergence:
             n = 60
             categories = [f"c{rng.integers(3)}" for _ in range(n)]
             z = random_binary(rng, (n, 2), 0.5)
-            try:
-                kl = category_divergence(z, categories, 0)
-            except UndefinedDivergenceError:
-                continue
-            assert kl >= 0.0
+            kl = category_divergence(z, categories)
+            assert all(v >= 0.0 for v in kl if not math.isnan(v))
         # identical smoothed distributions: pattern contains every app
         categories = ["a"] * 10 + ["b"] * 10
         z = BinaryMatrix(np.ones((20, 1), dtype=int))
-        assert category_divergence(z, categories, 0) == pytest.approx(0.0)
+        assert category_divergence(z, categories)[0] == pytest.approx(0.0)
 
-    def test_empty_pattern_rejected(self):
-        z = BinaryMatrix(np.zeros((5, 1), dtype=int))
-        with pytest.raises(UndefinedDivergenceError):
-            category_divergence(z, ["a"] * 5, 0)
+    def test_empty_pattern_is_nan(self):
+        members = np.zeros((5, 3), dtype=int)
+        members[:2, 0] = members[1:, 2] = 1
+        kl = category_divergence(BinaryMatrix(members), list("aabbb"))
+        assert math.isnan(kl[1])
+        assert not math.isnan(kl[0]) and not math.isnan(kl[2])
+
+    def test_category_count_checked(self):
+        with pytest.raises(DimensionError):
+            category_divergence(BinaryMatrix(np.ones((5, 1), dtype=int)),
+                                ["a"] * 4)

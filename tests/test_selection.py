@@ -16,10 +16,9 @@ from permpatterns import (
     match_patterns,
     match_patterns_exhaustive,
     select_k,
-    split_dataset,
 )
 from permpatterns.core import DimensionError
-from permpatterns.selection import InstabilityRecord
+from permpatterns.selection import InstabilityRecord, split_dataset
 from permpatterns.simulate import plant_factorization
 
 
@@ -165,14 +164,16 @@ class TestSelectK:
         assert best.k == 2
 
     def test_threads_do_not_change_the_report(self):
-        # K=12 exceeds D=10, so its fits raise ConfigError
+        # K=0 is below 1 and K=12 exceeds D=10, so their fits raise
+        # ConfigError
         x, _, _ = plant_factorization(60, 10, 2, 0.3, 0.4, 0.05, 0.5, seed=15)
-        serial = select_k(x, [2, 3, 12], repetitions=1, config=FAST)
-        pooled = select_k(x, [2, 3, 12], repetitions=1, config=FAST,
+        serial = select_k(x, [0, 2, 3, 12], repetitions=1, config=FAST)
+        pooled = select_k(x, [0, 2, 3, 12], repetitions=1, config=FAST,
                           threads=2)
         assert pooled == serial
         assert [rec.k for rec in serial.records] == [2, 3]
-        assert list(serial.failed_k) == [12]
+        assert list(serial.failed_k) == [0, 12]
+        assert "at least 1" in serial.failed_k[0]
         assert "exceeds" in serial.failed_k[12]
 
     def test_all_k_failed(self):

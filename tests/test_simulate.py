@@ -8,13 +8,14 @@ from permpatterns import (
     error_rates,
     fit,
     marginal_probs,
-    matrix_from_rows,
-    pcp_histogram,
     pcp_matrix,
     plant_factorization,
     simulate_independent,
 )
 from permpatterns.core import DimensionError
+from permpatterns.simulate import pcp_histogram
+
+from helpers import matrix_from_rows
 
 
 class TestMarginalProbs:
