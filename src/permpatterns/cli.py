@@ -223,6 +223,9 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
          reputation_path, kl_smoothing):
     """Fit patterns on high-reputation apps and evaluate all three subsets."""
     out, started = _start(out_dir)
+    if not (math.isfinite(kl_smoothing) and kl_smoothing >= 0):
+        _fail("--kl-smoothing must be a finite number >= 0, "
+              f"got {kl_smoothing}", EXIT_INPUT_ERROR)
     criteria = ReputationCriteria()
     if reputation_path:
         try:

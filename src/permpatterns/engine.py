@@ -26,8 +26,8 @@ from .core import (
 # Keeps the noise log-terms finite; beta may still reach exact 0/1.
 PARAM_FLOOR = 1e-6
 
-# Rows are processed in chunks bounded by this many (row, pattern, perm)
-# cells so the flip search never materializes huge 3-d temporaries.
+# The flip search takes rows in chunks bounded by this many (row, candidate,
+# perm) cells so it never materializes huge 3-d temporaries.
 _CHUNK_CELLS = 20_000_000
 
 # Bounds the (row, start, candidate, permission) cells of one assign_matrix
@@ -68,7 +68,7 @@ def binarize(beta: np.ndarray) -> BinaryMatrix:
 
 
 def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """log q for every entry, shape (N, D); exact zeros map to -inf-ish."""
+    """log q of every row of z, shape (rows, D); zeros map to -inf-ish."""
     with np.errstate(divide="ignore"):
         log_beta = np.log(np.clip(beta, 1e-300, 1.0))
     return z.astype(float) @ log_beta
@@ -78,32 +78,58 @@ def _clip(p: float) -> float:
     return float(np.clip(p, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
 
 
-def _log_signal(x: np.ndarray, log_q: np.ndarray) -> np.ndarray:
-    """Per-entry log p_S(x | z, beta)."""
+def _group(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the 0/1 matrix z, found by one sort of the rows'
+    packed bits: the index of each distinct row's first occurrence, and
+    each row's index into those."""
+    keys = np.ascontiguousarray(np.packbits(z, axis=1))
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return first, group
+
+
+def _counts(x: np.ndarray, z: np.ndarray):
+    """The distinct rows zu of z, and for each of them and each column the
+    number of its rows with x = 0 (n0) and with x = 1 (n1)."""
+    first, group = _group(z)
+    u, d = first.size, x.shape[1]
+    cells = (group[:, None] * d + np.arange(d)).ravel()
+    n1 = np.bincount(cells, weights=x.ravel(), minlength=u * d).reshape(u, d)
+    n0 = np.bincount(group, minlength=u)[:, None] - n1
+    return z[first], n0, n1
+
+
+def _terms(log_q: np.ndarray, r: float, eps: float, inv_t: float):
+    """Tempered log-terms of an entry with x = 0 and with x = 1.
+
+    The noise terms a = log(eps * p_N) / T are scalars; the mixture terms
+    f = log[(eps * p_N)^(1/T) + ((1 - eps) * p_S)^(1/T)] have log_q's
+    shape.  eps of 0 or 1 gives -inf terms.
+    """
+    r = _clip(r)
     log_q = np.minimum(log_q, 0.0)
     q = np.exp(log_q)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_one_minus_q = np.log1p(-q)
+        log_eps, log_signal = np.log(eps), np.log1p(-eps)
     # q == 1 and x == 1 is an impossible signal event
     log_one_minus_q = np.where(q >= 1.0, -np.inf, log_one_minus_q)
-    return np.where(x == 1, log_one_minus_q, log_q)
+    a0 = (log_eps + np.log1p(-r)) * inv_t
+    a1 = (log_eps + np.log(r)) * inv_t
+    f0 = np.logaddexp(a0, (log_signal + log_q) * inv_t)
+    f1 = np.logaddexp(a1, (log_signal + log_one_minus_q) * inv_t)
+    return a0, a1, f0, f1
 
 
-def _log_noise(x: np.ndarray, r: float) -> np.ndarray:
-    r = _clip(r)
-    return np.where(x == 1, np.log(r), np.log1p(-r))
-
-
-def _mixture_terms(x: np.ndarray, log_q: np.ndarray, r: float, eps: float,
-                   inv_t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Tempered per-entry log-terms (log(eps*p_N)/T, log((1-eps)*p_S)/T).
-
-    log_q may have extra leading axes; eps of 0 or 1 gives -inf terms.
-    """
-    with np.errstate(divide="ignore"):
-        a = (np.log(eps) + _log_noise(x, r)) * inv_t
-        b = (np.log1p(-eps) + _log_signal(x, log_q)) * inv_t
-    return a, b
+def _entry_sum(x: np.ndarray, z: np.ndarray, beta: np.ndarray, r: float,
+               eps: float, inv_t: float) -> float:
+    """Sum of the tempered mixture terms f over the entries of x."""
+    zu, n0, n1 = _counts(x, z)
+    _, _, f0, f1 = _terms(_log_q(zu, beta), r, eps, inv_t)
+    # a cell with no entries adds 0, also where its term is -inf
+    with np.errstate(invalid="ignore"):
+        cells = np.where(n0 > 0, n0 * f0, 0.0) + np.where(n1 > 0, n1 * f1, 0.0)
+    return float(cells.sum())
 
 
 def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
@@ -111,38 +137,39 @@ def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     xd = x.data
     if xd.shape != (state.z.shape[0], state.beta.shape[1]):
         raise DimensionError("x shape does not match the fit state")
-    a, b = _mixture_terms(xd, _log_q(state.z, state.beta), state.r,
-                          float(np.clip(state.epsilon, 0.0, 1.0)), 1.0)
-    return float(np.sum(np.logaddexp(a, b)))
+    return _entry_sum(xd, state.z, state.beta, state.r,
+                      float(np.clip(state.epsilon, 0.0, 1.0)), 1.0)
 
 
 def tempered_log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     """Sum over entries of log[(eps*p_N)^(1/T) + ((1-eps)*p_S)^(1/T)]."""
-    a, b = _mixture_terms(x.data, _log_q(state.z, state.beta), state.r,
-                          _clip(state.epsilon), 1.0 / state.temperature)
-    return float(np.sum(np.logaddexp(a, b)))
+    return _entry_sum(x.data, state.z, state.beta, state.r,
+                      _clip(state.epsilon), 1.0 / state.temperature)
 
 
-def _update_beta(x: np.ndarray, z: np.ndarray, beta: np.ndarray,
-                 log_q: np.ndarray, signal_weight: np.ndarray) -> np.ndarray:
+def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
+                 w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
     """Exact M-step for beta from the latent-cause decomposition.
 
     For entries with x=1 the posterior that pattern k fired is
     (1 - beta[k, d]) / (1 - q[i, d]); entries with x=0 count fully as
     "did not fire".  The update is the weighted fraction of non-firings
     among rows assigned to the pattern, which cannot decrease the
-    tempered objective.  log_q is _log_q(z, beta).
+    tempered objective.  Rows enter by distinct assignment vector zu:
+    log_q is _log_q(zu, beta), and w0, w1 are the summed signal weights
+    of each one's entries with x = 0 and x = 1.
     """
     q = np.exp(np.minimum(log_q, 0.0))
     one_minus_q = np.clip(1.0 - q, 1e-300, 1.0)
-    zf = z.astype(float)
+    zf = zu.astype(float)
     new_beta = beta.copy()
     for k in range(beta.shape[0]):
         mask = zf[:, k]
-        denom = signal_weight.T @ mask              # (D,)
+        # one summation for both, so that beta stays exactly 1 where no
+        # x = 1 entry credits pattern k
+        denom = mask @ (w0 + w1)                    # (D,)
         fired = np.clip((1.0 - beta[k]) / one_minus_q, 0.0, 1.0)
-        not_fired = np.where(x == 1, 1.0 - fired, 1.0)
-        num = (signal_weight * not_fired).T @ mask  # (D,)
+        num = mask @ (w0 + w1 * (1.0 - fired))      # (D,)
         with np.errstate(invalid="ignore", divide="ignore"):
             upd = num / denom
         new_beta[k] = np.where(denom > 0, np.clip(upd, 0.0, 1.0), beta[k])
@@ -155,35 +182,41 @@ def _update_z(x: np.ndarray, state: FitState, max_passes: int) -> np.ndarray:
     Rows are independent, so one flip per row per pass is applied
     simultaneously; the result does not depend on row order.  A row that
     did not flip would not flip again, so a pass searches only the last
-    pass's flipped rows.
+    pass's flipped rows.  The terms of every candidate (keeping z, or
+    flipping one bit) are tabulated once per distinct z and x = 0 / 1; a
+    row's score is then the x = 0 sum plus x times the difference.
     """
     z = state.z.copy()
-    n, k_count = z.shape
-    d = state.beta.shape[1]
+    xf = x.astype(float)
+    k_count, d = state.beta.shape
     r, eps, inv_t = state.r, state.epsilon, 1.0 / state.temperature
     with np.errstate(divide="ignore"):
         log_beta = np.log(np.clip(state.beta, 1e-300, 1.0))
-    chunk = max(1, _CHUNK_CELLS // max(1, k_count * d))
-    flipped = np.ones(n, dtype=bool)
+    chunk = max(1, _CHUNK_CELLS // ((k_count + 1) * d))
+    search = np.arange(z.shape[0])
     for _ in range(max_passes):
-        search, flipped = flipped, np.zeros(n, dtype=bool)
-        for lo in range(0, n, chunk):
-            rows = lo + np.flatnonzero(search[lo:lo + chunk])
-            log_q = (z[lo:lo + chunk].astype(float) @ log_beta)[rows - lo]
-            xs, zs = x[rows], z[rows]
-            base = np.logaddexp(*_mixture_terms(
-                xs, log_q, r, eps, inv_t)).sum(axis=-1)
+        flipped = []
+        for lo in range(0, search.size, chunk):
+            rows = search[lo:lo + chunk]
+            first, group = _group(z[rows])
+            zu = z[rows[first]].astype(float)
+            log_q = zu @ log_beta
             # flipping bit k adds log_beta[k] when z=0 and removes it when z=1
-            sign = 1.0 - 2.0 * zs.astype(float)
-            log_q_flip = log_q[:, None, :] + sign[:, :, None] * log_beta[None, :, :]
-            flip = np.logaddexp(*_mixture_terms(
-                xs[:, None, :], log_q_flip, r, eps, inv_t)).sum(axis=-1)
-            delta = flip - base[:, None]
+            sign = 1.0 - 2.0 * zu
+            cand = np.concatenate(
+                [log_q[:, None, :],
+                 log_q[:, None, :] + sign[:, :, None] * log_beta[None, :, :]],
+                axis=1)                                     # (U, K+1, D)
+            _, _, f0, f1 = _terms(cand, r, eps, inv_t)
+            score = (np.matmul((f1 - f0)[group], xf[rows, :, None])[..., 0]
+                     + f0.sum(axis=-1)[group])
+            delta = score[:, 1:] - score[:, :1]
             best = np.argmax(delta, axis=1)
             gain = delta[np.arange(rows.size), best] > 1e-12
             z[rows[gain], best[gain]] ^= 1
-            flipped[rows[gain]] = True
-        if not flipped.any():
+            flipped.append(rows[gain])
+        search = np.concatenate(flipped)
+        if not search.size:
             break
     return z
 
@@ -193,23 +226,27 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
 
     Update order: responsibilities, then epsilon, r, beta (each a closed-form
     ascent step on the tempered bound), then the discrete z flip search
-    evaluated directly on the tempered log-likelihood.
+    evaluated directly on the tempered log-likelihood.  Every term depends
+    on an entry only through its bit and its row's z, so the terms are
+    computed once per distinct z and the rows enter through counts.
     """
     xd = x.data
     if xd.shape != (state.z.shape[0], state.beta.shape[1]):
         raise DimensionError("x shape does not match the fit state")
-    xf = xd.astype(float)
 
-    log_q = _log_q(state.z, state.beta)
-    a, b = _mixture_terms(xd, log_q, state.r, _clip(state.epsilon),
-                          1.0 / state.temperature)
-    rho = np.exp(a - np.logaddexp(a, b))    # tempered noise responsibility
-    eps = _clip(rho.mean())
-    rho_sum = rho.sum()
-    r = _clip((rho * xf).sum() / rho_sum) if rho_sum > 0 else state.r
+    zu, n0, n1 = _counts(xd, state.z)
+    log_q = _log_q(zu, state.beta)
+    a0, a1, f0, f1 = _terms(log_q, state.r, _clip(state.epsilon),
+                            1.0 / state.temperature)
+    # tempered noise responsibilities of an x = 0 and an x = 1 entry
+    rho0, rho1 = np.exp(a0 - f0), np.exp(a1 - f1)
+    rho_sum = (n0 * rho0 + n1 * rho1).sum()
+    eps = _clip(rho_sum / xd.size)
+    r = _clip((n1 * rho1).sum() / rho_sum) if rho_sum > 0 else state.r
 
-    new = replace(state, r=r, epsilon=eps,
-                  beta=_update_beta(xf, state.z, state.beta, log_q, 1.0 - rho))
+    beta = _update_beta(zu, state.beta, log_q, n0 * (1.0 - rho0),
+                        n1 * (1.0 - rho1))
+    new = replace(state, r=r, epsilon=eps, beta=beta)
     new.z = _update_z(xd, new, max_passes=2 * state.z.shape[1])
     new.log_likelihood = tempered_log_likelihood(x, new)
     return new

@@ -379,6 +379,18 @@ class TestMine:
                                       "-k", "0"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_bad_kl_smoothing_exits_2(self, runner, tmp_path, value):
+        data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+        result = runner.invoke(main, ["mine", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "-k", "2", "--kl-smoothing", value])
+        assert result.exit_code == 2
+        errors = [line for line in result.output.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "--kl-smoothing" in errors[0]
+        assert "Traceback" not in result.output
+
     def test_empty_train_set_exits_2(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=30, d=5, rating=2.0,
                            num_ratings=3)

@@ -21,7 +21,7 @@ from permpatterns.evaluation import error_rates
 from permpatterns.engine import FitState, binarize, em_step
 from permpatterns.simulate import plant_factorization
 
-from helpers import matrix_from_rows, signal_bernoulli_param
+from helpers import matrix_from_rows, reference_em_step, signal_bernoulli_param
 
 
 def random_binary(rng, shape, p=0.5):
@@ -158,9 +158,13 @@ class TestLogLikelihood:
 
     def test_matches_per_entry_oracle(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
+        for k in [3] * 20 + [12]:
             x = random_binary(rng, (7, 6))
-            state = make_state(rng, 7, 3, 6)
+            state = make_state(rng, 7, k, 6)
+            if k == 12:
+                # fit reorders z's columns, which leaves z column-major; K=12
+                # packs each row's key into two bytes
+                state.z = np.asfortranarray(state.z)
             assert log_likelihood(x, state) == pytest.approx(
                 mixture_ll_oracle(x.data, state), abs=1e-9)
 
@@ -211,6 +215,61 @@ class TestEmStep:
             before = tempered_log_likelihood(x, state)
             after = tempered_log_likelihood(x, em_step(x, state))
             assert after >= before - 1e-9
+
+
+def shared_rows_state(rng, n, k, d, temperature):
+    """x and a fit state whose rows share a z but differ in x, and share an
+    x but differ in z; two of the z differ only in their last bit, so with
+    K > 8 they agree on the first byte of their packed keys."""
+    z_pool = (rng.random((4, k)) < 0.4).astype(np.uint8)
+    z_pool[1] = z_pool[0]
+    z_pool[1, -1] ^= 1
+    x_pool = (rng.random((4, d)) < 0.4).astype(np.uint8)
+    x = BinaryMatrix(x_pool[rng.integers(0, 4, n)])
+    state = FitState(beta=rng.uniform(0, 1, (k, d)),
+                     z=z_pool[rng.integers(0, 4, n)],
+                     r=rng.uniform(0.1, 0.9), epsilon=rng.uniform(0.1, 0.9),
+                     temperature=temperature)
+    return x, state
+
+
+class TestEmStepOracle:
+    @pytest.mark.parametrize("k", [1, 9, 12])
+    @pytest.mark.parametrize("temperature", [2.0, 1.0, 0.05])
+    def test_matches_per_entry_step(self, k, temperature):
+        rng = np.random.default_rng(100 * k + int(20 * temperature))
+        for _ in range(4):
+            x, state = shared_rows_state(rng, 30, k, 14, temperature)
+            new = em_step(x, state)
+            beta, z, r, eps, ll = reference_em_step(x, state)
+            assert np.array_equal(new.z, z)
+            np.testing.assert_allclose(new.beta, beta, rtol=1e-12, atol=0)
+            np.testing.assert_allclose([new.r, new.epsilon, new.log_likelihood],
+                                       [r, eps, ll], rtol=1e-12, atol=0)
+
+    def test_chunked_flip_search_equals_unchunked(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        k, d = 9, 14
+        x, state = shared_rows_state(rng, 23, k, d, 1.0)
+        whole = em_step(x, state)
+        assert not np.array_equal(whole.z, state.z)
+        sizes = []
+        group = engine._group
+
+        def counted(z):
+            sizes.append(len(z))
+            return group(z)
+
+        # 7 rows of (K+1) candidates x D permissions a chunk
+        monkeypatch.setattr(engine, "_CHUNK_CELLS", 7 * (k + 1) * d)
+        monkeypatch.setattr(engine, "_group", counted)
+        chunked = em_step(x, state)
+        # the E-step groups all rows, then the first pass searches in chunks
+        assert sizes[:5] == [23, 7, 7, 7, 2]
+        assert np.array_equal(chunked.z, whole.z)
+        assert np.array_equal(chunked.beta, whole.beta)
+        assert (chunked.r, chunked.epsilon, chunked.log_likelihood) == (
+            whole.r, whole.epsilon, whole.log_likelihood)
 
 
 class TestBinarize:
