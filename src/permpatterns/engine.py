@@ -75,7 +75,7 @@ def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
 
 
 def _clip(p: float) -> float:
-    return float(np.clip(p, PARAM_FLOOR, 1.0 - PARAM_FLOOR))
+    return float(min(max(p, PARAM_FLOOR), 1.0 - PARAM_FLOOR))
 
 
 def _group(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,30 +161,29 @@ def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
     """
     q = np.exp(np.minimum(log_q, 0.0))
     one_minus_q = np.clip(1.0 - q, 1e-300, 1.0)
-    zf = zu.astype(float)
-    new_beta = beta.copy()
-    for k in range(beta.shape[0]):
-        mask = zf[:, k]
-        # one summation for both, so that beta stays exactly 1 where no
-        # x = 1 entry credits pattern k
-        denom = mask @ (w0 + w1)                    # (D,)
-        fired = np.clip((1.0 - beta[k]) / one_minus_q, 0.0, 1.0)
-        num = mask @ (w0 + w1 * (1.0 - fired))      # (D,)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            upd = num / denom
-        new_beta[k] = np.where(denom > 0, np.clip(upd, 0.0, 1.0), beta[k])
-    return new_beta
+    mask = zu.T.astype(float)[:, :, None]                      # (K, U, 1)
+    fired = np.clip((1.0 - beta[:, None, :]) / one_minus_q, 0.0, 1.0)
+    # one summation for both, so that beta stays exactly 1 where no
+    # x = 1 entry credits pattern k
+    denom = (mask * (w0 + w1)).sum(axis=1)                     # (K, D)
+    num = (mask * (w0 + w1 * (1.0 - fired))).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        upd = num / denom
+    return np.where(denom > 0, np.clip(upd, 0.0, 1.0), beta)
 
 
-def _update_z(x: np.ndarray, state: FitState, max_passes: int) -> np.ndarray:
+def _update_z(x: np.ndarray, state: FitState,
+              max_passes: int) -> tuple[np.ndarray, float]:
     """Greedy single-bit flips per row, accepting only tempered-LL gains.
 
     Rows are independent, so one flip per row per pass is applied
     simultaneously; the result does not depend on row order.  A row that
     did not flip would not flip again, so a pass searches only the last
-    pass's flipped rows.  The terms of every candidate (keeping z, or
-    flipping one bit) are tabulated once per distinct z and x = 0 / 1; a
-    row's score is then the x = 0 sum plus x times the difference.
+    pass's flipped rows.  A row's candidates are its z and its K single-bit
+    flips; the terms of x = 0 and x = 1 are tabulated once per distinct
+    candidate vector, and a row's score is the x = 0 sum plus x times the
+    difference.  Returns the new z and the tempered log-likelihood at it:
+    the sum of each row's score at its final z.
     """
     z = state.z.copy()
     xf = x.astype(float)
@@ -192,33 +191,34 @@ def _update_z(x: np.ndarray, state: FitState, max_passes: int) -> np.ndarray:
     r, eps, inv_t = state.r, state.epsilon, 1.0 / state.temperature
     with np.errstate(divide="ignore"):
         log_beta = np.log(np.clip(state.beta, 1e-300, 1.0))
+    # candidate 0 keeps z, candidate j + 1 flips bit j
+    moves = np.eye(k_count + 1, k_count, -1, dtype=np.uint8)
     chunk = max(1, _CHUNK_CELLS // ((k_count + 1) * d))
+    row_ll = np.empty(z.shape[0])
     search = np.arange(z.shape[0])
     for _ in range(max_passes):
         flipped = []
         for lo in range(0, search.size, chunk):
             rows = search[lo:lo + chunk]
             first, group = _group(z[rows])
-            zu = z[rows[first]].astype(float)
-            log_q = zu @ log_beta
-            # flipping bit k adds log_beta[k] when z=0 and removes it when z=1
-            sign = 1.0 - 2.0 * zu
-            cand = np.concatenate(
-                [log_q[:, None, :],
-                 log_q[:, None, :] + sign[:, :, None] * log_beta[None, :, :]],
-                axis=1)                                     # (U, K+1, D)
-            _, _, f0, f1 = _terms(cand, r, eps, inv_t)
-            score = (np.matmul((f1 - f0)[group], xf[rows, :, None])[..., 0]
-                     + f0.sum(axis=-1)[group])
+            cand = (z[rows[first], None, :] ^ moves).reshape(-1, k_count)
+            distinct, which = _group(cand)
+            _, _, f0, f1 = _terms(cand[distinct].astype(float) @ log_beta,
+                                  r, eps, inv_t)
+            which = which.reshape(-1, k_count + 1)[group]   # (rows, K+1)
+            score = (np.matmul((f1 - f0)[which], xf[rows, :, None])[..., 0]
+                     + f0.sum(axis=-1)[which])
             delta = score[:, 1:] - score[:, :1]
             best = np.argmax(delta, axis=1)
-            gain = delta[np.arange(rows.size), best] > 1e-12
+            at = np.arange(rows.size)
+            gain = delta[at, best] > 1e-12
             z[rows[gain], best[gain]] ^= 1
+            row_ll[rows] = score[at, np.where(gain, best + 1, 0)]
             flipped.append(rows[gain])
         search = np.concatenate(flipped)
         if not search.size:
             break
-    return z
+    return z, float(row_ll.sum())
 
 
 def em_step(x: BinaryMatrix, state: FitState) -> FitState:
@@ -228,11 +228,14 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
     ascent step on the tempered bound), then the discrete z flip search
     evaluated directly on the tempered log-likelihood.  Every term depends
     on an entry only through its bit and its row's z, so the terms are
-    computed once per distinct z and the rows enter through counts.
+    computed once per distinct z and the rows enter through counts.  The
+    step's log-likelihood is the flip search's score of the final z.
     """
     xd = x.data
     if xd.shape != (state.z.shape[0], state.beta.shape[1]):
         raise DimensionError("x shape does not match the fit state")
+    if xd.size == 0:
+        raise DimensionError("x has no entries")
 
     zu, n0, n1 = _counts(xd, state.z)
     log_q = _log_q(zu, state.beta)
@@ -247,8 +250,8 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
     beta = _update_beta(zu, state.beta, log_q, n0 * (1.0 - rho0),
                         n1 * (1.0 - rho1))
     new = replace(state, r=r, epsilon=eps, beta=beta)
-    new.z = _update_z(xd, new, max_passes=2 * state.z.shape[1])
-    new.log_likelihood = tempered_log_likelihood(x, new)
+    new.z, new.log_likelihood = _update_z(xd, new,
+                                          max_passes=2 * state.z.shape[1])
     return new
 
 

@@ -264,12 +264,43 @@ class TestEmStepOracle:
         monkeypatch.setattr(engine, "_CHUNK_CELLS", 7 * (k + 1) * d)
         monkeypatch.setattr(engine, "_group", counted)
         chunked = em_step(x, state)
-        # the E-step groups all rows, then the first pass searches in chunks
-        assert sizes[:5] == [23, 7, 7, 7, 2]
+        # the E-step groups all rows, then the first pass searches in chunks,
+        # grouping each chunk's rows and then their K+1 candidates each
+        assert sizes[0] == 23
+        assert sizes[1:9:2] == [7, 7, 7, 2]
+        assert all(n % (k + 1) == 0 for n in sizes[2:9:2])
         assert np.array_equal(chunked.z, whole.z)
         assert np.array_equal(chunked.beta, whole.beta)
         assert (chunked.r, chunked.epsilon, chunked.log_likelihood) == (
             whole.r, whole.epsilon, whole.log_likelihood)
+
+
+    @pytest.mark.parametrize("k", [1, 9, 12])
+    @pytest.mark.parametrize("temperature", [2.0, 1.0, 0.05])
+    def test_reported_log_likelihood(self, k, temperature):
+        rng = np.random.default_rng(300 * k + int(20 * temperature))
+        for _ in range(4):
+            x, state = shared_rows_state(rng, 30, k, 14, temperature)
+            new = em_step(x, state)
+            assert new.log_likelihood == pytest.approx(
+                tempered_log_likelihood(x, new), rel=1e-12, abs=0)
+
+    def test_log_likelihood_when_pass_budget_ends(self):
+        rng = np.random.default_rng(0)
+        x, state = shared_rows_state(rng, 30, 5, 14, 1.0)
+        z, ll = engine._update_z(x.data, state, max_passes=1)
+        # a second pass would still flip rows
+        assert not np.array_equal(
+            engine._update_z(x.data, replace(state, z=z), max_passes=1)[0], z)
+        assert ll == pytest.approx(
+            tempered_log_likelihood(x, replace(state, z=z)), rel=1e-12, abs=0)
+
+    def test_zero_rows_rejected(self):
+        state = FitState(beta=np.full((2, 3), 0.5),
+                         z=np.zeros((0, 2), dtype=np.uint8),
+                         r=0.5, epsilon=0.5, temperature=1.0)
+        with pytest.raises(DimensionError):
+            em_step(BinaryMatrix(np.zeros((0, 3), dtype=np.uint8)), state)
 
 
 class TestBinarize:
