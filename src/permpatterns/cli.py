@@ -177,7 +177,8 @@ def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
 @click.option("--repetitions", default=5, show_default=True, type=int)
 @click.option("--threads", default=1, show_default=True,
               type=click.IntRange(min=1),
-              help="Worker processes, one K each; results do not depend on it.")
+              help="Worker processes; each fit of a half is one job. "
+                   "Results do not depend on it.")
 def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
                  k_min, k_max, repetitions, threads):
     """Instability sweep over K; selects the minimum-median K."""

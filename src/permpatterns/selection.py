@@ -15,7 +15,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import BinaryMatrix, ConfigError, DimensionError, FitConfig
+from .core import (BinaryMatrix, ConfigError, DimensionError, Factorization,
+                   FitConfig)
 from .engine import assign_matrix, fit
 
 
@@ -38,43 +39,63 @@ def _hamming_cost(u1: BinaryMatrix, u2: BinaryMatrix) -> np.ndarray:
     return np.abs(a[:, None, :] - b[None, :, :]).sum(axis=2)
 
 
+def _min_cost_assignment(cost: list[list[int]]) -> list[int]:
+    """pi minimizing sum_i cost[i][pi[i]] over a square integer matrix.
+
+    Shortest augmenting paths with row and column potentials (the
+    Hungarian method, O(K^3)); integer costs keep every step exact.
+    """
+    k = len(cost)
+    inf = float("inf")       # only ever compared: int vs float is exact
+    row_pot, col_pot = [0] * (k + 1), [0] * (k + 1)
+    # owner[j]: 1-based row matched to 1-based column j; column 0 is the root
+    owner, way = [0] * (k + 1), [0] * (k + 1)
+    for i in range(1, k + 1):
+        owner[0], j0 = i, 0
+        slack, done = [inf] * (k + 1), [False] * (k + 1)
+        while owner[j0]:
+            done[j0] = True
+            i0, delta, j1 = owner[j0], inf, 0
+            row = cost[i0 - 1]
+            for j in range(1, k + 1):
+                if not done[j]:
+                    reduced = row[j - 1] - row_pot[i0] - col_pot[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(k + 1):
+                if done[j]:
+                    row_pot[owner[j]] += delta
+                    col_pot[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:
+            owner[j0] = owner[way[j0]]
+            j0 = way[j0]
+    pi = [0] * k
+    for j in range(1, k + 1):
+        pi[owner[j] - 1] = j - 1
+    return pi
+
+
 def match_patterns(u1: BinaryMatrix, u2: BinaryMatrix) -> np.ndarray:
     """Permutation pi minimizing sum_k Hamming(u1[k], u2[pi[k]]).
 
     Among all minimum-cost permutations the lexicographically smallest one
     is returned, so u1 == u2 always yields the identity.
     """
-    # imported here, not at module level: scipy.optimize takes longer to load
-    # than the rest of the package and more memory, and callers that only
-    # fit or score apps never need it
-    from scipy.optimize import linear_sum_assignment
-
     if u1.shape != u2.shape:
         raise DimensionError(f"shape mismatch: {u1.shape} vs {u2.shape}")
-    cost = _hamming_cost(u1, u2).astype(float)
-    k = cost.shape[0]
-    rows, cols = linear_sum_assignment(cost)
-    best = cost[rows, cols].sum()
-    # fix pi[0], pi[1], ... to the smallest values still achieving the optimum
-    pi: list[int] = []
-    used: set[int] = set()
-    prefix = 0.0
-    for row in range(k):
-        for j in range(k):
-            if j in used:
-                continue
-            rest_cols = [c for c in range(k) if c not in used and c != j]
-            tail = 0.0
-            if rest_cols:
-                sub = cost[np.ix_(range(row + 1, k), rest_cols)]
-                r, c = linear_sum_assignment(sub)
-                tail = sub[r, c].sum()
-            if prefix + cost[row, j] + tail <= best + 1e-9:
-                pi.append(j)
-                used.add(j)
-                prefix += cost[row, j]
-                break
-    return np.array(pi, dtype=np.int64)
+    k = u1.rows
+    # cost * K^K + pi[i] * K^(K-1-i): the tie-break term reads pi as a
+    # base-K number below K^K, so it orders the optimal permutations
+    # lexicographically and never outweighs one unit of Hamming cost
+    scale = k ** k
+    cost = [[c * scale + j * k ** (k - 1 - i) for j, c in enumerate(row)]
+            for i, row in enumerate(_hamming_cost(u1, u2).tolist())]
+    return np.array(_min_cost_assignment(cost), dtype=np.int64)
 
 
 def match_patterns_exhaustive(u1: BinaryMatrix, u2: BinaryMatrix) -> np.ndarray:
@@ -123,29 +144,38 @@ class InstabilityReport:
     failed_k: dict[int, str] = field(default_factory=dict)   # K -> error
 
 
-def instability(x: BinaryMatrix, k: int, repetitions: int,
-                config: FitConfig) -> InstabilityRecord:
-    """Instability of K-pattern factorizations over repeated random splits.
-
-    Each repetition fits both halves, transfers the first model onto the
-    second half with the greedy assignment classifier, aligns labels, and
-    scores the row-wise disagreement.
-    """
+def _fit_jobs(x: BinaryMatrix, ks, repetitions: int, config: FitConfig):
+    """One (half, other half or None, K, config) job per fit: K by K in the
+    given order, then repetition by repetition, first half first.  The data
+    is split once per repetition; every K fits the same halves."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    splits = [(split_dataset(x, config.seed + rep),
+               replace(config, seed=config.seed + rep))
+              for rep in range(repetitions)]
+    return [job for k in ks for (half1, half2), cfg in splits
+            for job in ((half1, half2, k, cfg), (half2, None, k, cfg))]
+
+
+def _fit_half(half: BinaryMatrix, other: BinaryMatrix | None, k: int,
+              config: FitConfig) -> tuple[Factorization, BinaryMatrix | None]:
+    """Fit one half; a first half's model is also transferred onto the
+    other half with the greedy assignment classifier."""
+    fact = fit(half, k, config)
+    if other is None:
+        return fact, None
+    return fact, assign_matrix(other, fact.u, fact.r, fact.epsilon)
+
+
+def _record(k: int, fits) -> InstabilityRecord:
+    """One K's record from its fits in job order (see ``_fit_jobs``)."""
     values, seeds = [], []
-    for rep in range(repetitions):
-        seed = config.seed + rep
-        half1, half2 = split_dataset(x, seed)
-        cfg = replace(config, seed=seed)
-        fact1 = fit(half1, k, cfg)
-        fact2 = fit(half2, k, cfg)
-        transferred = assign_matrix(half2, fact1.u, fact1.r, fact1.epsilon)
+    for (fact1, transferred), (fact2, _) in zip(fits[0::2], fits[1::2]):
         pi = match_patterns(fact1.u, fact2.u)
         aligned = np.zeros_like(transferred.data)
         aligned[:, pi] = transferred.data
         values.append(disagreement_score(BinaryMatrix(aligned), fact2.z))
-        seeds.append(seed)
+        seeds.append(fact1.seed)
     return InstabilityRecord(
         k=k,
         values=tuple(values),
@@ -155,11 +185,22 @@ def instability(x: BinaryMatrix, k: int, repetitions: int,
     )
 
 
-def _instability_job(args) -> InstabilityRecord | str:
-    """One K of the sweep; a failed fit comes back as its error message."""
-    x, k, repetitions, config = args
+def instability(x: BinaryMatrix, k: int, repetitions: int,
+                config: FitConfig) -> InstabilityRecord:
+    """Instability of K-pattern factorizations over repeated random splits.
+
+    Each repetition fits both halves, transfers the first model onto the
+    second half with the greedy assignment classifier, aligns labels, and
+    scores the row-wise disagreement.
+    """
+    return _record(k, [_fit_half(*job)
+                       for job in _fit_jobs(x, [k], repetitions, config)])
+
+
+def _instability_job(job) -> tuple[Factorization, BinaryMatrix | None] | str:
+    """One fit of the sweep; a failed fit comes back as its error message."""
     try:
-        return instability(x, k, repetitions, config)
+        return _fit_half(*job)
     except (ConfigError, FloatingPointError) as exc:
         return str(exc)
 
@@ -169,23 +210,35 @@ def select_k(x: BinaryMatrix, k_range, repetitions: int,
     """Run the instability analysis for each K; pick the minimum median,
     ties broken toward smaller K.
 
-    With ``threads > 1`` the K values run in a pool of that many worker
-    processes; the report is the same as a serial sweep's.  A K whose fits
-    raise ``ConfigError`` or ``FloatingPointError`` is listed in
-    ``failed_k`` and the sweep goes on; any other exception propagates.
+    Every fit of a half is one job, and the jobs of all K and repetitions
+    run in one sweep, largest K first.  With ``threads > 1`` they run in a
+    pool of that many worker processes; the report is the same as a serial
+    sweep's.  A K whose fits raise ``ConfigError`` or
+    ``FloatingPointError`` is listed in ``failed_k`` with the first such
+    error in (repetition, half) order, and the sweep goes on; any other
+    exception propagates.
     """
     k_range = list(k_range)
     if not k_range:
         raise ValueError("k_range must be nonempty")
-    jobs = [(x, k, repetitions, config) for k in k_range]
+    # the slowest fits start first, so that the workers finish together
+    ks = sorted(set(k_range), reverse=True)
+    jobs = _fit_jobs(x, ks, repetitions, config)
     if threads > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             outcomes = list(pool.map(_instability_job, jobs))
     else:
-        outcomes = [_instability_job(job) for job in jobs]
-    records = tuple(o for o in outcomes if isinstance(o, InstabilityRecord))
-    failed = {k: o for k, o in zip(k_range, outcomes) if isinstance(o, str)}
+        outcomes = list(map(_instability_job, jobs))
+    per_k = 2 * repetitions
+    fits = {k: outcomes[i * per_k:(i + 1) * per_k] for i, k in enumerate(ks)}
+    records, failed = [], {}
+    for k in k_range:
+        errors = [o for o in fits[k] if isinstance(o, str)]
+        if errors:
+            failed[k] = errors[0]
+        else:
+            records.append(_record(k, fits[k]))
     best = min(records, key=lambda rec: (rec.median, rec.k), default=None)
-    return InstabilityReport(records=records,
+    return InstabilityReport(records=tuple(records),
                              selected_k=None if best is None else best.k,
                              failed_k=failed)

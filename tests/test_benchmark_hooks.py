@@ -48,14 +48,17 @@ def test_tracer_installs_records_and_uninstalls(tmp_path):
     try:
         assert permpatterns.select_k is not before[("permpatterns",
                                                     "select_k")]
-        permpatterns.select_k(x, [2], repetitions=1, config=config)
+        permpatterns.select_k(x, [2, 3], repetitions=2, config=config)
+        permpatterns.instability(x, 2, repetitions=1, config=config)
     finally:
         uninstall()
     spans.flush()
 
     recorded = tracer.load_spans(tmp_path)
-    names = {span["name"] for span in recorded}
-    assert {"selection.select_k", "engine.fit"} <= names
+    names = [span["name"] for span in recorded]
+    assert {"selection.select_k", "engine.fit"} <= set(names)
+    # one pool job per fit of a half: 2 halves x 2 repetitions x 2 K values
+    assert names.count("cli.instability_job") == 8
     assert [span["k"] for span in recorded
             if span["name"] == "selection.instability"] == [2]
     after = bindings(tracer)

@@ -18,7 +18,7 @@ from permpatterns import (
     select_k,
 )
 from permpatterns.core import DimensionError
-from permpatterns.selection import InstabilityRecord, split_dataset
+from permpatterns.selection import split_dataset
 from permpatterns.simulate import plant_factorization
 
 
@@ -88,12 +88,28 @@ class TestMatchPatterns:
             assert cost == exhaustive_min_cost(u1, u2)
 
     def test_agrees_with_exhaustive_mode(self):
+        # few permissions make many permutations tie at the optimum; the
+        # exhaustive search keeps the first minimum in permutations() order,
+        # which is the lexicographically smallest optimal permutation
         rng = np.random.default_rng(8)
-        for _ in range(10):
-            u1 = random_binary(rng, (4, 6))
-            u2 = random_binary(rng, (4, 6))
+        for _ in range(60):
+            k, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+            u1 = random_binary(rng, (k, d))
+            u2 = random_binary(rng, (k, d))
             assert match_patterns(u1, u2).tolist() == \
                 match_patterns_exhaustive(u1, u2).tolist()
+
+    def test_paper_scale_k(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(12)
+        u1 = random_binary(rng, (30, 40), 0.2)
+        u2 = random_binary(rng, (30, 40), 0.2)
+        cost = np.abs(u1.data[:, None, :].astype(int) - u2.data[None]).sum(2)
+        rows, cols = scipy_optimize.linear_sum_assignment(cost)
+        pi = match_patterns(u1, u2)
+        assert sorted(pi.tolist()) == list(range(30))
+        assert cost[np.arange(30), pi].sum() == cost[rows, cols].sum()
+        assert match_patterns(u1, u1).tolist() == list(range(30))
 
     def test_shape_mismatch(self):
         rng = np.random.default_rng(9)
@@ -155,22 +171,27 @@ class TestSelectK:
         report = select_k(x, [2], repetitions=1, config=FAST)
         assert report.selected_k == 2
 
-    def test_tie_breaks_to_smaller_k(self):
-        records = (
-            InstabilityRecord(k=3, values=(0.1,), seeds=(0,), median=0.1, std=0.0),
-            InstabilityRecord(k=2, values=(0.1,), seeds=(0,), median=0.1, std=0.0),
-        )
-        best = min(records, key=lambda rec: (rec.median, rec.k))
-        assert best.k == 2
+    def test_tie_breaks_to_smaller_k(self, monkeypatch):
+        monkeypatch.setattr(permpatterns.selection, "disagreement_score",
+                            lambda z_pred, z_ref: 0.25)
+        x, _, _ = plant_factorization(60, 10, 2, 0.3, 0.4, 0.05, 0.5, seed=16)
+        report = select_k(x, [4, 2, 3], repetitions=2, config=FAST)
+        assert [rec.k for rec in report.records] == [4, 2, 3]
+        assert {rec.median for rec in report.records} == {0.25}
+        assert report.selected_k == 2
 
-    def test_threads_do_not_change_the_report(self):
+    @pytest.mark.parametrize("repetitions, threads", [(1, 2), (2, 3)])
+    def test_threads_do_not_change_the_report(self, repetitions, threads):
         # K=0 is below 1 and K=12 exceeds D=10, so their fits raise
         # ConfigError
         x, _, _ = plant_factorization(60, 10, 2, 0.3, 0.4, 0.05, 0.5, seed=15)
-        serial = select_k(x, [0, 2, 3, 12], repetitions=1, config=FAST)
-        pooled = select_k(x, [0, 2, 3, 12], repetitions=1, config=FAST,
-                          threads=2)
+        serial = select_k(x, [0, 2, 3, 12], repetitions=repetitions,
+                          config=FAST)
+        pooled = select_k(x, [0, 2, 3, 12], repetitions=repetitions,
+                          config=FAST, threads=threads)
         assert pooled == serial
+        assert [rec.seeds for rec in serial.records] == \
+            [tuple(range(repetitions))] * 2
         assert [rec.k for rec in serial.records] == [2, 3]
         assert list(serial.failed_k) == [0, 12]
         assert "at least 1" in serial.failed_k[0]
@@ -196,12 +217,17 @@ class TestSelectK:
 
 
 def test_package_import_leaves_out_scipy_optimize():
-    # match_patterns imports it on first call; every CLI process and every
-    # caller that only scores apps would otherwise pay for loading it
+    # the package needs no scipy: neither the import nor a whole select_k
+    # sweep, matching included, loads any of it
     src = str(Path(permpatterns.__file__).parents[1])
-    code = ("import sys, permpatterns; "
-            "print('scipy.optimize' in sys.modules)")
+    code = ("import sys, permpatterns as p; "
+            "print('scipy.optimize' in sys.modules); "
+            "x, _, _ = p.plant_factorization(40, 6, 2, 0.3, 0.4, 0.0, 0.5, "
+            "seed=0); "
+            "p.select_k(x, [2, 3], repetitions=1, config=p.FitConfig("
+            "seed=0, cooling_factor=0.5, max_inner_iterations=5)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "[]"]
