@@ -82,7 +82,10 @@ def _group(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of the 0/1 matrix z, found by one sort of the rows'
     packed bits: the index of each distinct row's first occurrence, and
     each row's index into those."""
-    keys = np.ascontiguousarray(np.packbits(z, axis=1))
+    keys = np.packbits(z, axis=1)
+    if not keys.shape[1]:           # rows of no columns are all equal
+        keys = np.zeros((len(z), 1), dtype=np.uint8)
+    keys = np.ascontiguousarray(keys)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     return first, group
@@ -321,15 +324,33 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
                          seed=config.seed)
 
 
-def _first_better(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Left-to-right scan of the last axis: a score replaces the best so far
-    (initially base) only if it beats it by more than 1e-12, so scores tied
-    up to rounding keep the first.  The kept index, or -1 if base stands."""
+def _scan(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Left-to-right scan of each row of scores: a score replaces the best so
+    far (initially base) only if it beats it by more than 1e-12, so scores
+    tied up to rounding keep the first.  The kept index, or -1 if base
+    stands."""
     best_i, best = np.full(base.shape, -1), base
-    for i in range(scores.shape[-1]):
-        better = scores[..., i] > best + 1e-12
+    for i in range(scores.shape[1]):
+        better = scores[:, i] > best + 1e-12
         best_i[better] = i
-        best = np.where(better, scores[..., i], best)
+        best = np.where(better, scores[:, i], best)
+    return best_i
+
+
+def _first_better(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """_scan's result for every row of scores, with only the rows that
+    hold a near-tie scanned.
+
+    Where no entry of [base, scores] falls short of the row's maximum by
+    1e-12 or less, the row's first maximum beats every entry before it by
+    more than 1e-12 and no entry after it beats it, so the scan keeps it.
+    """
+    every = np.concatenate([base[:, None], scores], axis=1)
+    top = every.max(axis=1, keepdims=True)
+    best_i = np.argmax(every, axis=1) - 1
+    near = np.flatnonzero(((every < top) & (every + 1e-12 >= top)).any(axis=1))
+    if near.size:
+        best_i[near] = _scan(scores[near], base[near])
     return best_i
 
 
@@ -406,12 +427,15 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
 
 def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
                   r: float, epsilon: float) -> BinaryMatrix:
-    """assign_patterns applied to every row of x."""
+    """assign_patterns applied to every row of x; each distinct row is
+    scored once."""
     if x.cols != u.cols:
         raise DimensionError(f"row length {x.cols} != D={u.cols}")
+    first, group = _group(x.data)
+    rows = x.data[first] == 1
     chunk = max(1, _ASSIGN_CELLS // max(1, (u.rows + 1) * u.rows * u.cols))
-    out = np.zeros((x.rows, u.rows), dtype=np.uint8)
-    for lo in range(0, x.rows, chunk):
-        out[lo:lo + chunk] = _greedy_assign(x.data[lo:lo + chunk] == 1, u,
+    out = np.zeros((first.size, u.rows), dtype=np.uint8)
+    for lo in range(0, first.size, chunk):
+        out[lo:lo + chunk] = _greedy_assign(rows[lo:lo + chunk], u,
                                             r, epsilon)
-    return BinaryMatrix(out)
+    return BinaryMatrix(out[group])

@@ -10,6 +10,9 @@ import numpy as np
 from .core import BinaryMatrix, DimensionError
 from .engine import boolean_product
 
+# Rows per block of pcp_matrix's co-occurrence sum.
+_BLOCK_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class ErrorRates:
@@ -56,9 +59,13 @@ def pcp_matrix(x: BinaryMatrix) -> tuple[np.ndarray, list[int]]:
     permission is never requested; those columns are 0 rather than NaN so
     indices stay aligned with the vocabulary.
     """
-    xf = x.data.astype(np.float64)
-    col_counts = xf.sum(axis=0)
-    co = xf.T @ xf  # co[s, t] = number of apps requesting both
+    # co[s, t] = number of apps requesting both, summed over row blocks in
+    # float32, which counts exactly up to 2**24 rows a block
+    co = np.zeros((x.cols, x.cols))
+    for lo in range(0, x.rows, _BLOCK_ROWS):
+        block = x.data[lo:lo + _BLOCK_ROWS].astype(np.float32)
+        co += block.T @ block
+    col_counts = co.diagonal()
     with np.errstate(divide="ignore", invalid="ignore"):
         pcp = co / col_counts[None, :]
     undefined = np.nonzero(col_counts == 0)[0].tolist()

@@ -10,6 +10,8 @@ from .engine import boolean_product
 
 UNDERFLOW_THRESHOLD = 0.001
 DEFAULT_BINS = 20
+# Rows per block of simulate_independent's draw.
+_BLOCK_ROWS = 1 << 14
 
 
 def marginal_probs(x: BinaryMatrix) -> np.ndarray:
@@ -26,7 +28,12 @@ def simulate_independent(p: np.ndarray, n: int, seed: int) -> BinaryMatrix:
     if p.size and (p.min() < 0 or p.max() > 1):
         raise ValueError("probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    return BinaryMatrix((rng.random((n, p.shape[0])) < p[None, :]).astype(np.uint8))
+    # block by block, the same stream as one rng.random((n, D)) draw
+    x = np.empty((n, p.shape[0]), dtype=np.uint8)
+    for lo in range(0, n, _BLOCK_ROWS):
+        block = x[lo:lo + _BLOCK_ROWS]
+        block[:] = rng.random(block.shape) < p
+    return BinaryMatrix(x)
 
 
 def plant_factorization(n: int, d: int, k: int, pattern_density: float,

@@ -101,3 +101,54 @@ def reference_em_step(x, state):
     ll = np.logaddexp(*_entry_terms(
         xd, z.astype(float) @ log_beta, r, eps, inv_t)).sum()
     return beta, z, r, eps, float(ll)
+
+
+def scan_first_better(values, base):
+    """Plain left-to-right scan: a value replaces the best so far only if it
+    beats it by more than 1e-12.  The kept index, or -1 if base stands."""
+    best_i, best = -1, base
+    for i, v in enumerate(values):
+        if v > best + 1e-12:
+            best_i, best = i, v
+    return best_i
+
+
+def reference_assign(x_row, u, r, eps):
+    """engine.assign_patterns for one row, one candidate set at a time:
+    the add-then-prune greedy from the empty set and from each singleton,
+    each set's log-likelihood counted from its covered entries, and the
+    best start kept by the same scan."""
+    r, eps = _clip(r), _clip(eps)
+    x = np.asarray(x_row).astype(bool)
+    u = u.data.astype(bool)
+    k, d = u.shape
+    ones = int(x.sum())
+    match1 = float(np.log(eps * r + (1 - eps)))
+    match0 = float(np.log(eps * (1 - r) + (1 - eps)))
+    miss1 = float(np.log(eps * r))
+    miss0 = float(np.log(eps * (1 - r)))
+
+    def set_ll(selected):
+        covered = u[np.asarray(selected, dtype=bool)].any(axis=0)
+        n11, n10 = int((covered & x).sum()), int((covered & ~x).sum())
+        return (n11 * match1 + (d - ones - n10) * match0
+                + (ones - n11) * miss1 + n10 * miss0)
+
+    finals = []
+    for start in range(-1, k):
+        selected = [j == start for j in range(k)]
+        for adding in (True, False):
+            while True:
+                values = []
+                for j in range(k):
+                    moved = list(selected)
+                    moved[j] = adding
+                    values.append(-np.inf if selected[j] == adding
+                                  else set_ll(moved))
+                j = scan_first_better(values, set_ll(selected))
+                if j < 0:
+                    break
+                selected[j] = adding
+        finals.append(selected)
+    best = scan_first_better([set_ll(s) for s in finals], -np.inf)
+    return np.array(finals[best], dtype=np.uint8)

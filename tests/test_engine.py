@@ -21,7 +21,13 @@ from permpatterns.evaluation import error_rates
 from permpatterns.engine import FitState, binarize, em_step
 from permpatterns.simulate import plant_factorization
 
-from helpers import matrix_from_rows, reference_em_step, signal_bernoulli_param
+from helpers import (
+    matrix_from_rows,
+    reference_assign,
+    reference_em_step,
+    scan_first_better,
+    signal_bernoulli_param,
+)
 
 
 def random_binary(rng, shape, p=0.5):
@@ -456,3 +462,138 @@ class TestAssignPatterns:
         u = matrix_from_rows([[1, 0, 1], [0, 1, 1]])
         with pytest.raises(DimensionError):
             assign_matrix(matrix_from_rows([[1, 0], [0, 1]]), u, 0.5, 0.05)
+
+
+def oracle_cases(seed, cases, rows):
+    """Seeded random (x, u, r, epsilon) with K 1-12 and D 1-39, r cycling
+    through 0.5, 0.999999, 0.02 and a random value; x repeats some rows."""
+    rng = np.random.default_rng(seed)
+    for case in range(cases):
+        k, d = int(rng.integers(1, 13)), int(rng.integers(1, 40))
+        u = random_binary(rng, (k, d), rng.uniform(0.05, 0.6))
+        r = [0.5, 0.999999, 0.02, rng.uniform(0.01, 0.99)][case % 4]
+        eps = rng.uniform(0.001, 0.5)
+        x = random_binary(rng, (rows, d), rng.uniform(0.05, 0.7)).data
+        yield x[rng.integers(0, rows, size=rows + 4)], u, float(r), float(eps)
+
+
+class TestAssignOracle:
+    def test_single_rows_equal_oracle(self):
+        for x, u, r, eps in oracle_cases(21, 120, 3):
+            for row in x:
+                assert (assign_patterns(row, u, r, eps).tolist()
+                        == reference_assign(row, u, r, eps).tolist())
+
+    @pytest.mark.parametrize("cells", [None, 1])
+    def test_matrix_equals_oracle(self, monkeypatch, cells):
+        # cells=1 gives one row a chunk, so repeats of a row fall in
+        # other chunks than the row they copy
+        if cells:
+            monkeypatch.setattr(engine, "_ASSIGN_CELLS", cells)
+        for x, u, r, eps in oracle_cases(22, 60, 6):
+            got = assign_matrix(BinaryMatrix(x), u, r, eps).data
+            want = [reference_assign(row, u, r, eps) for row in x]
+            assert got.tolist() == np.array(want).tolist()
+
+    def test_repeated_rows_scored_once(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        u = random_binary(rng, (5, 9), 0.3)
+        distinct = np.unique(random_binary(rng, (6, 9), 0.4).data, axis=0)
+        x = distinct[rng.integers(0, len(distinct), size=40)]
+        # 6 starts x 5 candidates x 9 permissions: 2 rows a chunk
+        monkeypatch.setattr(engine, "_ASSIGN_CELLS", 2 * 6 * 5 * 9)
+        chunks = []
+        greedy = engine._greedy_assign
+
+        def counted(rows, *args):
+            chunks.append(len(rows))
+            return greedy(rows, *args)
+
+        monkeypatch.setattr(engine, "_greedy_assign", counted)
+        got = assign_matrix(BinaryMatrix(x), u, 0.4, 0.1).data
+        assert sum(chunks) == len(np.unique(x, axis=0))
+        assert max(chunks) == 2
+        want = [reference_assign(row, u, 0.4, 0.1) for row in x]
+        assert got.tolist() == np.array(want).tolist()
+
+    @pytest.mark.parametrize("n, k, d", [(3, 2, 0), (3, 0, 4), (0, 2, 4),
+                                         (0, 0, 0)])
+    def test_edge_shapes(self, n, k, d):
+        x = BinaryMatrix(np.ones((n, d), dtype=np.uint8))
+        u = BinaryMatrix(np.ones((k, d), dtype=np.uint8))
+        assert assign_matrix(x, u, 0.5, 0.1).data.shape == (n, k)
+
+
+def spied_scan(monkeypatch):
+    """Patch engine._scan to record the number of rows of each call."""
+    calls = []
+    scan = engine._scan
+
+    def spy(scores, base):
+        calls.append(len(scores))
+        return scan(scores, base)
+
+    monkeypatch.setattr(engine, "_scan", spy)
+    return calls
+
+
+def python_scan(scores, base):
+    return [scan_first_better(row, b)
+            for row, b in zip(scores.tolist(), base.tolist())]
+
+
+class TestFirstBetter:
+    def test_exact_ties_keep_first(self, monkeypatch):
+        calls = spied_scan(monkeypatch)
+        scores = np.array([[1.0, 3.0, 3.0, 2.0],
+                           [5.0, 5.0, 5.0, 5.0],
+                           [0.0, -1.0, 2.0, 2.0]])
+        base = np.array([0.0, 5.0, 2.0])
+        # the base ties the maximum of rows 1 and 2 and stands
+        assert engine._first_better(scores, base).tolist() == [1, -1, -1]
+        assert calls == []
+
+    def test_near_ties_take_the_scan(self, monkeypatch):
+        calls = spied_scan(monkeypatch)
+        rng = np.random.default_rng(31)
+        steps = rng.uniform(0.4e-12, 0.9e-12, (50, 8))
+        # rising chains of near-ties: two steps together beat 1e-12
+        scores = 7.0 + np.cumsum(steps, axis=1)
+        scores[::3] = scores[::3, ::-1]
+        base = np.where(np.arange(50) % 2 == 0, 7.0, -np.inf)
+        got = engine._first_better(scores, base)
+        assert calls == [50]
+        assert got.tolist() == python_scan(scores, base)
+        assert got.tolist() != np.argmax(scores, axis=1).tolist()
+
+    def test_only_near_tie_rows_scanned(self, monkeypatch):
+        calls = spied_scan(monkeypatch)
+        scores = np.array([[1.0, 2.0, 2.0 - 0.5e-12],
+                           [1.0, 2.0, 3.0],
+                           [2.0 - 0.5e-12, 2.0, 1.0]])
+        base = np.zeros(3)
+        got = engine._first_better(scores, base)
+        assert calls == [2]
+        assert got.tolist() == python_scan(scores, base) == [1, 2, 0]
+
+    def test_minus_infinity(self, monkeypatch):
+        calls = spied_scan(monkeypatch)
+        inf = np.inf
+        scores = np.array([[-inf, -inf, -inf],
+                           [-inf, 2.0, 2.0],
+                           [-inf, -inf, -inf]])
+        # a -inf base as in the choice of the start
+        base = np.array([-inf, -inf, 0.0])
+        got = engine._first_better(scores, base)
+        assert got.tolist() == python_scan(scores, base) == [-1, 1, -1]
+        assert calls == []
+
+    def test_random_rows_equal_scan(self):
+        rng = np.random.default_rng(32)
+        for cols in (1, 2, 5, 31):
+            grid = rng.integers(0, 4, (200, cols)) * 1e-12 / 3
+            scores = np.where(rng.random((200, cols)) < 0.1, -np.inf,
+                              1.0 + grid)
+            base = 1.0 + rng.integers(0, 4, 200) * 1e-12 / 3
+            assert (engine._first_better(scores, base).tolist()
+                    == python_scan(scores, base))

@@ -12,6 +12,7 @@ from permpatterns import (
     pcp_matrix,
 )
 from permpatterns.core import DimensionError
+from permpatterns import evaluation
 from permpatterns.evaluation import category_divergence
 
 from helpers import matrix_from_rows
@@ -104,6 +105,21 @@ class TestPcp:
         for d in range(6):
             if d not in undefined:
                 assert pcp[d, d] == 1.0
+
+    def test_blocks_equal_one_float64_product(self, monkeypatch):
+        monkeypatch.setattr(evaluation, "_BLOCK_ROWS", 7)
+        rng = np.random.default_rng(6)
+        data = (rng.random((7 * 4 + 3, 9)) < 0.3).astype(np.uint8)
+        data[:, 4] = 0
+        x = BinaryMatrix(data)
+        pcp, undefined = pcp_matrix(x)
+        xf = x.data.astype(np.float64)
+        counts = xf.sum(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            want = xf.T @ xf / counts[None, :]
+        want[:, counts == 0] = 0.0
+        assert undefined == [4]
+        assert np.array_equal(pcp, want)
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(5)

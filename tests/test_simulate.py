@@ -13,6 +13,7 @@ from permpatterns import (
     simulate_independent,
 )
 from permpatterns.core import DimensionError
+from permpatterns import simulate
 from permpatterns.simulate import pcp_histogram
 
 from helpers import matrix_from_rows
@@ -52,6 +53,14 @@ class TestSimulateIndependent:
         means = x.data.mean(axis=0)
         sigma = np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(means - p) <= 3 * sigma + 1e-9)
+
+    def test_blocks_equal_one_draw(self, monkeypatch):
+        monkeypatch.setattr(simulate, "_BLOCK_ROWS", 8)
+        p = np.array([0.1, 0.5, 0.0, 1.0, 0.93])
+        want = np.random.default_rng(9).random((8 * 3 + 5, 5)) < p
+        got = simulate_independent(p, 8 * 3 + 5, seed=9)
+        assert got.data.dtype == np.uint8
+        assert np.array_equal(got.data, want)
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
