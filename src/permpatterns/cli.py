@@ -105,7 +105,7 @@ def _read_dataset(input_path: str, fmt: str | None,
         try:
             with open(column_map_path) as fh:
                 column_map = json.load(fh)
-        except (OSError, ValueError) as exc:
+        except (OSError, RecursionError, ValueError) as exc:
             _fail(f"bad column map: {exc}", EXIT_INPUT_ERROR)
         if not (isinstance(column_map, dict)
                 and all(isinstance(v, str) for v in column_map.values())):
@@ -232,7 +232,7 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
         try:
             with open(reputation_path) as fh:
                 criteria = ReputationCriteria(**json.load(fh))
-        except (OSError, TypeError, ValueError) as exc:
+        except (OSError, RecursionError, TypeError, ValueError) as exc:
             _fail(f"bad reputation config: {exc}", EXIT_INPUT_ERROR)
     ds = _read_dataset(input_path, fmt, column_map_path)
     try:

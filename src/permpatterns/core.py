@@ -17,7 +17,13 @@ class ConfigError(ValueError):
 
 def check_binary(arr: np.ndarray) -> None:
     """Raise ValueError unless every entry of ``arr`` equals 0 or 1."""
-    if not ((arr == 0) | (arr == 1)).all():
+    if arr.dtype == bool:
+        return
+    if arr.dtype.kind == "u":
+        binary = arr.max(initial=0) <= 1
+    else:
+        binary = ((arr == 0) | (arr == 1)).all()
+    if not binary:
         raise ValueError("entries must be exactly 0 or 1")
 
 

@@ -8,11 +8,12 @@ columns of external dumps onto this schema.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import numbers
 from dataclasses import dataclass
-from itertools import compress
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import itemgetter, ne
 from pathlib import Path
 
 import numpy as np
@@ -122,30 +123,40 @@ def _read_csv(path: Path, column_map: dict) -> list[tuple]:
             unknown = set(names) - set(header)
             if unknown:
                 raise DatasetError(f"{path}: missing columns {sorted(unknown)}")
-            # a name repeated in the header reads its last column
-            where = {name: i for i, name in enumerate(header)}
-            pick = itemgetter(*(where[name] for name in names))
-            width = len(header)
             # a blank line is not a record and has no line number
-            rows = [pick(row) if len(row) >= width
-                    else pick(row + [""] * (width - len(row)))
-                    for row in reader if row]
+            rows = list(filter(None, reader))
         except csv.Error as exc:
             # such as a field over the csv module's size limit, which is
             # left as it is: raising it would hold for the whole process
             raise DatasetError(
                 f"{path}: line {reader.line_num}: {exc}") from exc
-    return list(zip(*rows)) or [()] * len(names)
+    if not rows:
+        return [()] * len(names)
+    width = len(header)
+    if min(map(len, rows)) < width:
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    columns = list(zip(*rows))
+    # a name repeated in the header reads its last column
+    where = {name: i for i, name in enumerate(header)}
+    return [columns[where[name]] for name in names]
 
 
 def _read_json(path: Path, column_map: dict) -> list[list]:
-    """The schema's columns of a JSON array of objects; a missing key reads
-    as None."""
+    """The schema's columns of a JSON array of objects, close to the CSV
+    reader's: a missing key or null reads as "", an id as ``str(v)``, a
+    name or category as ``str(v or "")``, a permission list as a tuple of
+    str and any other permission value as ``str(v or "")``."""
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DatasetError(f"{path}: JSON nested too deeply") from exc
+    except ValueError as exc:
+        # such as an integer over the interpreter's 4,300-digit limit
+        raise DatasetError(f"{path}: {exc}") from exc
     if not isinstance(payload, list):
         raise DatasetError(f"{path}: expected a JSON array of objects")
     id_key = column_map.get("id", "id")
@@ -154,20 +165,38 @@ def _read_json(path: Path, column_map: dict) -> list[list]:
             raise DatasetError(f"{path}: entry {line} is not an object")
         if id_key not in entry:
             raise DatasetError(f"{path}: entry {line} lacks an id")
-    return [[entry.get(column_map.get(k, k)) for entry in payload]
-            for k in REQUIRED_COLUMNS]
+    ids, names, categories, price, rating, count, permissions = [
+        ["" if (v := entry.get(column_map.get(k, k))) is None else v
+         for entry in payload] for k in REQUIRED_COLUMNS]
+    return [list(map(str, ids)),
+            [str(v or "") for v in names],
+            [str(v or "") for v in categories],
+            price, rating, count,
+            [tuple(map(str, v)) if isinstance(v, list) else str(v or "")
+             for v in permissions]]
 
 
-def _convert(values, convert, dtype, failures: list) -> np.ndarray:
-    """``convert`` applied to every value, as an array.  The first value it
-    rejects goes into ``failures`` as (index, message); that entry and the
-    later ones read as 0."""
+def _present(values) -> np.ndarray:
+    """Which values are not empty: an empty CSV field, or a JSON null."""
+    return np.fromiter(map(ne, values, repeat("")), dtype=bool,
+                       count=len(values))
+
+
+def _convert(values, present: np.ndarray, convert, dtype, fill,
+             failures: list) -> np.ndarray:
+    """``convert`` applied to the values where ``present``, and ``fill``
+    elsewhere, as an array.  The first value it rejects goes into
+    ``failures`` as (index, message), and only the entries before it are
+    then converted."""
+    out = np.full(len(values), fill, dtype=dtype)
+    taken = list(compress(values, present))
     try:
-        return np.array([convert(v) for v in values], dtype=dtype)
+        out[present] = np.fromiter(map(convert, taken), dtype=dtype,
+                                   count=len(taken))
+        return out
     except (TypeError, ValueError, OverflowError):
         pass
-    out = np.zeros(len(values), dtype=dtype)
-    for i, value in enumerate(values):
+    for i, value in zip(np.flatnonzero(present).tolist(), taken):
         try:
             out[i] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
@@ -186,25 +215,23 @@ def _first_repeat(ids: tuple[str, ...]) -> int:
 
 
 def _permission_matrix(fields, ids: tuple[str, ...]) -> BinaryMatrix:
-    """The N x D matrix of the permission fields, columns in sorted name
-    order.  Each distinct field is split once: apps repeat permission sets."""
-    # a JSON list of names, or a ';'-separated string
-    fields = [tuple(map(str, f)) if isinstance(f, list) else str(f or "")
-              for f in fields]
+    """The N x D matrix of the permission fields, each a ';'-separated
+    string or a tuple of names, columns in sorted name order.  Each
+    distinct field is split once: apps repeat permission sets."""
     code_of = {field: i for i, field in enumerate(dict.fromkeys(fields))}
     codes = np.fromiter(map(code_of.__getitem__, fields), dtype=np.intp,
                         count=len(fields))
-    token_sets = [{t.strip() for t in (field if isinstance(field, tuple)
-                                       else field.split(";"))} - {""}
-                  for field in code_of]
-    vocabulary = tuple(sorted(set().union(*token_sets)))
-    column = {p: j for j, p in enumerate(vocabulary)}
-    distinct = np.zeros((len(token_sets), len(vocabulary)), dtype=np.uint8)
-    distinct[np.repeat(np.arange(len(token_sets)),
-                       [len(tokens) for tokens in token_sets]),
-             np.fromiter((column[p] for tokens in token_sets for p in tokens),
-                         dtype=np.intp)] = 1
-    return BinaryMatrix(distinct[codes], row_labels=ids,
+    pieces = [field.split(";") if isinstance(field, str) else field
+              for field in code_of]
+    tokens = list(map(str.strip, chain.from_iterable(pieces)))
+    vocabulary = tuple(sorted(set(tokens) - {""}))
+    column = dict(zip(vocabulary, range(len(vocabulary))))
+    column[""] = len(vocabulary)   # empty tokens mark a column dropped below
+    distinct = np.zeros((len(pieces), len(vocabulary) + 1), dtype=np.uint8)
+    distinct[np.repeat(np.arange(len(pieces)), list(map(len, pieces))),
+             np.fromiter(map(column.__getitem__, tokens), dtype=np.intp,
+                         count=len(tokens))] = 1
+    return BinaryMatrix(distinct[:, :-1][codes], row_labels=ids,
                         col_labels=vocabulary)
 
 
@@ -226,6 +253,19 @@ def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Datas
     if fmt not in ("csv", "json"):
         raise DatasetError(f"unsupported format {fmt!r}")
     column_map = column_map or {}
+    # the parse makes a few objects per value and no reference cycles, so
+    # the cyclic collector's passes over them would find nothing
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(path, fmt, column_map)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _load(path: Path, fmt: str, column_map: dict) -> Dataset:
+    """load_dataset once the file is found and its format known."""
     try:
         if fmt == "csv":
             columns, first_line = _read_csv(path, column_map), 2
@@ -241,37 +281,38 @@ def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Datas
     # each check runs on a whole column; an app failing several checks
     # reports the first of them in this order
     failures: list[tuple[int, str]] = []
-    ids = tuple(["" if v is None else str(v).strip() for v in id_col])
+    ids = tuple(map(str.strip, id_col))
     if "" in ids:
         failures.append((ids.index(""), "empty id"))
     if len(set(ids)) < len(ids):
         i = _first_repeat(ids)
         failures.append((i, f"duplicate app id {ids[i]!r}"))
-    price = _convert(price_col, lambda v: float(v or 0.0), np.float64,
+    # a price is 0 when empty or, in JSON, any false value
+    priced = np.fromiter(map(bool, price_col), dtype=bool,
+                         count=len(price_col))
+    price = _convert(price_col, priced, float, np.float64, 0.0, failures)
+    rated = _present(rating_col)
+    rating = _convert(rating_col, rated, float, np.float64, np.nan, failures)
+    count = _convert(count_col, _present(count_col), int, np.int64, 0,
                      failures)
-    rated = np.fromiter((v not in (None, "") for v in rating_col),
-                        dtype=bool, count=len(rating_col))
-    rating = _convert(rating_col,
-                      lambda v: float(v) if v not in (None, "") else np.nan,
-                      np.float64, failures)
-    count = _convert(count_col,
-                     lambda v: int(v) if v not in (None, "") else 0,
-                     np.int64, failures)
     outside = rated & ~((rating >= 1.0) & (rating <= 5.0))
     if outside.any():
         i = int(outside.argmax())
         failures.append((i, f"avg_rating {float(rating[i])} outside [1, 5]"))
     if (count < 0).any():
         failures.append((int((count < 0).argmax()), "negative num_ratings"))
+    bad_price = ~((price >= 0.0) & (price < np.inf))
+    if bad_price.any():
+        i = int(bad_price.argmax())
+        failures.append(
+            (i, f"price {float(price[i])} is negative or not finite"))
     if failures:
         # min keeps the earliest check among those failing on one app
         row, message = min(failures, key=itemgetter(0))
         raise DatasetError(f"line {row + first_line}: {message}")
     count[~rated] = 0   # unrated: the count is not trusted
 
-    return Dataset(ids=ids,
-                   names=tuple([str(v or "") for v in name_col]),
-                   categories=tuple([str(v or "") for v in category_col]),
+    return Dataset(ids=ids, names=name_col, categories=category_col,
                    price=price, avg_rating=rating, num_ratings=count,
                    matrix=_permission_matrix(permission_col, ids))
 

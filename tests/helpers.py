@@ -1,7 +1,13 @@
 """Small builders and reference formulas shared by the unit tests."""
+import csv
+import json
+from operator import itemgetter
+from pathlib import Path
+
 import numpy as np
 
-from permpatterns import BinaryMatrix, DimensionError
+from permpatterns import BinaryMatrix, Dataset, DatasetError, DimensionError
+from permpatterns.dataset import REQUIRED_COLUMNS
 
 
 def matrix_from_rows(rows, row_labels=None, col_labels=None) -> BinaryMatrix:
@@ -152,3 +158,104 @@ def reference_assign(x_row, u, r, eps):
         finals.append(selected)
     best = scan_first_better([set_ll(s) for s in finals], -np.inf)
     return np.array(finals[best], dtype=np.uint8)
+
+
+def reference_load_dataset(path, fmt=None, column_map=None):
+    """dataset.load_dataset converting one value at a time, with every
+    check written out per column.  Besides the checks of the per-value
+    loader it replaces, it rejects a price that is negative or not finite,
+    after every other check."""
+    path = Path(path)
+    if fmt is None:
+        fmt = "json" if path.suffix.lower() == ".json" else "csv"
+    column_map = column_map or {}
+    names = [column_map.get(k, k) for k in REQUIRED_COLUMNS]
+    if fmt == "csv":
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DatasetError(f"{path}: empty file")
+            unknown = set(names) - set(header)
+            if unknown:
+                raise DatasetError(f"{path}: missing columns {sorted(unknown)}")
+            where = {name: i for i, name in enumerate(header)}
+            pick = itemgetter(*(where[name] for name in names))
+            width = len(header)
+            rows = [pick(row + [""] * (width - len(row)))
+                    for row in reader if row]
+        columns, first_line = list(zip(*rows)) or [()] * len(names), 2
+    else:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, list):
+            raise DatasetError(f"{path}: expected a JSON array of objects")
+        for line, entry in enumerate(payload, start=1):
+            if not isinstance(entry, dict):
+                raise DatasetError(f"{path}: entry {line} is not an object")
+            if names[0] not in entry:
+                raise DatasetError(f"{path}: entry {line} lacks an id")
+        columns = [[entry.get(k) for entry in payload] for k in names]
+        first_line = 1
+    (id_col, name_col, category_col, price_col, rating_col, count_col,
+     permission_col) = columns
+
+    def convert(values, rule, dtype):
+        out = np.zeros(len(values), dtype=dtype)
+        for i, value in enumerate(values):
+            try:
+                out[i] = rule(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                failures.append((i, str(exc)))
+                break
+        return out
+
+    failures = []
+    ids = tuple("" if v is None else str(v).strip() for v in id_col)
+    if "" in ids:
+        failures.append((ids.index(""), "empty id"))
+    seen = set()
+    for i, app_id in enumerate(ids):
+        if app_id in seen:
+            failures.append((i, f"duplicate app id {app_id!r}"))
+            break
+        seen.add(app_id)
+    price = convert(price_col, lambda v: float(v or 0.0), np.float64)
+    rated = np.array([v not in (None, "") for v in rating_col], dtype=bool)
+    rating = convert(rating_col,
+                     lambda v: float(v) if v not in (None, "") else np.nan,
+                     np.float64)
+    count = convert(count_col, lambda v: int(v) if v not in (None, "") else 0,
+                    np.int64)
+    for i in range(len(ids)):
+        if rated[i] and not 1.0 <= rating[i] <= 5.0:
+            failures.append((i, f"avg_rating {float(rating[i])} outside [1, 5]"))
+            break
+    for i in range(len(ids)):
+        if count[i] < 0:
+            failures.append((i, "negative num_ratings"))
+            break
+    for i in range(len(ids)):
+        if not 0.0 <= price[i] < np.inf:
+            failures.append((i, f"price {float(price[i])} is negative or "
+                                "not finite"))
+            break
+    if failures:
+        row, message = min(failures, key=itemgetter(0))
+        raise DatasetError(f"line {row + first_line}: {message}")
+    count[~rated] = 0
+
+    token_sets = []
+    for field in permission_col:
+        tokens = (map(str, field) if isinstance(field, list)
+                  else str(field or "").split(";"))
+        token_sets.append({t.strip() for t in tokens} - {""})
+    vocabulary = tuple(sorted(set().union(*token_sets)))
+    data = np.array([[p in tokens for p in vocabulary]
+                     for tokens in token_sets],
+                    dtype=np.uint8).reshape(len(ids), len(vocabulary))
+    return Dataset(ids=ids, names=[str(v or "") for v in name_col],
+                   categories=[str(v or "") for v in category_col],
+                   price=price, avg_rating=rating, num_ratings=count,
+                   matrix=BinaryMatrix(data, row_labels=ids,
+                                       col_labels=vocabulary))

@@ -4,6 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from permpatterns import cli, selection
 from permpatterns.cli import main
@@ -94,6 +95,9 @@ class TestStats:
         ("latin1.csv", CSV_HEADER.encode() + b"a1,Caf\xe9,Tools,0,4.5,200,a\n",
          "not UTF-8"),
         ("latin1.json", b'[{"id": "a1", "name": "Caf\xe9"}]', "not UTF-8"),
+        # an integer over the interpreter's 4,300-digit conversion limit
+        ("long.json", b'[{"id": 1' + b"0" * 4300 + b'}]',
+         "Exceeds the limit (4300 digits)"),
         # one field over the csv module's 131,072-character limit
         ("long.csv", (CSV_HEADER + "a1,A,Tools,0,4.5,200,"
                       + ";".join(f"p{i}" for i in range(30000))).encode(),
@@ -113,6 +117,16 @@ class TestStats:
         assert result.output.startswith("error: ")
         assert message in result.output
         assert result.output.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["stats"], ["simulate"],
+                                         ["mine", "-k", "2"]])
+    def test_deeply_nested_json_exits_2(self, runner, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        result = runner.invoke(main, command + [
+            "--input", str(path), "--out-dir", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert result.output == f"error: {path}: JSON nested too deeply\n"
 
     @pytest.mark.parametrize("content", [None, "{", '["id"]',
                                          '{"id": 3}'])
@@ -145,6 +159,71 @@ class TestStats:
         assert result.exit_code == 0
         lines = (out / "permission_frequencies.csv").read_text().splitlines()
         assert len(lines) <= 6 + 1  # header + at most D rows
+
+
+VALID_INPUT = {
+    "csv": (CSV_HEADER + "a1,One,Tools,0,4.5,200,p;q\n"
+            "a2,Two,Games,0.99,,,q\n\n\"a3\",\"T,3\",X,1,1,5,\"p;\nr\"\n"
+            ).encode(),
+    "json": json.dumps([
+        {"id": "a1", "name": "One", "category": "Tools", "price": 0,
+         "avg_rating": 4.5, "num_ratings": 200, "permissions": ["p", "q"]},
+        {"id": 2, "price": 0.99, "avg_rating": None, "permissions": "q;r"},
+    ]).encode(),
+}
+
+
+@st.composite
+def mutated_input(draw):
+    """A valid CSV or JSON input with a few bytes deleted, replaced or
+    inserted."""
+    fmt = draw(st.sampled_from(sorted(VALID_INPUT)))
+    content = bytearray(VALID_INPUT[fmt])
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(content)))
+        cut = draw(st.integers(0, 3))
+        content[at:at + cut] = draw(st.one_of(
+            st.binary(max_size=3),
+            st.sampled_from([b"", b",", b"\n", b'"', b"{", b"-", b"NaN",
+                             b"null", b"\xff", b"\x00"]),
+            # long runs: deep nesting, long fields and numbers
+            st.builds(bytes.__mul__, st.sampled_from([b"[", b"9", b";a"]),
+                      st.integers(1, 100_000))))
+    return fmt, bytes(content)
+
+
+def stats_on(tmp_path_factory, fmt, content):
+    """The result of ``stats`` on a fresh input file holding ``content``."""
+    path = tmp_path_factory.mktemp("in") / f"apps.{fmt}"
+    path.write_bytes(content)
+    return CliRunner().invoke(main, ["stats", "--input", str(path),
+                                     "--out-dir", str(path.parent / "out")])
+
+
+def assert_exit_contract(result):
+    """Exit 0, or exit 2 with one error line and no traceback."""
+    assert result.exit_code in (0, 2), (result.exit_code, result.exception)
+    if result.exit_code == 2:
+        lines = result.output.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "Traceback" not in result.output
+
+
+class TestIngestExitCodes:
+    @settings(max_examples=150, deadline=None)
+    @given(fmt=st.sampled_from(["csv", "json"]), content=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, fmt, content):
+        assert_exit_contract(stats_on(tmp_path_factory, fmt, content))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mutated_input())
+    def test_mutated_valid_input(self, tmp_path_factory, case):
+        assert_exit_contract(stats_on(tmp_path_factory, *case))
+
+    @pytest.mark.parametrize("fmt", sorted(VALID_INPUT))
+    def test_valid_inputs_load(self, tmp_path_factory, fmt):
+        result = stats_on(tmp_path_factory, fmt, VALID_INPUT[fmt])
+        assert result.exit_code == 0, result.output
 
 
 class TestSelectK:
@@ -371,6 +450,21 @@ class TestMine:
                                       str(path)])
         assert result.exit_code == 2
         assert "bad reputation config" in result.output
+
+    @pytest.mark.parametrize("option,message", [
+        ("--column-map", "bad column map"),
+        ("--reputation-config", "bad reputation config")])
+    def test_deeply_nested_config_exits_2(self, runner, tmp_path, option,
+                                          message):
+        data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+        path = tmp_path / "config.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        result = runner.invoke(main, ["mine", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "-k", "2", option, str(path)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"error: {message}: ")
+        assert result.output.count("\n") == 1
 
     def test_k_zero_exits_2(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=40, d=5)

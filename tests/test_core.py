@@ -8,7 +8,7 @@ from permpatterns import (
     FitConfig,
     hamming_distance,
 )
-from permpatterns.core import ConfigError
+from permpatterns.core import ConfigError, check_binary
 
 from helpers import matrix_from_rows
 
@@ -37,6 +37,26 @@ def test_matrix_rejects_non_binary():
             BinaryMatrix(np.array(entries))
     accepted = BinaryMatrix(np.array([[True, False]]))
     assert accepted.data.tolist() == [[1, 0]]
+
+
+@pytest.mark.parametrize("arr", [
+    np.array([True, False]), np.zeros((0, 3), dtype=bool),
+    np.array([0, 1, 1], dtype=np.uint8), np.array([0, 2], dtype=np.uint8),
+    np.array([255], dtype=np.uint8), np.array([1, 0], dtype=np.uint64),
+    np.array([[0, 1], [1, 1]], dtype=np.uint16), np.zeros(0, dtype=np.uint8),
+    np.array([0, 1], dtype=np.int8), np.array([-1, 0], dtype=np.int8),
+    np.array([1, 0], dtype=np.int64), np.array([0.0, 1.0]),
+    np.array([0.5, 1.0]), np.array([np.nan, 1.0]), np.array([-0.0, 1.0]),
+    np.zeros(0), np.zeros((2, 0), dtype=np.int64),
+])
+def test_check_binary_agrees_with_entrywise_formula(arr):
+    # the entry-by-entry definition, which check_binary shortcuts by dtype
+    binary = bool(((arr == 0) | (arr == 1)).all())
+    if binary:
+        check_binary(arr)
+    else:
+        with pytest.raises(ValueError, match="exactly 0 or 1"):
+            check_binary(arr)
 
 
 def test_matrix_is_immutable():

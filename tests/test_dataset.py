@@ -1,7 +1,9 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from permpatterns import (
     BinaryMatrix,
@@ -13,6 +15,8 @@ from permpatterns import (
     marginal_probs,
 )
 from permpatterns.dataset import summary_stats
+
+from helpers import reference_load_dataset
 
 CSV_HEADER = "id,name,category,price,avg_rating,num_ratings,permissions\n"
 
@@ -139,6 +143,10 @@ class TestLoadDataset:
         ("num_ratings", "many",
          "invalid literal for int() with base 10: 'many'"),
         ("num_ratings", "-1", "negative num_ratings"),
+        ("price", "-2", "price -2.0 is negative or not finite"),
+        ("price", "nan", "price nan is negative or not finite"),
+        ("price", "inf", "price inf is negative or not finite"),
+        ("price", "-1e400", "price -inf is negative or not finite"),
     ])
     def test_row_error_message_and_line(self, tmp_path, fmt, field, value,
                                         message):
@@ -153,7 +161,8 @@ class TestLoadDataset:
     def test_first_failing_row_wins(self, tmp_path, fmt):
         # the first app with an error is reported, whatever the later apps
         # fail; within one app the id comes first, then price, rating and
-        # count, then the rating's range and the count's sign
+        # count, then the rating's range, the count's sign and the price's
+        # range
         records = [VALID,
                    dict(VALID, id="app2", price="x", num_ratings="-3"),
                    dict(VALID, id="app3", avg_rating="9", num_ratings="y"),
@@ -166,12 +175,50 @@ class TestLoadDataset:
                 ([VALID, dict(VALID, price="x")], 1,
                  "duplicate app id 'app1'"),
                 ([dict(VALID, id="app2", avg_rating="9", num_ratings="-1")],
-                 0, "avg_rating 9.0 outside [1, 5]")):
+                 0, "avg_rating 9.0 outside [1, 5]"),
+                ([dict(VALID, price="-1", num_ratings="-3")], 0,
+                 "negative num_ratings"),
+                ([dict(VALID, price="nan", avg_rating="7")], 0,
+                 "avg_rating 7.0 outside [1, 5]"),
+                ([dict(VALID, price="inf"), dict(VALID, id="app2", price="x")],
+                 0, "price inf is negative or not finite")):
             path = write_records(tmp_path, fmt, rows)
             with pytest.raises(DatasetError) as info:
                 load_dataset(path)
             line += FIRST_LINE[fmt]
             assert str(info.value) == f"line {line}: {message}"
+
+    def test_json_false_values_are_rated(self, tmp_path):
+        # only null and "" leave an app unrated; a false value is a rating
+        for value, message in ((0, "avg_rating 0.0 outside [1, 5]"),
+                               (False, "avg_rating 0.0 outside [1, 5]"),
+                               (-0.0, "avg_rating -0.0 outside [1, 5]"),
+                               ([], "float() argument must be a string or "
+                                    "a real number, not 'list'")):
+            path = write_records(tmp_path, "json",
+                                 [VALID, dict(VALID, id="app2",
+                                              avg_rating=value)])
+            with pytest.raises(DatasetError) as info:
+                load_dataset(path)
+            assert str(info.value) == f"line 2: {message}"
+
+    def test_json_price_literals(self, tmp_path):
+        # json writes NaN and -Infinity as bare literals, which it reads back
+        path = tmp_path / "apps.json"
+        for price, literal in ((float("nan"), "NaN"),
+                               (float("-inf"), "-Infinity"), (-0.5, "-0.5")):
+            path.write_text(json.dumps([
+                dict(VALID, price=0), dict(VALID, id="app2", price=price)]))
+            assert f'"price": {literal}' in path.read_text()
+            with pytest.raises(DatasetError) as info:
+                load_dataset(path)
+            assert str(info.value) == (f"line 2: price {price} is negative or "
+                                       "not finite")
+        # a false value, negative zero among them, is a price of zero
+        path.write_text(json.dumps([dict(VALID, price=-0.0),
+                                    dict(VALID, id="app2", price=False)]))
+        price = load_dataset(path).price
+        assert price.tolist() == [0.0, 0.0] and not np.signbit(price).any()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_count_beyond_int64_rejected(self, tmp_path, fmt):
@@ -409,3 +456,122 @@ def test_random_csv_matches_numpy(tmp_path):
         assert np.array_equal(subset.price, price[rows])
         assert np.array_equal(subset.num_ratings, count[rows])
         assert subset.categories == tuple(f"C{i % 7}" for i in rows)
+
+
+# Loader equivalence: small generated tables load into the same Dataset as
+# the per-value reference loader, or fail with the same message.
+TEXT = st.text(alphabet=" ,;\n\"'aéZ0.", max_size=5)
+CSV_VALUES = {
+    "name": TEXT,
+    "category": TEXT,
+    "price": st.sampled_from(["", "0", "0.99", "-0", "2", " 1.5 ", "1e2"]),
+    "avg_rating": st.sampled_from(["", "1", "4.5", "5", "3.25", " 2 "]),
+    "num_ratings": st.sampled_from(["", "0", "7", "200", " 12 ", "+3"]),
+    "permissions": st.lists(st.sampled_from(
+        ["a", " b", "c ", "", " ", "a b", "é", "x,y", "q\nr"]),
+        max_size=4).map(";".join),
+}
+# values that some column rejects, or that look like an error and are not
+CSV_ODD = st.sampled_from(["oops", "nan", "inf", "-inf", "-2", "6", "0.5",
+                           "-1", "2.5", "9" * 20, "", " ", "1_0", "0x1"])
+JSON_NUMBER = st.one_of(st.integers(-3, 600), st.floats(-2, 600),
+                        st.sampled_from([-0.0, 0.0, 0, 1, 5]))
+JSON_VALUES = {
+    "name": st.one_of(st.none(), TEXT, st.integers(), st.booleans(),
+                      st.lists(TEXT, max_size=2)),
+    "price": st.one_of(st.none(), st.just(""), st.booleans(),
+                       st.sampled_from([0, 0.0, -0.0, 1, 0.99, "1.5", []])),
+    "avg_rating": st.one_of(st.none(), st.just(""), st.sampled_from(
+        [1, 5, 4.5, 3.25, "2", True])),
+    "num_ratings": st.one_of(st.none(), st.just(""), st.integers(0, 500),
+                             st.sampled_from([4.7, "12", False])),
+    "permissions": st.one_of(
+        st.none(), st.sampled_from(["", 0, False, "a; b", {}]),
+        st.lists(st.one_of(TEXT, st.integers(0, 3), st.none()), max_size=4)),
+}
+JSON_VALUES["category"] = JSON_VALUES["name"]
+JSON_ODD = st.one_of(CSV_ODD, JSON_NUMBER, st.booleans(), st.none(),
+                     st.sampled_from([float("nan"), float("inf"), [1], {"a": 1},
+                                      2 ** 64, [], "5"]))
+
+
+@st.composite
+def tables(draw, fmt):
+    """(rows, keys missing per row, blank-line flags, short-row widths) of
+    up to 8 apps, with at most one cell set to an odd value."""
+    values = CSV_VALUES if fmt == "csv" else JSON_VALUES
+    n = draw(st.integers(0, 8))
+    # an id is mostly a fresh one (None here), else text or a JSON number
+    given_id = TEXT if fmt == "csv" else st.one_of(TEXT, st.integers(0, 3))
+    ids = draw(st.lists(st.integers(0, 7).flatmap(
+        lambda k: given_id if k == 7 else st.none()), min_size=n, max_size=n))
+    rows = [{"id": f"app{i}" if app_id is None else app_id,
+             **{key: draw(strategy) for key, strategy in values.items()}}
+            for i, app_id in enumerate(ids)]
+    if n and draw(st.booleans()):
+        row = draw(st.integers(0, n - 1))
+        key = draw(st.sampled_from(list(VALID)))
+        rows[row][key] = draw(CSV_ODD if fmt == "csv" else JSON_ODD)
+    if fmt == "json":
+        for row in rows:
+            for key in draw(st.sets(st.sampled_from(list(VALID)[1:]),
+                                    max_size=2)):
+                del row[key]
+        return rows
+    # each row keeps its first `width` fields and may follow a blank line
+    shape = draw(st.lists(st.tuples(st.booleans(), st.sampled_from(
+        [7, 7, 7, 7, 1, 3, 6])), min_size=n, max_size=n))
+    return [(blank, [row[key] for key in VALID][:width])
+            for row, (blank, width) in zip(rows, shape)]
+
+
+def write_table(path, fmt, table):
+    if fmt == "json":
+        path.write_text(json.dumps(table))
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(list(VALID))
+        for blank, fields in table:
+            if blank:
+                fh.write("\r\n")
+            writer.writerow(fields)
+
+
+def load_or_error(path):
+    try:
+        return load_dataset(path), None
+    except DatasetError as exc:
+        return None, str(exc)
+
+
+def reference_or_error(path):
+    try:
+        return reference_load_dataset(path), None
+    except DatasetError as exc:
+        return None, str(exc)
+
+
+def assert_same_dataset(ds, ref):
+    assert (ds.ids, ds.names, ds.categories) == (ref.ids, ref.names,
+                                                 ref.categories)
+    for name in ("price", "avg_rating", "num_ratings"):
+        got, want = getattr(ds, name), getattr(ref, name)
+        # bytes, so that -0.0 and NaN count
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ds.vocabulary == ref.vocabulary
+    assert ds.matrix.row_labels == ref.matrix.row_labels
+    assert np.array_equal(ds.matrix.data, ref.matrix.data)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loader_matches_per_value_reference(tmp_path_factory, fmt, data):
+    table = data.draw(tables(fmt))
+    path = tmp_path_factory.mktemp("oracle") / f"apps.{fmt}"
+    write_table(path, fmt, table)
+    (ds, error), (ref, ref_error) = load_or_error(path), reference_or_error(path)
+    assert error == ref_error
+    if ref is not None:
+        assert_same_dataset(ds, ref)
