@@ -18,6 +18,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .core import ConfigError, FitConfig
@@ -25,6 +26,7 @@ from .dataset import (
     Dataset,
     DatasetError,
     ReputationCriteria,
+    _cyclic_gc_paused,
     load_dataset,
     filter_reputation,
     summary_stats,
@@ -53,19 +55,29 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _cell(value):
-    # repr round-trips a float exactly; numpy floats are float subclasses
-    if isinstance(value, float):
-        return "" if math.isnan(value) else repr(float(value))
-    return value
+def _column(values):
+    """A column's cells.  In a column of floats (Python or numpy float64),
+    each distinct value's repr is made once, and NaN is an empty cell; any
+    other column is written as it is."""
+    array = np.asarray(values)
+    if array.dtype != np.float64:
+        return values
+    # distinct by bit pattern, so that -0.0 and 0.0 keep their own repr
+    bits, which = np.unique(array.view(np.uint64), return_inverse=True)
+    floats = bits.view(np.float64)
+    text = list(map(repr, floats.tolist()))
+    for i in np.flatnonzero(np.isnan(floats)).tolist():
+        text[i] = ""
+    return list(map(text.__getitem__, which.tolist()))
 
 
 def _write_csv(path: Path, header: list[str], rows) -> Path:
-    """Write one table: a float cell as its repr, NaN as an empty cell."""
-    with open(path, "w", newline="") as fh:
+    """Write one table: a float cell as its repr, NaN as an empty cell.
+    The cells are converted a column at a time."""
+    with open(path, "w", newline="") as fh, _cyclic_gc_paused():
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows([_cell(v) for v in row] for row in rows)
+        writer.writerows(zip(*map(_column, zip(*rows))))
     return path
 
 

@@ -11,6 +11,7 @@ import csv
 import gc
 import json
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import itemgetter, ne
@@ -235,6 +236,19 @@ def _permission_matrix(fields, ids: tuple[str, ...]) -> BinaryMatrix:
                         col_labels=vocabulary)
 
 
+@contextmanager
+def _cyclic_gc_paused():
+    """Pause the cyclic collector while code that makes many objects and no
+    reference cycles runs: its passes over them would find nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Dataset:
     """Load a CSV or JSON application dump.
 
@@ -253,15 +267,9 @@ def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Datas
     if fmt not in ("csv", "json"):
         raise DatasetError(f"unsupported format {fmt!r}")
     column_map = column_map or {}
-    # the parse makes a few objects per value and no reference cycles, so
-    # the cyclic collector's passes over them would find nothing
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
+    # the parse makes a few objects per value and no reference cycles
+    with _cyclic_gc_paused():
         return _load(path, fmt, column_map)
-    finally:
-        if collecting:
-            gc.enable()
 
 
 def _load(path: Path, fmt: str, column_map: dict) -> Dataset:
@@ -380,8 +388,9 @@ def summary_stats(ds: Dataset, top_n: int | None = None) -> SummaryStats:
     price_curve = [(price, count / n)
                    for price, count in zip(distinct.tolist(), below.tolist())]
     rated = (ds.num_ratings > 0) & ~np.isnan(ds.avg_rating)
-    ratings = tuple(zip(ds.avg_rating[rated].tolist(),
-                        ds.num_ratings[rated].tolist()))
+    with _cyclic_gc_paused():     # one tuple per rated app
+        ratings = tuple(zip(ds.avg_rating[rated].tolist(),
+                            ds.num_ratings[rated].tolist()))
     return SummaryStats(
         permission_frequencies=tuple(freq),
         price_cumulative=tuple(price_curve),

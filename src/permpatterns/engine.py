@@ -7,10 +7,22 @@ follows the signal distribution whose "entry is 0" probability is
 temperature: responsibilities are computed from likelihood terms raised to
 the power 1/T, which smooths the noise/signal split at high T and sharpens
 it as T cools.  Each em_step is monotone in the tempered log-likelihood.
+
+A step works per distinct assignment vector.  Rows are grouped by sorting
+integer keys (``_keys``): a row's packed bits, one native uint64 for up to
+64 columns and a void view of the packed bytes for wider rows.  The
+returned state carries a table (``_Table``): the flip search's mixture
+terms f0, f1 of every final vector, and the step's grouping of the rows
+with its counts (``_Rows``).  The next step's E-step reuses the grouping
+while x and z are unchanged (compared by value), as after a step that
+flipped no row, and looks its vectors' terms up by key while beta
+(compared by value), r, epsilon and T are those they were computed at and
+every vector is present.  Otherwise it computes them again, as at the
+first step of each temperature, and leaves them on the state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +57,8 @@ class FitState:
     epsilon: float
     temperature: float
     log_likelihood: float = float("nan")   # tempered, at self.temperature
+    # terms and grouping of z's vectors where already known (see _Table)
+    table: _Table | None = field(default=None, compare=False, repr=False)
 
 
 def boolean_product(z: BinaryMatrix, u: BinaryMatrix) -> BinaryMatrix:
@@ -78,57 +92,142 @@ def _clip(p: float) -> float:
     return float(min(max(p, PARAM_FLOOR), 1.0 - PARAM_FLOOR))
 
 
-def _group(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of the 0/1 matrix z, found by one sort of the rows'
-    packed bits: the index of each distinct row's first occurrence, and
-    each row's index into those."""
-    keys = np.packbits(z, axis=1)
-    if not keys.shape[1]:           # rows of no columns are all equal
-        keys = np.zeros((len(z), 1), dtype=np.uint8)
-    keys = np.ascontiguousarray(keys)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    return first, group
+def _keys(z: np.ndarray) -> np.ndarray:
+    """Each row's key, which sorts as the row's bits do: its packed bits
+    read as one big-endian 64-bit word, held as a native uint64, for up to
+    64 columns, and a void view of the packed bytes for wider rows.  Rows
+    of no columns all get the same key."""
+    packed = np.packbits(z, axis=1)
+    width = packed.shape[1]
+    if width > 8:
+        packed = np.ascontiguousarray(packed)
+        return packed.view(np.dtype((np.void, width)))[:, 0]
+    word = np.zeros((len(z), 8), dtype=np.uint8)
+    word[:, :width] = packed
+    return word.view(">u8")[:, 0].astype(np.uint64)
 
 
-def _counts(x: np.ndarray, z: np.ndarray):
-    """The distinct rows zu of z, and for each of them and each column the
-    number of its rows with x = 0 (n0) and with x = 1 (n1)."""
-    first, group = _group(z)
-    u, d = first.size, x.shape[1]
-    cells = (group[:, None] * d + np.arange(d)).ravel()
-    n1 = np.bincount(cells, weights=x.ravel(), minlength=u * d).reshape(u, d)
-    n0 = np.bincount(group, minlength=u)[:, None] - n1
-    return z[first], n0, n1
+def _group(keys: np.ndarray):
+    """The distinct keys in sorted order, the index of one occurrence of
+    each, and each key's index into them."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    new[1:] = ordered[1:] != ordered[:-1]
+    group = np.empty(keys.size, dtype=np.intp)
+    group[order] = np.cumsum(new) - 1
+    return ordered[new], order[new], group
+
+
+def _noise_terms(r: float, eps: float, inv_t: float):
+    """The tempered noise log-terms a = log(eps * p_N) / T of an entry with
+    x = 0 and with x = 1."""
+    r = _clip(r)
+    with np.errstate(divide="ignore"):
+        log_eps = np.log(eps)
+    return (log_eps + np.log1p(-r)) * inv_t, (log_eps + np.log(r)) * inv_t
 
 
 def _terms(log_q: np.ndarray, r: float, eps: float, inv_t: float):
-    """Tempered log-terms of an entry with x = 0 and with x = 1.
-
-    The noise terms a = log(eps * p_N) / T are scalars; the mixture terms
-    f = log[(eps * p_N)^(1/T) + ((1 - eps) * p_S)^(1/T)] have log_q's
-    shape.  eps of 0 or 1 gives -inf terms.
+    """Tempered mixture log-terms f = log[(eps * p_N)^(1/T) +
+    ((1 - eps) * p_S)^(1/T)] of an entry with x = 0 and with x = 1, of
+    log_q's shape.  eps of 0 or 1 gives -inf terms.
     """
-    r = _clip(r)
+    a0, a1 = _noise_terms(r, eps, inv_t)
     log_q = np.minimum(log_q, 0.0)
     q = np.exp(log_q)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_one_minus_q = np.log1p(-q)
-        log_eps, log_signal = np.log(eps), np.log1p(-eps)
+        log_signal = np.log1p(-eps)
     # q == 1 and x == 1 is an impossible signal event
     log_one_minus_q = np.where(q >= 1.0, -np.inf, log_one_minus_q)
-    a0 = (log_eps + np.log1p(-r)) * inv_t
-    a1 = (log_eps + np.log(r)) * inv_t
     f0 = np.logaddexp(a0, (log_signal + log_q) * inv_t)
     f1 = np.logaddexp(a1, (log_signal + log_one_minus_q) * inv_t)
-    return a0, a1, f0, f1
+    return f0, f1
 
 
-def _entry_sum(x: np.ndarray, z: np.ndarray, beta: np.ndarray, r: float,
-               eps: float, inv_t: float) -> float:
+@dataclass(frozen=True)
+class _Rows:
+    """The rows of (x, z) grouped by their vector of z: the distinct keys,
+    a row of each, each row's group, and for each group and column the
+    number of its rows with x = 0 (n0) and with x = 1 (n1).  x and z are
+    copies: they tell whether the grouping holds for a later (x, z)."""
+
+    x: np.ndarray
+    z: np.ndarray
+    keys: np.ndarray
+    first: np.ndarray
+    group: np.ndarray
+    n0: np.ndarray
+    n1: np.ndarray
+
+    @classmethod
+    def of(cls, x: np.ndarray, z: np.ndarray) -> _Rows:
+        keys, first, group = _group(_keys(z))
+        u, d = first.size, x.shape[1]
+        cells = (group[:, None] * d + np.arange(d)).ravel()
+        n1 = np.bincount(cells, weights=x.ravel(), minlength=u * d)
+        n1 = n1.reshape(u, d)
+        n0 = np.bincount(group, minlength=u)[:, None] - n1
+        return cls(x.copy(), z.copy(), keys, first, group, n0, n1)
+
+    def hold_for(self, x: np.ndarray, z: np.ndarray) -> bool:
+        """Whether x and z equal those the grouping was made of."""
+        return np.array_equal(z, self.z) and np.array_equal(x, self.x)
+
+
+@dataclass(frozen=True)
+class _Table:
+    """The mixture terms f0 and f1 of assignment vectors, one row per key,
+    and the parameters they were computed at."""
+
+    keys: np.ndarray          # sorted, distinct
+    f0: np.ndarray            # (keys, D), as is f1
+    f1: np.ndarray
+    beta: np.ndarray          # a copy: a state's beta can change in place
+    r: float
+    eps: float
+    inv_t: float
+    rows: _Rows               # the grouping its E-step worked on
+
+    def lookup(self, keys: np.ndarray, beta: np.ndarray, r: float,
+               eps: float, inv_t: float):
+        """(f0, f1) of the sorted distinct keys, or None unless the table
+        was computed at these parameters and holds every key."""
+        if ((r, eps, inv_t) != (self.r, self.eps, self.inv_t)
+                or not np.array_equal(beta, self.beta)):
+            return None
+        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
+        if not np.array_equal(self.keys[at], keys):
+            return None
+        return self.f0[at], self.f1[at]
+
+
+def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float):
+    """The rows of x grouped by the state's assignment vectors, and each
+    distinct vector's log q, f0 and f1 at the state's beta and r and at eps
+    and inv_t.  The grouping and f0, f1 come from the state's carried table
+    where they hold; else they are computed and left on the state as its
+    table."""
+    table = state.table
+    rows = (table.rows if table is not None and table.rows.hold_for(x, state.z)
+            else _Rows.of(x, state.z))
+    log_q = _log_q(state.z[rows.first], state.beta)
+    found = None if table is None else table.lookup(
+        rows.keys, state.beta, state.r, eps, inv_t)
+    if found is None:
+        found = _terms(log_q, state.r, eps, inv_t)
+        state.table = _Table(rows.keys, *found, state.beta.copy(), state.r,
+                             eps, inv_t, rows)
+    return rows, log_q, *found
+
+
+def _entry_sum(x: np.ndarray, state: FitState, eps: float,
+               inv_t: float) -> float:
     """Sum of the tempered mixture terms f over the entries of x."""
-    zu, n0, n1 = _counts(x, z)
-    _, _, f0, f1 = _terms(_log_q(zu, beta), r, eps, inv_t)
+    rows, _, f0, f1 = _tabulate(x, state, eps, inv_t)
+    n0, n1 = rows.n0, rows.n1
     # a cell with no entries adds 0, also where its term is -inf
     with np.errstate(invalid="ignore"):
         cells = np.where(n0 > 0, n0 * f0, 0.0) + np.where(n1 > 0, n1 * f1, 0.0)
@@ -140,14 +239,13 @@ def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     xd = x.data
     if xd.shape != (state.z.shape[0], state.beta.shape[1]):
         raise DimensionError("x shape does not match the fit state")
-    return _entry_sum(xd, state.z, state.beta, state.r,
-                      float(np.clip(state.epsilon, 0.0, 1.0)), 1.0)
+    return _entry_sum(xd, state, float(np.clip(state.epsilon, 0.0, 1.0)), 1.0)
 
 
 def tempered_log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     """Sum over entries of log[(eps*p_N)^(1/T) + ((1-eps)*p_S)^(1/T)]."""
-    return _entry_sum(x.data, state.z, state.beta, state.r,
-                      _clip(state.epsilon), 1.0 / state.temperature)
+    return _entry_sum(x.data, state, _clip(state.epsilon),
+                      1.0 / state.temperature)
 
 
 def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
@@ -175,8 +273,8 @@ def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
     return np.where(denom > 0, np.clip(upd, 0.0, 1.0), beta)
 
 
-def _update_z(x: np.ndarray, state: FitState,
-              max_passes: int) -> tuple[np.ndarray, float]:
+def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
+              max_passes: int):
     """Greedy single-bit flips per row, accepting only tempered-LL gains.
 
     Rows are independent, so one flip per row per pass is applied
@@ -185,10 +283,14 @@ def _update_z(x: np.ndarray, state: FitState,
     pass's flipped rows.  A row's candidates are its z and its K single-bit
     flips; the terms of x = 0 and x = 1 are tabulated once per distinct
     candidate vector, and a row's score is the x = 0 sum plus x times the
-    difference.  Returns the new z and the tempered log-likelihood at it:
-    the sum of each row's score at its final z.
+    difference.  grouped is the E-step's grouping of state.z's rows, which
+    the first pass uses when it searches every row in one chunk.  Returns
+    the new z, the tempered log-likelihood at it (the sum of each row's
+    score at its final z) and the table of the candidates that rows ended
+    at, which also carries grouped.
     """
     z = state.z.copy()
+    n = z.shape[0]
     xf = x.astype(float)
     k_count, d = state.beta.shape
     r, eps, inv_t = state.r, state.epsilon, 1.0 / state.temperature
@@ -197,31 +299,48 @@ def _update_z(x: np.ndarray, state: FitState,
     # candidate 0 keeps z, candidate j + 1 flips bit j
     moves = np.eye(k_count + 1, k_count, -1, dtype=np.uint8)
     chunk = max(1, _CHUNK_CELLS // ((k_count + 1) * d))
-    row_ll = np.empty(z.shape[0])
-    search = np.arange(z.shape[0])
-    for _ in range(max_passes):
+    row_ll = np.empty(n)
+    ended = []          # (keys, f0, f1) of the candidates rows ended at
+    search = np.arange(n)
+    for p in range(max_passes):
         flipped = []
         for lo in range(0, search.size, chunk):
             rows = search[lo:lo + chunk]
-            first, group = _group(z[rows])
+            if p == 0 and rows.size == n:
+                # every row in order, z unchanged: no regrouping or gather
+                first, group, xr = grouped.first, grouped.group, xf
+            else:
+                _, first, group = _group(_keys(z[rows]))
+                xr = xf[rows]
             cand = (z[rows[first], None, :] ^ moves).reshape(-1, k_count)
-            distinct, which = _group(cand)
-            _, _, f0, f1 = _terms(cand[distinct].astype(float) @ log_beta,
-                                  r, eps, inv_t)
+            keys, distinct, which = _group(_keys(cand))
+            f0, f1 = _terms(cand[distinct].astype(float) @ log_beta,
+                            r, eps, inv_t)
             which = which.reshape(-1, k_count + 1)[group]   # (rows, K+1)
-            score = (np.matmul((f1 - f0)[which], xf[rows, :, None])[..., 0]
+            score = (np.matmul((f1 - f0)[which],
+                               xr.reshape(-1, d, 1))[..., 0]
                      + f0.sum(axis=-1)[which])
             delta = score[:, 1:] - score[:, :1]
             best = np.argmax(delta, axis=1)
             at = np.arange(rows.size)
             gain = delta[at, best] > 1e-12
+            pick = np.where(gain, best + 1, 0)
             z[rows[gain], best[gain]] ^= 1
-            row_ll[rows] = score[at, np.where(gain, best + 1, 0)]
+            row_ll[rows] = score[at, pick]
+            kept = np.zeros(keys.size, dtype=bool)
+            kept[which[at, pick]] = True
+            ended.append((keys[kept], f0[kept], f1[kept]))
             flipped.append(rows[gain])
         search = np.concatenate(flipped)
         if not search.size:
             break
-    return z, float(row_ll.sum())
+    keys, f0, f1 = ended[0]
+    if len(ended) > 1:      # merge the parts, one row per key
+        keys, f0, f1 = (np.concatenate(col) for col in zip(*ended))
+        keys, once = _group(keys)[:2]
+        f0, f1 = f0[once], f1[once]
+    table = _Table(keys, f0, f1, state.beta.copy(), r, eps, inv_t, grouped)
+    return z, float(row_ll.sum()), table
 
 
 def em_step(x: BinaryMatrix, state: FitState) -> FitState:
@@ -232,7 +351,9 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
     evaluated directly on the tempered log-likelihood.  Every term depends
     on an entry only through its bit and its row's z, so the terms are
     computed once per distinct z and the rows enter through counts.  The
-    step's log-likelihood is the flip search's score of the final z.
+    step's log-likelihood is the flip search's score of the final z.  The
+    returned state carries the flip search's terms of every final z and
+    the step's grouping of the rows, for the next step to reuse.
     """
     xd = x.data
     if xd.shape != (state.z.shape[0], state.beta.shape[1]):
@@ -240,21 +361,22 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
     if xd.size == 0:
         raise DimensionError("x has no entries")
 
-    zu, n0, n1 = _counts(xd, state.z)
-    log_q = _log_q(zu, state.beta)
-    a0, a1, f0, f1 = _terms(log_q, state.r, _clip(state.epsilon),
-                            1.0 / state.temperature)
+    eps, inv_t = _clip(state.epsilon), 1.0 / state.temperature
+    rows, log_q, f0, f1 = _tabulate(xd, state, eps, inv_t)
+    n0, n1 = rows.n0, rows.n1
+    a0, a1 = _noise_terms(state.r, eps, inv_t)
     # tempered noise responsibilities of an x = 0 and an x = 1 entry
     rho0, rho1 = np.exp(a0 - f0), np.exp(a1 - f1)
     rho_sum = (n0 * rho0 + n1 * rho1).sum()
-    eps = _clip(rho_sum / xd.size)
+    new_eps = _clip(rho_sum / xd.size)
     r = _clip((n1 * rho1).sum() / rho_sum) if rho_sum > 0 else state.r
 
-    beta = _update_beta(zu, state.beta, log_q, n0 * (1.0 - rho0),
-                        n1 * (1.0 - rho1))
-    new = replace(state, r=r, epsilon=eps, beta=beta)
-    new.z, new.log_likelihood = _update_z(xd, new,
-                                          max_passes=2 * state.z.shape[1])
+    beta = _update_beta(state.z[rows.first], state.beta, log_q,
+                        n0 * (1.0 - rho0), n1 * (1.0 - rho1))
+    new = FitState(beta=beta, z=state.z, r=r, epsilon=new_eps,
+                   temperature=state.temperature)
+    new.z, new.log_likelihood, new.table = _update_z(
+        xd, new, rows, max_passes=2 * state.z.shape[1])
     return new
 
 
@@ -431,7 +553,7 @@ def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
     scored once."""
     if x.cols != u.cols:
         raise DimensionError(f"row length {x.cols} != D={u.cols}")
-    first, group = _group(x.data)
+    _, first, group = _group(_keys(x.data))
     rows = x.data[first] == 1
     chunk = max(1, _ASSIGN_CELLS // max(1, (u.rows + 1) * u.rows * u.cols))
     out = np.zeros((first.size, u.rows), dtype=np.uint8)

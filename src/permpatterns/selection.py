@@ -9,7 +9,6 @@ instability over repeated splits.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from itertools import permutations
 
@@ -225,6 +224,8 @@ def select_k(x: BinaryMatrix, k_range, repetitions: int,
     ks = sorted(set(k_range), reverse=True)
     jobs = _fit_jobs(x, ks, repetitions, config)
     if threads > 1:
+        # imported here: the other commands need no pool, nor its import time
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             outcomes = list(pool.map(_instability_job, jobs))
     else:

@@ -1,4 +1,6 @@
+import csv
 import json
+import math
 import multiprocessing
 
 import numpy as np
@@ -192,12 +194,23 @@ def mutated_input(draw):
     return fmt, bytes(content)
 
 
-def stats_on(tmp_path_factory, fmt, content):
-    """The result of ``stats`` on a fresh input file holding ``content``."""
+# the commands whose ingest the exit-code properties run; each example
+# draws one, so every command sees about a third of the examples
+INGEST_COMMANDS = (("stats",), ("simulate",), ("mine", "-k", "1"))
+
+
+def run_on(tmp_path_factory, command, fmt, content):
+    """The result of ``command`` on a fresh input file holding
+    ``content``."""
     path = tmp_path_factory.mktemp("in") / f"apps.{fmt}"
     path.write_bytes(content)
-    return CliRunner().invoke(main, ["stats", "--input", str(path),
+    return CliRunner().invoke(main, [*command, "--input", str(path),
                                      "--out-dir", str(path.parent / "out")])
+
+
+def stats_on(tmp_path_factory, fmt, content):
+    """The result of ``stats`` on a fresh input file holding ``content``."""
+    return run_on(tmp_path_factory, ("stats",), fmt, content)
 
 
 def assert_exit_contract(result):
@@ -211,14 +224,15 @@ def assert_exit_contract(result):
 
 class TestIngestExitCodes:
     @settings(max_examples=150, deadline=None)
-    @given(fmt=st.sampled_from(["csv", "json"]), content=st.binary(max_size=200))
-    def test_arbitrary_bytes(self, tmp_path_factory, fmt, content):
-        assert_exit_contract(stats_on(tmp_path_factory, fmt, content))
+    @given(command=st.sampled_from(INGEST_COMMANDS),
+           fmt=st.sampled_from(["csv", "json"]), content=st.binary(max_size=200))
+    def test_arbitrary_bytes(self, tmp_path_factory, command, fmt, content):
+        assert_exit_contract(run_on(tmp_path_factory, command, fmt, content))
 
     @settings(max_examples=300, deadline=None)
-    @given(case=mutated_input())
-    def test_mutated_valid_input(self, tmp_path_factory, case):
-        assert_exit_contract(stats_on(tmp_path_factory, *case))
+    @given(command=st.sampled_from(INGEST_COMMANDS), case=mutated_input())
+    def test_mutated_valid_input(self, tmp_path_factory, command, case):
+        assert_exit_contract(run_on(tmp_path_factory, command, *case))
 
     @pytest.mark.parametrize("fmt", sorted(VALID_INPUT))
     def test_valid_inputs_load(self, tmp_path_factory, fmt):
@@ -556,6 +570,39 @@ class TestSimulate:
                 "summary": (out / "pcp_summary.json").read_bytes(),
             })
         assert outputs[0] == outputs[1]
+
+
+def per_cell(value):
+    """The table cell rule, one cell at a time: a float as its repr, NaN as
+    an empty cell, anything else as it is."""
+    if isinstance(value, float):
+        return "" if math.isnan(value) else repr(float(value))
+    return value
+
+
+class TestWriteCsv:
+    def test_columns_follow_the_per_cell_rule(self, tmp_path):
+        # a float column mixes Python floats, numpy float64 and -0.0;
+        # float32 values are no Python floats and stay as they are; strings
+        # need quoting
+        rows = [("p,q", 1, 0.1, -0.0, np.float32(0.1), np.int64(7)),
+                ("r", 2, float("nan"), 0.0, np.float32(2.5), np.int64(-3)),
+                ("s\"t", 3, 1e16, np.float64(1e-5), np.float32("nan"),
+                 np.int64(0)),
+                ("r", 2, 0.1, -0.0, np.float32(0.1), np.int64(7))]
+        header = ["name", "i", "f", "zero", "f32", "n"]
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([per_cell(v) for v in row] for row in rows)
+        got = cli._write_csv(tmp_path / "got.csv", header, rows)
+        assert got.read_bytes() == want.read_bytes()
+        assert b",-0.0," in got.read_bytes()
+
+    def test_no_rows_writes_the_header(self, tmp_path):
+        got = cli._write_csv(tmp_path / "t.csv", ["a", "b"], [])
+        assert got.read_bytes() == b"a,b\r\n"
 
 
 class TestManifest:

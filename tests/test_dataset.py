@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 
 import numpy as np
@@ -361,6 +362,21 @@ class TestFilterReputation:
         _, th1, _ = filter_reputation(ds, crit)
         _, th2, _ = filter_reputation(ds, crit)
         assert th1.ids == th2.ids
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_cyclic_gc_left_as_found(tmp_path, collecting):
+    # load_dataset and summary_stats pause the collector while they work
+    path = write_csv(tmp_path / "apps.csv", ["app1,One,Tools,0,4.5,200,a\n"])
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        summary_stats(load_dataset(path))
+        with pytest.raises(DatasetError):
+            load_dataset(write_csv(tmp_path / "bad.csv", ["a,A,T,x,4,1,p\n"]))
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestSummaryStats:

@@ -239,12 +239,20 @@ def shared_rows_state(rng, n, k, d, temperature):
     return x, state
 
 
+# K = 64 packs a row's key into one 64-bit word, K = 65 into two.  At
+# T = 0.05 the flip search fills rows of 64 patterns until q underflows,
+# and flips of different bits then tie to the last digit, so the oracle
+# and the step may pick different ones of equal score.
+ORACLE_CASES = [(t, k) for k in (1, 9, 12) for t in (2.0, 1.0, 0.05)] + [
+    (t, k) for k in (64, 65) for t in (2.0, 1.0)]
+
+
 class TestEmStepOracle:
-    @pytest.mark.parametrize("k", [1, 9, 12])
-    @pytest.mark.parametrize("temperature", [2.0, 1.0, 0.05])
+    @pytest.mark.parametrize("temperature, k", ORACLE_CASES)
     def test_matches_per_entry_step(self, k, temperature):
         rng = np.random.default_rng(100 * k + int(20 * temperature))
-        for _ in range(4):
+        # the row-by-row oracle takes seconds a state at K = 64
+        for _ in range(4 if k < 64 else 1):
             x, state = shared_rows_state(rng, 30, k, 14, temperature)
             new = em_step(x, state)
             beta, z, r, eps, ll = reference_em_step(x, state)
@@ -257,18 +265,25 @@ class TestEmStepOracle:
         rng = np.random.default_rng(15)
         k, d = 9, 14
         x, state = shared_rows_state(rng, 23, k, d, 1.0)
-        whole = em_step(x, state)
-        assert not np.array_equal(whole.z, state.z)
         sizes = []
         group = engine._group
 
-        def counted(z):
-            sizes.append(len(z))
-            return group(z)
+        def counted(keys):
+            sizes.append(len(keys))
+            return group(keys)
 
-        # 7 rows of (K+1) candidates x D permissions a chunk
-        monkeypatch.setattr(engine, "_CHUNK_CELLS", 7 * (k + 1) * d)
         monkeypatch.setattr(engine, "_group", counted)
+        whole = em_step(x, state)
+        assert not np.array_equal(whole.z, state.z)
+        # in one chunk, the first pass takes the E-step's grouping of the
+        # rows and groups only their K+1 candidates each
+        assert sizes[0] == 23
+        assert sizes[1] % (k + 1) == 0
+        sizes.clear()
+        # 7 rows of (K+1) candidates x D permissions a chunk; the first step
+        # left its grouping on the state, so start this one without it
+        monkeypatch.setattr(engine, "_CHUNK_CELLS", 7 * (k + 1) * d)
+        state.table = None
         chunked = em_step(x, state)
         # the E-step groups all rows, then the first pass searches in chunks,
         # grouping each chunk's rows and then their K+1 candidates each
@@ -279,10 +294,18 @@ class TestEmStepOracle:
         assert np.array_equal(chunked.beta, whole.beta)
         assert (chunked.r, chunked.epsilon, chunked.log_likelihood) == (
             whole.r, whole.epsilon, whole.log_likelihood)
+        # either search carries the terms of every final z, also where a
+        # row's final z comes from another chunk or pass than its first
+        for new in (whole, chunked):
+            keys, first, _ = group(engine._keys(new.z))
+            terms = new.table.lookup(keys, new.beta, new.r, new.epsilon,
+                                     1.0 / new.temperature)
+            want = engine._terms(engine._log_q(new.z[first], new.beta),
+                                 new.r, new.epsilon, 1.0 / new.temperature)
+            np.testing.assert_allclose(terms, want, rtol=1e-12, atol=0)
 
 
-    @pytest.mark.parametrize("k", [1, 9, 12])
-    @pytest.mark.parametrize("temperature", [2.0, 1.0, 0.05])
+    @pytest.mark.parametrize("temperature, k", ORACLE_CASES)
     def test_reported_log_likelihood(self, k, temperature):
         rng = np.random.default_rng(300 * k + int(20 * temperature))
         for _ in range(4):
@@ -294,12 +317,109 @@ class TestEmStepOracle:
     def test_log_likelihood_when_pass_budget_ends(self):
         rng = np.random.default_rng(0)
         x, state = shared_rows_state(rng, 30, 5, 14, 1.0)
-        z, ll = engine._update_z(x.data, state, max_passes=1)
+
+        def one_pass(state):
+            grouped = engine._Rows.of(x.data, state.z)
+            return engine._update_z(x.data, state, grouped, max_passes=1)
+
+        z, ll, table = one_pass(state)
         # a second pass would still flip rows
-        assert not np.array_equal(
-            engine._update_z(x.data, replace(state, z=z), max_passes=1)[0], z)
+        assert not np.array_equal(one_pass(replace(state, z=z))[0], z)
         assert ll == pytest.approx(
             tempered_log_likelihood(x, replace(state, z=z)), rel=1e-12, abs=0)
+        # the table holds the terms of every final z, also of the rows
+        # that flipped in the last pass
+        keys, first, _ = engine._group(engine._keys(z))
+        terms = table.lookup(keys, state.beta, state.r, state.epsilon, 1.0)
+        want = engine._terms(engine._log_q(z[first], state.beta),
+                             state.r, state.epsilon, 1.0)
+        np.testing.assert_allclose(terms, want, rtol=1e-12, atol=0)
+
+    def test_fit_equals_fit_without_carried_tables(self, monkeypatch):
+        x, _, _ = plant_factorization(150, 40, 5, 0.2, 0.3, 0.02, 0.5, seed=16)
+        config = FitConfig(seed=3, cooling_factor=0.8)
+        found = []
+        lookup = engine._Table.lookup
+
+        def spied(*args):
+            terms = lookup(*args)
+            found.append(terms is not None)
+            return terms
+
+        monkeypatch.setattr(engine._Table, "lookup", spied)
+        carried = fit(x, 5, config)
+        assert sum(found) > len(found) / 2
+        monkeypatch.setattr(engine._Table, "lookup", lookup)
+        step = engine.em_step
+
+        def forgetful(x, state):
+            new = step(x, state)
+            new.table = None
+            return new
+
+        monkeypatch.setattr(engine, "em_step", forgetful)
+        dropped = fit(x, 5, config)
+        monkeypatch.setattr(engine._Table, "lookup",
+                            lambda *args: None)
+        monkeypatch.setattr(engine._Rows, "hold_for", lambda *args: False)
+        recomputed = fit(x, 5, config)
+        for other in (dropped, recomputed):
+            assert np.array_equal(other.z.data, carried.z.data)
+            assert np.array_equal(other.beta, carried.beta)
+            assert (other.r, other.epsilon, other.log_likelihood) == (
+                carried.r, carried.epsilon, carried.log_likelihood)
+
+    @pytest.mark.parametrize("change", ["beta", "r", "epsilon", "temperature",
+                                        "z"])
+    @pytest.mark.parametrize("carried_by", ["step", "likelihood"])
+    def test_stale_table_not_used(self, change, carried_by):
+        rng = np.random.default_rng(17)
+        x, state = shared_rows_state(rng, 30, 9, 14, 1.0)
+        # a step carries a table to its result; the likelihood leaves one on
+        # the state it was given, whose grouping holds for that state's z
+        if carried_by == "step":
+            state = em_step(x, state)
+        else:
+            tempered_log_likelihood(x, state)
+
+        def carried_terms():
+            keys = engine._group(engine._keys(state.z))[0]
+            return state.table.lookup(keys, state.beta, state.r,
+                                      engine._clip(state.epsilon),
+                                      1.0 / state.temperature)
+
+        assert carried_terms() is not None
+        if change == "beta":      # in place, so the state holds the same array
+            state.beta *= 0.9
+        elif change == "z":       # in place, to a vector the table lacks
+            state.z[0] = 1 - state.z[0]
+        else:
+            setattr(state, change, getattr(state, change) * 0.9)
+        assert carried_terms() is None
+        new = em_step(x, state)
+        beta, z, r, eps, ll = reference_em_step(x, state)
+        assert np.array_equal(new.z, z)
+        np.testing.assert_allclose(new.beta, beta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([new.r, new.epsilon, new.log_likelihood],
+                                   [r, eps, ll], rtol=1e-12, atol=0)
+
+    def test_carried_rows_not_used_for_other_x(self):
+        rng = np.random.default_rng(18)
+        x, state = shared_rows_state(rng, 30, 9, 14, 1.0)
+        # until a step flips no row, so that its grouping holds for its z
+        state = em_step(x, state)
+        while not state.table.rows.hold_for(x.data, state.z):
+            state = em_step(x, state)
+        other = x.data.copy()
+        other[:5] ^= 1
+        other = BinaryMatrix(other)
+        assert not state.table.rows.hold_for(other.data, state.z)
+        new = em_step(other, state)
+        beta, z, r, eps, ll = reference_em_step(other, state)
+        assert np.array_equal(new.z, z)
+        np.testing.assert_allclose(new.beta, beta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([new.r, new.epsilon, new.log_likelihood],
+                                   [r, eps, ll], rtol=1e-12, atol=0)
 
     def test_zero_rows_rejected(self):
         state = FitState(beta=np.full((2, 3), 0.5),
@@ -307,6 +427,23 @@ class TestEmStepOracle:
                          r=0.5, epsilon=0.5, temperature=1.0)
         with pytest.raises(DimensionError):
             em_step(BinaryMatrix(np.zeros((0, 3), dtype=np.uint8)), state)
+
+
+class TestKeys:
+    @pytest.mark.parametrize("k", [0, 1, 8, 9, 63, 64, 65, 130])
+    def test_keys_sort_and_group_as_rows(self, k):
+        # distinct rows in lexicographic order of their bits, as np.unique
+        # over the rows orders them: the order the E-step's sums run in
+        rng = np.random.default_rng(k)
+        pool = (rng.random((6, k)) < 0.5).astype(np.uint8)
+        if k:
+            pool[1] = pool[0]
+            pool[1, -1] ^= 1
+        z = pool[rng.integers(0, 6, size=40)]
+        _, first, group = engine._group(engine._keys(z))
+        distinct = np.unique(z, axis=0)
+        assert np.array_equal(z[first], distinct)
+        assert np.array_equal(z[first][group], z)
 
 
 class TestBinarize:
@@ -514,6 +651,22 @@ class TestAssignOracle:
         assert sum(chunks) == len(np.unique(x, axis=0))
         assert max(chunks) == 2
         want = [reference_assign(row, u, 0.4, 0.1) for row in x]
+        assert got.tolist() == np.array(want).tolist()
+
+    @pytest.mark.parametrize("d", [64, 65])
+    def test_matrix_equals_single_rows_at_key_width(self, d):
+        # D = 64 packs a row's key into one 64-bit word, D = 65 into two;
+        # some rows differ only in their last permission
+        rng = np.random.default_rng(24 + d)
+        u = random_binary(rng, (4, d), 0.2)
+        pool = random_binary(rng, (5, d), 0.3).data.copy()
+        pool[1] = pool[0]
+        pool[1, -1] ^= 1
+        picks = rng.integers(0, 5, size=30)
+        assert {0, 1} <= set(picks.tolist())
+        x = pool[picks]
+        got = assign_matrix(BinaryMatrix(x), u, 0.3, 0.05).data
+        want = [assign_patterns(row, u, 0.3, 0.05) for row in x]
         assert got.tolist() == np.array(want).tolist()
 
     @pytest.mark.parametrize("n, k, d", [(3, 2, 0), (3, 0, 4), (0, 2, 4),
