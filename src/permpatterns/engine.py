@@ -83,9 +83,7 @@ def binarize(beta: np.ndarray) -> BinaryMatrix:
 
 def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """log q of every row of z, shape (rows, D); zeros map to -inf-ish."""
-    with np.errstate(divide="ignore"):
-        log_beta = np.log(np.clip(beta, 1e-300, 1.0))
-    return z.astype(float) @ log_beta
+    return z.astype(float) @ np.log(np.clip(beta, 1e-300, 1.0))
 
 
 def _clip(p: float) -> float:
@@ -138,10 +136,9 @@ def _terms(log_q: np.ndarray, r: float, eps: float, inv_t: float):
     log_q = np.minimum(log_q, 0.0)
     q = np.exp(log_q)
     with np.errstate(divide="ignore", invalid="ignore"):
+        # q == 1 and x == 1 is an impossible signal event: log1p(-1) = -inf
         log_one_minus_q = np.log1p(-q)
         log_signal = np.log1p(-eps)
-    # q == 1 and x == 1 is an impossible signal event
-    log_one_minus_q = np.where(q >= 1.0, -np.inf, log_one_minus_q)
     f0 = np.logaddexp(a0, (log_signal + log_q) * inv_t)
     f1 = np.logaddexp(a1, (log_signal + log_one_minus_q) * inv_t)
     return f0, f1
@@ -294,8 +291,7 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
     xf = x.astype(float)
     k_count, d = state.beta.shape
     r, eps, inv_t = state.r, state.epsilon, 1.0 / state.temperature
-    with np.errstate(divide="ignore"):
-        log_beta = np.log(np.clip(state.beta, 1e-300, 1.0))
+    log_beta = np.log(np.clip(state.beta, 1e-300, 1.0))
     # candidate 0 keeps z, candidate j + 1 flips bit j
     moves = np.eye(k_count + 1, k_count, -1, dtype=np.uint8)
     chunk = max(1, _CHUNK_CELLS // ((k_count + 1) * d))
@@ -367,9 +363,10 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
     a0, a1 = _noise_terms(state.r, eps, inv_t)
     # tempered noise responsibilities of an x = 0 and an x = 1 entry
     rho0, rho1 = np.exp(a0 - f0), np.exp(a1 - f1)
-    rho_sum = (n0 * rho0 + n1 * rho1).sum()
+    noise1 = n1 * rho1
+    rho_sum = (n0 * rho0 + noise1).sum()
     new_eps = _clip(rho_sum / xd.size)
-    r = _clip((n1 * rho1).sum() / rho_sum) if rho_sum > 0 else state.r
+    r = _clip(noise1.sum() / rho_sum) if rho_sum > 0 else state.r
 
     beta = _update_beta(state.z[rows.first], state.beta, log_q,
                         n0 * (1.0 - rho0), n1 * (1.0 - rho1))
@@ -476,26 +473,37 @@ def _first_better(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
     return best_i
 
 
-def _set_ll(n11, n10, ones, d: int, r: float, eps: float) -> np.ndarray:
-    """Log-likelihood of rows with `ones` of d entries requested when the
-    assigned patterns cover n11 requested and n10 unrequested entries."""
+def _set_logs(r: float, epsilon: float) -> tuple[float, float, float, float]:
+    """The log-probabilities of one entry given whether the assigned
+    patterns cover it, at the clipped r and epsilon: covered with x = 1,
+    uncovered with x = 0, uncovered with x = 1, covered with x = 0."""
+    r, eps = _clip(r), _clip(epsilon)
     # covered and x agree -> eps*p_N + (1-eps); disagree -> eps*p_N
-    log_match1 = float(np.log(eps * r + (1 - eps)))        # covered, x=1
-    log_match0 = float(np.log(eps * (1 - r) + (1 - eps)))  # uncovered, x=0
-    log_miss1 = float(np.log(eps * r))                     # uncovered, x=1
-    log_miss0 = float(np.log(eps * (1 - r)))               # covered, x=0
-    return (n11 * log_match1 + (d - ones - n10) * log_match0
-            + (ones - n11) * log_miss1 + n10 * log_miss0)
+    return (float(np.log(eps * r + (1 - eps))),
+            float(np.log(eps * (1 - r) + (1 - eps))),
+            float(np.log(eps * r)),
+            float(np.log(eps * (1 - r))))
 
 
-def _greedy_assign(x: np.ndarray, u: BinaryMatrix,
-                   r: float, epsilon: float) -> np.ndarray:
-    """assign_patterns for every row of the bool (N, D) array x at once.
+def _set_ll(n11, n10, ones, d: int, logs):
+    """Log-likelihood of rows with `ones` of d entries requested when the
+    assigned patterns cover n11 requested and n10 unrequested entries;
+    logs is _set_logs(r, epsilon).  Integer counts, as Python ints or in
+    arrays, give the same floats either way."""
+    match1, match0, miss1, miss0 = logs
+    return (n11 * match1 + (d - ones - n10) * match0
+            + (ones - n11) * miss1 + n10 * miss0)
+
+
+def _greedy_assign(x: np.ndarray, u: BinaryMatrix, logs) -> np.ndarray:
+    """assign_patterns' search for every row of the bool (N, D) array x at
+    once, at logs = _set_logs(r, epsilon).
 
     The N * (K+1) pairs of a row and a start run side by side; each step
     scores every candidate of every pair still moving by matrix products.
+    This is assign_matrix's path: on batches its per-call cost is shared by
+    many rows, where assign_patterns' scalar search pays per row.
     """
-    r, eps = _clip(r), _clip(epsilon)
     n, d = x.shape
     k = u.rows
     # pair p is row p // (K+1) from the empty set (p % (K+1) == 0) or from
@@ -518,9 +526,9 @@ def _greedy_assign(x: np.ndarray, u: BinaryMatrix,
             sign = 1 if adding else -1
             cand = _set_ll(n11[:, None] + sign * ((flips & xl) @ uf.T),
                            n10[:, None] + sign * ((flips & ~xl) @ uf.T),
-                           ones[live, None], d, r, eps)
+                           ones[live, None], d, logs)
             cand[selected[live] == adding] = -np.inf
-            ll[live] = _set_ll(n11, n10, ones[live], d, r, eps)
+            ll[live] = _set_ll(n11, n10, ones[live], d, logs)
             best = _first_better(cand, ll[live])
             live, best = live[best >= 0], best[best >= 0]
             selected[live, best] = adding
@@ -538,13 +546,80 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     result wins.  Deterministic; ties go to the earliest start and lowest
     pattern index: a greedy step scans the candidates by index and keeps
     one only when it beats the best so far by more than 1e-12, and the
-    starts are scanned the same way.  Equals the row's assign_matrix result.
+    starts are scanned the same way.
+
+    The row and each pattern are held as Python ints used as bit sets, and
+    every count is a popcount, so one row costs a few hundred integer
+    operations rather than the vectorised search's fixed numpy overhead.
+    The search, its tie rule and its arithmetic (the same integer counts
+    through _set_ll) are those of _greedy_assign, so the result equals the
+    row's assign_matrix result.
     """
     x_row = np.asarray(x_row)
     if x_row.shape != (u.cols,):
         raise DimensionError(f"row length {x_row.shape} != D={u.cols}")
     check_binary(x_row)
-    return _greedy_assign(x_row[None] == 1, u, r, epsilon)[0]
+    logs, d = _set_logs(r, epsilon), u.cols
+    x = int.from_bytes(np.packbits(x_row == 1).tobytes(), "big")
+    pats = [int.from_bytes(row, "big") for row in np.packbits(u.data, axis=1)]
+    ones = x.bit_count()
+    # An add candidate that covers no still-uncovered requested entry (m1 =
+    # 0) cannot be kept, so only patterns that touch x are scanned.  It
+    # would score the current value minus m0 * (match0 - miss0), where m0
+    # counts the unrequested entries it newly covers, and with r and
+    # epsilon clipped to [1e-6, 1 - 1e-6], match0 - miss0 = log(1 + (1 -
+    # eps) / (eps * (1 - r))) >= about 1e-6, far above the rounding of the
+    # two values (a few ulps of |ll| <= 28 * D, about 1e-12 at D = 130).  So
+    # with m0 >= 1 it is strictly worse than the current value, with m0 = 0
+    # it ties it, and the scan keeps neither.  Selected patterns have m1 = 0
+    # too, so they need no mask.
+    touching = [(j, p) for j, p in enumerate(pats) if p & x]
+    best, chosen = -np.inf, []
+    for start in range(-1, len(pats)):
+        sel = [start] if start >= 0 else []
+        covered = pats[start] if start >= 0 else 0
+        n11 = (covered & x).bit_count()
+        n10 = covered.bit_count() - n11
+        ll = _set_ll(n11, n10, ones, d, logs)
+        while True:                 # add
+            need, free = x & ~covered, ~(x | covered)
+            pick, top = -1, ll
+            for j, p in touching:
+                m1 = (p & need).bit_count()
+                if m1:
+                    m0 = (p & free).bit_count()
+                    v = _set_ll(n11 + m1, n10 + m0, ones, d, logs)
+                    if v > top + 1e-12:
+                        pick, top, g1, g0 = j, v, m1, m0
+            if pick < 0:
+                break
+            sel.append(pick)
+            covered |= pats[pick]
+            n11, n10, ll = n11 + g1, n10 + g0, top
+        sel.sort()
+        while sel:                  # prune, candidates in index order
+            seen = twice = 0
+            for j in sel:
+                twice |= seen & pats[j]
+                seen |= pats[j]
+            once = seen & ~twice    # entries exactly one selected pattern covers
+            pick, top = -1, ll
+            for j in sel:
+                lost = pats[j] & once
+                m1 = (lost & x).bit_count()
+                m0 = lost.bit_count() - m1
+                v = _set_ll(n11 - m1, n10 - m0, ones, d, logs)
+                if v > top + 1e-12:
+                    pick, top, g1, g0 = j, v, m1, m0
+            if pick < 0:
+                break
+            sel.remove(pick)
+            n11, n10, ll = n11 - g1, n10 - g0, top
+        if ll > best + 1e-12:
+            best, chosen = ll, sel
+    out = np.zeros(len(pats), dtype=np.uint8)
+    out[chosen] = 1
+    return out
 
 
 def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
@@ -556,8 +631,8 @@ def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
     _, first, group = _group(_keys(x.data))
     rows = x.data[first] == 1
     chunk = max(1, _ASSIGN_CELLS // max(1, (u.rows + 1) * u.rows * u.cols))
+    logs = _set_logs(r, epsilon)
     out = np.zeros((first.size, u.rows), dtype=np.uint8)
     for lo in range(0, first.size, chunk):
-        out[lo:lo + chunk] = _greedy_assign(rows[lo:lo + chunk], u,
-                                            r, epsilon)
+        out[lo:lo + chunk] = _greedy_assign(rows[lo:lo + chunk], u, logs)
     return BinaryMatrix(out[group])

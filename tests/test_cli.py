@@ -195,8 +195,11 @@ def mutated_input(draw):
 
 
 # the commands whose ingest the exit-code properties run; each example
-# draws one, so every command sees about a third of the examples
-INGEST_COMMANDS = (("stats",), ("simulate",), ("mine", "-k", "1"))
+# draws one, so every command sees about a quarter of the examples.  K = 1
+# and one repetition keep select-k's fits tiny.
+INGEST_COMMANDS = (("stats",), ("simulate",), ("mine", "-k", "1"),
+                   ("select-k", "--k-min", "1", "--k-max", "1",
+                    "--repetitions", "1"))
 
 
 def run_on(tmp_path_factory, command, fmt, content):

@@ -614,12 +614,131 @@ def oracle_cases(seed, cases, rows):
         yield x[rng.integers(0, rows, size=rows + 4)], u, float(r), float(eps)
 
 
+# r and epsilon on their clip bounds and beyond them: at r = 1e-6 and
+# epsilon = 1 - 1e-6 an add candidate that covers no new requested entry
+# falls short of the current set by the least, about 1e-6
+CLIP_VALUES = (0.0, 1e-6, 1 - 1e-6, 1.0)
+
+
+def clip_cases(seed, rows):
+    """oracle_cases' shapes at every pair of r and epsilon in CLIP_VALUES."""
+    rng = np.random.default_rng(seed)
+    for r in CLIP_VALUES:
+        for eps in CLIP_VALUES:
+            k, d = int(rng.integers(1, 13)), int(rng.integers(1, 40))
+            u = random_binary(rng, (k, d), rng.uniform(0.05, 0.6))
+            x = random_binary(rng, (rows, d), rng.uniform(0.05, 0.7)).data
+            yield x, u, r, eps
+
+
+def assert_all_paths_equal(x, u, r, eps):
+    """assign_patterns on each row of x equals reference_assign and the
+    row's assign_matrix result."""
+    batch = assign_matrix(BinaryMatrix(x), u, r, eps).data
+    for row, z in zip(x, batch):
+        want = reference_assign(row, u, r, eps).tolist()
+        assert assign_patterns(row, u, r, eps).tolist() == want
+        assert z.tolist() == want
+
+
+def cols(lo, hi, *more):
+    return set(range(lo, hi)) | set(more)
+
+
+# Entries 0-899 requested and 900-999 not.  At r = epsilon = 1e-6 the
+# uncovered requested entries 100-899 put every log-likelihood below
+# -16384, where a float's ulp exceeds 2e-12, so best + 1e-12 rounds to best
+# and only the strict comparison keeps the first of exactly tied values.
+WIDE = (1000, range(900))
+
+# name: ((D, requested entries), patterns as sets of entries, r, epsilon,
+# the assignment)
+SET_CASES = {
+    # P and Q cover the same requested entries and as many unrequested
+    # ones: the add scan keeps P
+    "add tie": (WIDE, [cols(0, 10, 900, 901, 902),
+                       cols(0, 10, 903, 904, 905)], 1e-6, 1e-6, [1, 0]),
+    # A goes in first, then B and C, which tie; then dropping A ties with
+    # keeping it, so A stays
+    "prune tie": (WIDE, [cols(0, 20),
+                         cols(0, 10) | cols(20, 30) | cols(900, 908),
+                         cols(10, 20) | cols(30, 40) | cols(908, 916)],
+                  1e-6, 1e-6, [1, 1, 1]),
+    # pattern 1 is empty: its start ends at pattern 0 plus itself, tied
+    # with the empty start's result
+    "start tie": (WIDE, [cols(0, 10), set()], 1e-6, 1e-6, [1, 0]),
+    # Y goes in first, then X, then W1 and W2, which cover all that X and
+    # Y request but entry 0.  Dropping X or Y then gains the same, and the
+    # prune drops X, the lower index, though Y went in first.
+    "prune in index order": (
+        (21, range(19)),
+        [cols(0, 7, 19), cols(7, 17, 0, 20), cols(1, 4) | cols(7, 12, 17),
+         cols(4, 7) | cols(12, 17, 18)],
+        0.1, 0.1, [0, 1, 1, 1]),
+    # The empty start adds nothing.  From pattern 0, 4 and 2 go in and
+    # cover all of 0 but its unrequested entry 2, so the prune drops 0,
+    # which covers no requested entry, and this start wins.  Kept, 0 would
+    # leave the win to pattern 1's start, whose pattern no prune drops.
+    "prune without requested entries": (
+        (11, [1, 3, 5, 9, 10]),
+        [{2, 6}, {6}, {0, 5, 6}, {0, 5, 8}, {0, 1, 6, 10}],
+        0.5, 0.1, [0, 0, 1, 0, 1]),
+}
+
+
 class TestAssignOracle:
     def test_single_rows_equal_oracle(self):
         for x, u, r, eps in oracle_cases(21, 120, 3):
             for row in x:
                 assert (assign_patterns(row, u, r, eps).tolist()
                         == reference_assign(row, u, r, eps).tolist())
+
+    def test_clip_bounds_equal_oracle(self):
+        for x, u, r, eps in clip_cases(26, 8):
+            assert_all_paths_equal(x, u, r, eps)
+
+    def test_planted_k30_equal_oracle(self):
+        # Android-shaped: 30 patterns of about 4 of 130 permissions
+        x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
+                                      seed=27)
+        assert_all_paths_equal(x.data, u, 0.5, 0.02)
+
+    @pytest.mark.parametrize("case", sorted(SET_CASES))
+    def test_constructed_cases(self, case):
+        (d, requested), patterns, r, eps, want = SET_CASES[case]
+        x = np.zeros((1, d), dtype=np.uint8)
+        x[0, list(requested)] = 1
+        u = np.zeros((len(patterns), d), dtype=np.uint8)
+        for j, entries in enumerate(patterns):
+            u[j, list(entries)] = 1
+        u = BinaryMatrix(u)
+        assert reference_assign(x[0], u, r, eps).tolist() == want
+        if d == WIDE[0]:
+            assert assignment_ll(x[0], u, want, r, eps) < -16384
+        assert_all_paths_equal(x, u, r, eps)
+
+    @pytest.mark.parametrize("k, d", [(0, 6), (3, 0), (1, 6), (0, 0)])
+    def test_single_rows_equal_matrix_at_edges(self, k, d):
+        rng = np.random.default_rng(29 + 7 * k + d)
+        u = random_binary(rng, (k, d), 0.4)
+        x = random_binary(rng, (8, d), 0.4).data
+        assert_all_paths_equal(x, u, 0.3, 0.1)
+
+    @pytest.mark.parametrize("convert", [
+        lambda row: row.astype(bool),
+        lambda row: row.astype(np.int64),
+        # packbits rejects floats: the row must be compared to 1 first
+        lambda row: row.astype(float),
+        lambda row: row.tolist(),
+    ], ids=["bool", "int64", "float", "list"])
+    def test_row_types(self, convert):
+        rng = np.random.default_rng(30)
+        u = random_binary(rng, (6, 19), 0.3)
+        x = random_binary(rng, (12, 19), 0.4).data
+        batch = assign_matrix(BinaryMatrix(x), u, 0.3, 0.1).data
+        for row, z in zip(x, batch):
+            got = assign_patterns(convert(row), u, 0.3, 0.1)
+            assert got.tolist() == z.tolist()
 
     @pytest.mark.parametrize("cells", [None, 1])
     def test_matrix_equals_oracle(self, monkeypatch, cells):
