@@ -10,15 +10,13 @@ it as T cools.  Each em_step is monotone in the tempered log-likelihood.
 
 A step works per distinct assignment vector.  Rows are grouped by sorting
 integer keys (``_keys``): a row's packed bits, one native uint64 for up to
-64 columns and a void view of the packed bytes for wider rows.  The
-returned state carries a table (``_Table``): the flip search's mixture
-terms f0, f1 of every final vector, and the step's grouping of the rows
-with its counts (``_Rows``).  The next step's E-step reuses the grouping
-while x and z are unchanged (compared by value), as after a step that
-flipped no row, and looks its vectors' terms up by key while beta
-(compared by value), r, epsilon and T are those they were computed at and
-every vector is present.  Otherwise it computes them again, as at the
-first step of each temperature, and leaves them on the state.
+64 columns and a void view of the packed bytes for wider rows.  A step's
+E-step input is the grouping of the rows with its counts (``_Rows``) and
+each group's mixture terms f0, f1.  The returned state carries the next
+step's input as ``table``: the E-step's grouping when no row flipped, else
+a new one, and the flip search's terms of each final vector.  The fitting
+loop (``_converge``) hands it to the next step.  It tabulates once per
+temperature, on the grouping the last step handed off.
 """
 from __future__ import annotations
 
@@ -57,8 +55,9 @@ class FitState:
     epsilon: float
     temperature: float
     log_likelihood: float = float("nan")   # tempered, at self.temperature
-    # terms and grouping of z's vectors where already known (see _Table)
-    table: _Table | None = field(default=None, compare=False, repr=False)
+    # the next em_step's input, (grouping, f0, f1), from the step that made
+    # this state; only the fitting loop reads it
+    table: tuple | None = field(default=None, compare=False, repr=False)
 
 
 def boolean_product(z: BinaryMatrix, u: BinaryMatrix) -> BinaryMatrix:
@@ -75,10 +74,7 @@ def binarize(beta: np.ndarray) -> BinaryMatrix:
     beta[k, d] is p(u[k, d] == 0), so u is 1 where beta < 0.5; an exact
     0.5 tie rounds to 0.
     """
-    beta = np.asarray(beta, dtype=float)
-    if beta.size and (beta.min() < 0 or beta.max() > 1):
-        raise ValueError("beta entries must lie in [0, 1]")
-    return BinaryMatrix((beta < 0.5).astype(np.uint8))
+    return BinaryMatrix((np.asarray(beta) < 0.5).astype(np.uint8))
 
 
 def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -148,11 +144,8 @@ def _terms(log_q: np.ndarray, r: float, eps: float, inv_t: float):
 class _Rows:
     """The rows of (x, z) grouped by their vector of z: the distinct keys,
     a row of each, each row's group, and for each group and column the
-    number of its rows with x = 0 (n0) and with x = 1 (n1).  x and z are
-    copies: they tell whether the grouping holds for a later (x, z)."""
+    number of its rows with x = 0 (n0) and with x = 1 (n1)."""
 
-    x: np.ndarray
-    z: np.ndarray
     keys: np.ndarray
     first: np.ndarray
     group: np.ndarray
@@ -167,63 +160,21 @@ class _Rows:
         n1 = np.bincount(cells, weights=x.ravel(), minlength=u * d)
         n1 = n1.reshape(u, d)
         n0 = np.bincount(group, minlength=u)[:, None] - n1
-        return cls(x.copy(), z.copy(), keys, first, group, n0, n1)
-
-    def hold_for(self, x: np.ndarray, z: np.ndarray) -> bool:
-        """Whether x and z equal those the grouping was made of."""
-        return np.array_equal(z, self.z) and np.array_equal(x, self.x)
+        return cls(keys, first, group, n0, n1)
 
 
-@dataclass(frozen=True)
-class _Table:
-    """The mixture terms f0 and f1 of assignment vectors, one row per key,
-    and the parameters they were computed at."""
-
-    keys: np.ndarray          # sorted, distinct
-    f0: np.ndarray            # (keys, D), as is f1
-    f1: np.ndarray
-    beta: np.ndarray          # a copy: a state's beta can change in place
-    r: float
-    eps: float
-    inv_t: float
-    rows: _Rows               # the grouping its E-step worked on
-
-    def lookup(self, keys: np.ndarray, beta: np.ndarray, r: float,
-               eps: float, inv_t: float):
-        """(f0, f1) of the sorted distinct keys, or None unless the table
-        was computed at these parameters and holds every key."""
-        if ((r, eps, inv_t) != (self.r, self.eps, self.inv_t)
-                or not np.array_equal(beta, self.beta)):
-            return None
-        at = np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)
-        if not np.array_equal(self.keys[at], keys):
-            return None
-        return self.f0[at], self.f1[at]
-
-
-def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float):
-    """The rows of x grouped by the state's assignment vectors, and each
-    distinct vector's log q, f0 and f1 at the state's beta and r and at eps
-    and inv_t.  The grouping and f0, f1 come from the state's carried table
-    where they hold; else they are computed and left on the state as its
-    table."""
-    table = state.table
-    rows = (table.rows if table is not None and table.rows.hold_for(x, state.z)
-            else _Rows.of(x, state.z))
+def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float,
+              rows: _Rows | None = None):
+    """The rows of x grouped by the state's assignment vectors (rows, where
+    given, is that grouping) and each group's f0 and f1 at the state's beta
+    and r and at eps and inv_t."""
+    rows = _Rows.of(x, state.z) if rows is None else rows
     log_q = _log_q(state.z[rows.first], state.beta)
-    found = None if table is None else table.lookup(
-        rows.keys, state.beta, state.r, eps, inv_t)
-    if found is None:
-        found = _terms(log_q, state.r, eps, inv_t)
-        state.table = _Table(rows.keys, *found, state.beta.copy(), state.r,
-                             eps, inv_t, rows)
-    return rows, log_q, *found
+    return rows, *_terms(log_q, state.r, eps, inv_t)
 
 
-def _entry_sum(x: np.ndarray, state: FitState, eps: float,
-               inv_t: float) -> float:
-    """Sum of the tempered mixture terms f over the entries of x."""
-    rows, _, f0, f1 = _tabulate(x, state, eps, inv_t)
+def _entry_sum(rows: _Rows, f0: np.ndarray, f1: np.ndarray) -> float:
+    """Sum of the tempered mixture terms f over the entries of the rows."""
     n0, n1 = rows.n0, rows.n1
     # a cell with no entries adds 0, also where its term is -inf
     with np.errstate(invalid="ignore"):
@@ -236,13 +187,14 @@ def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     xd = x.data
     if xd.shape != (state.z.shape[0], state.beta.shape[1]):
         raise DimensionError("x shape does not match the fit state")
-    return _entry_sum(xd, state, float(np.clip(state.epsilon, 0.0, 1.0)), 1.0)
+    return _entry_sum(*_tabulate(
+        xd, state, float(np.clip(state.epsilon, 0.0, 1.0)), 1.0))
 
 
 def tempered_log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     """Sum over entries of log[(eps*p_N)^(1/T) + ((1-eps)*p_S)^(1/T)]."""
-    return _entry_sum(x.data, state, _clip(state.epsilon),
-                      1.0 / state.temperature)
+    return _entry_sum(*_tabulate(x.data, state, _clip(state.epsilon),
+                                 1.0 / state.temperature))
 
 
 def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
@@ -283,8 +235,9 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
     difference.  grouped is the E-step's grouping of state.z's rows, which
     the first pass uses when it searches every row in one chunk.  Returns
     the new z, the tempered log-likelihood at it (the sum of each row's
-    score at its final z) and the table of the candidates that rows ended
-    at, which also carries grouped.
+    score at its final z) and the next step's E-step input: the grouping
+    of the new z's rows (grouped if no row flipped) and the terms of each
+    of its groups, those of the candidates that rows ended at.
     """
     z = state.z.copy()
     n = z.shape[0]
@@ -335,11 +288,14 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
         keys, f0, f1 = (np.concatenate(col) for col in zip(*ended))
         keys, once = _group(keys)[:2]
         f0, f1 = f0[once], f1[once]
-    table = _Table(keys, f0, f1, state.beta.copy(), r, eps, inv_t, grouped)
-    return z, float(row_ll.sum()), table
+    # no row flipped iff the first pass flipped none
+    rows = grouped if p == 0 and not search.size else _Rows.of(x, z)
+    at = np.searchsorted(keys, rows.keys)
+    return z, float(row_ll.sum()), (rows, f0[at], f1[at])
 
 
-def em_step(x: BinaryMatrix, state: FitState) -> FitState:
+def em_step(x: BinaryMatrix, state: FitState,
+            tabled: tuple | None = None) -> FitState:
     """One tempered E/M sweep at the state's temperature.
 
     Update order: responsibilities, then epsilon, r, beta (each a closed-form
@@ -347,9 +303,10 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
     evaluated directly on the tempered log-likelihood.  Every term depends
     on an entry only through its bit and its row's z, so the terms are
     computed once per distinct z and the rows enter through counts.  The
-    step's log-likelihood is the flip search's score of the final z.  The
-    returned state carries the flip search's terms of every final z and
-    the step's grouping of the rows, for the next step to reuse.
+    step's log-likelihood is the flip search's score of the final z.
+    tabled is the E-step's input, _tabulate's (grouping, f0, f1) of x and
+    the state at its clipped epsilon and temperature, or None to work it
+    out.  The returned state's table is the next step's input.
     """
     xd = x.data
     if xd.shape != (state.z.shape[0], state.beta.shape[1]):
@@ -358,7 +315,8 @@ def em_step(x: BinaryMatrix, state: FitState) -> FitState:
         raise DimensionError("x has no entries")
 
     eps, inv_t = _clip(state.epsilon), 1.0 / state.temperature
-    rows, log_q, f0, f1 = _tabulate(xd, state, eps, inv_t)
+    rows, f0, f1 = tabled or _tabulate(xd, state, eps, inv_t)
+    log_q = _log_q(state.z[rows.first], state.beta)
     n0, n1 = rows.n0, rows.n1
     a0, a1 = _noise_terms(state.r, eps, inv_t)
     # tempered noise responsibilities of an x = 0 and an x = 1 entry
@@ -382,21 +340,26 @@ def _initial_state(x: BinaryMatrix, k: int, config: FitConfig) -> FitState:
     beta = rng.uniform(0.4, 0.6, size=(k, x.cols))
     p_assign = min(0.5, 2.0 / k)
     z = (rng.random((x.rows, k)) < p_assign).astype(np.uint8)
-    state = FitState(beta=beta, z=z, r=0.5, epsilon=0.5,
-                     temperature=config.initial_temperature)
-    state.log_likelihood = tempered_log_likelihood(x, state)
-    return state
+    return FitState(beta=beta, z=z, r=0.5, epsilon=0.5,
+                    temperature=config.initial_temperature)
 
 
 def _converge(x: BinaryMatrix, state: FitState, temperature: float,
               config: FitConfig) -> FitState:
     """EM steps at a fixed temperature until the tempered log-likelihood
-    changes by at most the relative tolerance, or the step budget ends."""
+    changes by at most the relative tolerance, or the step budget ends.
+
+    The level tabulates the state once, on the grouping handed off by the
+    step that made it, if any; each step then gets the table that the step
+    before it handed off."""
     state.temperature = temperature
-    state.log_likelihood = tempered_log_likelihood(x, state)
-    prev = state.log_likelihood
+    rows = None if state.table is None else state.table[0]
+    tabled = _tabulate(x.data, state, _clip(state.epsilon), 1.0 / temperature,
+                       rows)
+    state.log_likelihood = prev = _entry_sum(*tabled)
     for _ in range(config.max_inner_iterations):
-        state = em_step(x, state)
+        state = em_step(x, state, tabled)
+        tabled = state.table
         cur = state.log_likelihood
         if abs(cur - prev) <= config.tolerance * max(1.0, abs(prev)):
             break
@@ -434,7 +397,7 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
     counts = state.z.sum(axis=0)
     order = np.lexsort((np.arange(k), -counts))
     z = state.z[:, order]
-    beta = np.clip(state.beta[order], 0.0, 1.0)
+    beta = state.beta[order]
     u = binarize(beta)
     ll = log_likelihood(x, FitState(beta=beta, z=z, r=state.r,
                                     epsilon=state.epsilon, temperature=1.0))

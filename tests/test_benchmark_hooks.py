@@ -64,3 +64,30 @@ def test_tracer_installs_records_and_uninstalls(tmp_path):
     after = bindings(tracer)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_traced_fit_records_one_em_step_span_per_step(tmp_path, monkeypatch):
+    # the fitting loop hands each step's tables to the next through the
+    # module's em_step, so the tracer's wrapper sees every step
+    engine = importlib.import_module("permpatterns.engine")
+    update_z = engine._update_z
+    steps = []
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return update_z(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "_update_z", counted)
+    tracer = load_tracer()
+    x, _, _ = plant_factorization(40, 6, 2, 0.3, 0.4, 0.0, 0.5, seed=0)
+    spans = tracer.Tracer(tmp_path)
+    uninstall = tracer.install(spans)
+    try:
+        permpatterns.fit(x, 2, FitConfig(seed=0, cooling_factor=0.5))
+    finally:
+        uninstall()
+    spans.flush()
+
+    names = [span["name"] for span in tracer.load_spans(tmp_path)]
+    assert names.count("engine.fit") == 1
+    assert steps and names.count("engine.em_step") == len(steps)

@@ -223,6 +223,28 @@ class TestEmStep:
             assert after >= before - 1e-9
 
 
+def assert_hand_off(x, state, hand_off):
+    """hand_off is the E-step input of x and the state: the grouping of the
+    state's rows and each group's terms at its parameters."""
+    rows, f0, f1 = hand_off
+    want = engine._Rows.of(x.data, state.z)
+    for name in ("keys", "first", "group", "n0", "n1"):
+        assert np.array_equal(getattr(rows, name), getattr(want, name)), name
+    terms = engine._terms(engine._log_q(state.z[rows.first], state.beta),
+                          state.r, engine._clip(state.epsilon),
+                          1.0 / state.temperature)
+    np.testing.assert_allclose((f0, f1), terms, rtol=1e-12, atol=0)
+
+
+def assert_steps_as_reference(x, state):
+    new = em_step(x, state)
+    beta, z, r, eps, ll = reference_em_step(x, state)
+    assert np.array_equal(new.z, z)
+    np.testing.assert_allclose(new.beta, beta, rtol=1e-12, atol=0)
+    np.testing.assert_allclose([new.r, new.epsilon, new.log_likelihood],
+                               [r, eps, ll], rtol=1e-12, atol=0)
+
+
 def shared_rows_state(rng, n, k, d, temperature):
     """x and a fit state whose rows share a z but differ in x, and share an
     x but differ in z; two of the z differ only in their last bit, so with
@@ -280,10 +302,8 @@ class TestEmStepOracle:
         assert sizes[0] == 23
         assert sizes[1] % (k + 1) == 0
         sizes.clear()
-        # 7 rows of (K+1) candidates x D permissions a chunk; the first step
-        # left its grouping on the state, so start this one without it
+        # 7 rows of (K+1) candidates x D permissions a chunk
         monkeypatch.setattr(engine, "_CHUNK_CELLS", 7 * (k + 1) * d)
-        state.table = None
         chunked = em_step(x, state)
         # the E-step groups all rows, then the first pass searches in chunks,
         # grouping each chunk's rows and then their K+1 candidates each
@@ -294,16 +314,10 @@ class TestEmStepOracle:
         assert np.array_equal(chunked.beta, whole.beta)
         assert (chunked.r, chunked.epsilon, chunked.log_likelihood) == (
             whole.r, whole.epsilon, whole.log_likelihood)
-        # either search carries the terms of every final z, also where a
+        # either search hands off the terms of every final z, also where a
         # row's final z comes from another chunk or pass than its first
         for new in (whole, chunked):
-            keys, first, _ = group(engine._keys(new.z))
-            terms = new.table.lookup(keys, new.beta, new.r, new.epsilon,
-                                     1.0 / new.temperature)
-            want = engine._terms(engine._log_q(new.z[first], new.beta),
-                                 new.r, new.epsilon, 1.0 / new.temperature)
-            np.testing.assert_allclose(terms, want, rtol=1e-12, atol=0)
-
+            assert_hand_off(x, new, new.table)
 
     @pytest.mark.parametrize("temperature, k", ORACLE_CASES)
     def test_reported_log_likelihood(self, k, temperature):
@@ -322,104 +336,74 @@ class TestEmStepOracle:
             grouped = engine._Rows.of(x.data, state.z)
             return engine._update_z(x.data, state, grouped, max_passes=1)
 
-        z, ll, table = one_pass(state)
+        z, ll, hand_off = one_pass(state)
         # a second pass would still flip rows
         assert not np.array_equal(one_pass(replace(state, z=z))[0], z)
         assert ll == pytest.approx(
             tempered_log_likelihood(x, replace(state, z=z)), rel=1e-12, abs=0)
-        # the table holds the terms of every final z, also of the rows
+        # the hand-off holds the terms of every final z, also of the rows
         # that flipped in the last pass
-        keys, first, _ = engine._group(engine._keys(z))
-        terms = table.lookup(keys, state.beta, state.r, state.epsilon, 1.0)
-        want = engine._terms(engine._log_q(z[first], state.beta),
-                             state.r, state.epsilon, 1.0)
-        np.testing.assert_allclose(terms, want, rtol=1e-12, atol=0)
+        assert_hand_off(x, replace(state, z=z), hand_off)
+
+    def test_hand_off_keeps_grouping_when_no_row_flips(self):
+        rng = np.random.default_rng(18)
+        x, state = shared_rows_state(rng, 30, 9, 14, 1.0)
+        state = em_step(x, state)
+        for _ in range(50):
+            new = em_step(x, state, state.table)
+            if np.array_equal(new.z, state.z):
+                break
+            state = new
+        else:
+            pytest.fail("every step flipped a row")
+        # the E-step's own grouping goes on to the next step
+        assert new.table[0] is state.table[0]
+        assert_hand_off(x, new, new.table)
 
     def test_fit_equals_fit_without_carried_tables(self, monkeypatch):
         x, _, _ = plant_factorization(150, 40, 5, 0.2, 0.3, 0.02, 0.5, seed=16)
         config = FitConfig(seed=3, cooling_factor=0.8)
-        found = []
-        lookup = engine._Table.lookup
-
-        def spied(*args):
-            terms = lookup(*args)
-            found.append(terms is not None)
-            return terms
-
-        monkeypatch.setattr(engine._Table, "lookup", spied)
-        carried = fit(x, 5, config)
-        assert sum(found) > len(found) / 2
-        monkeypatch.setattr(engine._Table, "lookup", lookup)
         step = engine.em_step
+        handed = []
 
-        def forgetful(x, state):
-            new = step(x, state)
-            new.table = None
-            return new
+        def spied(x, state, tabled=None):
+            handed.append(tabled is not None)
+            return step(x, state, tabled)
 
-        monkeypatch.setattr(engine, "em_step", forgetful)
+        monkeypatch.setattr(engine, "em_step", spied)
+        carried = fit(x, 5, config)
+        assert handed and all(handed)
+        monkeypatch.setattr(engine, "em_step",
+                            lambda x, state, tabled=None: step(x, state))
         dropped = fit(x, 5, config)
-        monkeypatch.setattr(engine._Table, "lookup",
-                            lambda *args: None)
-        monkeypatch.setattr(engine._Rows, "hold_for", lambda *args: False)
-        recomputed = fit(x, 5, config)
-        for other in (dropped, recomputed):
-            assert np.array_equal(other.z.data, carried.z.data)
-            assert np.array_equal(other.beta, carried.beta)
-            assert (other.r, other.epsilon, other.log_likelihood) == (
-                carried.r, carried.epsilon, carried.log_likelihood)
+        assert np.array_equal(dropped.z.data, carried.z.data)
+        assert np.array_equal(dropped.beta, carried.beta)
+        assert (dropped.r, dropped.epsilon, dropped.log_likelihood) == (
+            carried.r, carried.epsilon, carried.log_likelihood)
 
     @pytest.mark.parametrize("change", ["beta", "r", "epsilon", "temperature",
-                                        "z"])
-    @pytest.mark.parametrize("carried_by", ["step", "likelihood"])
-    def test_stale_table_not_used(self, change, carried_by):
+                                        "z", "x"])
+    def test_changed_state_steps_as_reference(self, change):
         rng = np.random.default_rng(17)
         x, state = shared_rows_state(rng, 30, 9, 14, 1.0)
-        # a step carries a table to its result; the likelihood leaves one on
-        # the state it was given, whose grouping holds for that state's z
-        if carried_by == "step":
-            state = em_step(x, state)
-        else:
-            tempered_log_likelihood(x, state)
-
-        def carried_terms():
-            keys = engine._group(engine._keys(state.z))[0]
-            return state.table.lookup(keys, state.beta, state.r,
-                                      engine._clip(state.epsilon),
-                                      1.0 / state.temperature)
-
-        assert carried_terms() is not None
+        # a state a step returned, which carries the step's hand-off
+        state = em_step(x, state)
+        table = state.table
         if change == "beta":      # in place, so the state holds the same array
             state.beta *= 0.9
-        elif change == "z":       # in place, to a vector the table lacks
+        elif change == "z":       # in place, to a vector the hand-off lacks
             state.z[0] = 1 - state.z[0]
+        elif change == "x":
+            other = x.data.copy()
+            other[:5] ^= 1
+            x = BinaryMatrix(other)
         else:
             setattr(state, change, getattr(state, change) * 0.9)
-        assert carried_terms() is None
-        new = em_step(x, state)
-        beta, z, r, eps, ll = reference_em_step(x, state)
-        assert np.array_equal(new.z, z)
-        np.testing.assert_allclose(new.beta, beta, rtol=1e-12, atol=0)
-        np.testing.assert_allclose([new.r, new.epsilon, new.log_likelihood],
-                                   [r, eps, ll], rtol=1e-12, atol=0)
-
-    def test_carried_rows_not_used_for_other_x(self):
-        rng = np.random.default_rng(18)
-        x, state = shared_rows_state(rng, 30, 9, 14, 1.0)
-        # until a step flips no row, so that its grouping holds for its z
-        state = em_step(x, state)
-        while not state.table.rows.hold_for(x.data, state.z):
-            state = em_step(x, state)
-        other = x.data.copy()
-        other[:5] ^= 1
-        other = BinaryMatrix(other)
-        assert not state.table.rows.hold_for(other.data, state.z)
-        new = em_step(other, state)
-        beta, z, r, eps, ll = reference_em_step(other, state)
-        assert np.array_equal(new.z, z)
-        np.testing.assert_allclose(new.beta, beta, rtol=1e-12, atol=0)
-        np.testing.assert_allclose([new.r, new.epsilon, new.log_likelihood],
-                                   [r, eps, ll], rtol=1e-12, atol=0)
+        # the likelihoods are pure: they neither read nor write the table
+        tempered_log_likelihood(x, state)
+        log_likelihood(x, state)
+        assert state.table is table
+        assert_steps_as_reference(x, state)
 
     def test_zero_rows_rejected(self):
         state = FitState(beta=np.full((2, 3), 0.5),
