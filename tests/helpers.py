@@ -109,6 +109,15 @@ def reference_em_step(x, state):
     return beta, z, r, eps, float(ll)
 
 
+def reference_tempered_log_likelihood(x, state):
+    """engine.tempered_log_likelihood computed entry by entry."""
+    with np.errstate(divide="ignore"):
+        log_beta = np.log(np.clip(state.beta, 1e-300, 1.0))
+    a, b = _entry_terms(x.data, state.z.astype(float) @ log_beta, state.r,
+                        _clip(state.epsilon), 1.0 / state.temperature)
+    return float(np.logaddexp(a, b).sum())
+
+
 def scan_first_better(values, base):
     """Plain left-to-right scan: a value replaces the best so far only if it
     beats it by more than 1e-12.  The kept index, or -1 if base stands."""
