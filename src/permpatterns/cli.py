@@ -4,7 +4,7 @@ Every command takes a single ``--seed`` from which all sub-seeds are
 derived, writes its outputs as plain CSV/JSON into ``--out-dir``, and
 finishes by writing a run manifest.  The library modules return data;
 this module alone writes files.  Exit codes: 0 success, 2 input or
-configuration error, 3 internal numeric failure.
+configuration error.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ from .selection import _instability_job, select_k  # noqa: F401
 from .simulate import marginal_probs, pcp_histogram, simulate_independent
 
 EXIT_INPUT_ERROR = 2
-EXIT_NUMERIC_ERROR = 3
 
 
 def _sha256(path: Path) -> str:
@@ -208,9 +207,6 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
               EXIT_INPUT_ERROR)
     report = select_k(x, range(k_min, k_max + 1), repetitions,
                       FitConfig(seed=seed), threads=threads)
-    if report.selected_k is None:
-        _fail("all K values failed: " + json.dumps(report.failed_k),
-              EXIT_NUMERIC_ERROR)
     rows = [(rec.k, rep, rep_seed, s, rec.median, rec.std,
              int(rec.k == report.selected_k))
             for rec in report.records
@@ -258,8 +254,6 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
         fact = fit(x_train, k, FitConfig(seed=seed))
     except ConfigError as exc:
         _fail(str(exc), EXIT_INPUT_ERROR)
-    except FloatingPointError as exc:
-        _fail(str(exc), EXIT_NUMERIC_ERROR)
 
     # (tag, apps, residuals) of each nonempty subset
     rates_train = error_rates(x_train, fact.z, fact.u)

@@ -2,13 +2,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 
 class DimensionError(ValueError):
-    """Raised when matrix shapes or label lengths do not line up."""
+    """Raised when matrix shapes or column lengths do not line up."""
 
 
 class ConfigError(ValueError):
@@ -29,15 +28,15 @@ def check_binary(arr: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class BinaryMatrix:
-    """Immutable dense 0/1 matrix with optional row/column labels.
+    """Immutable dense 0/1 matrix.
 
     The underlying array is stored as read-only uint8; all pipeline stages
-    share BinaryMatrix instances freely across threads.
+    share BinaryMatrix instances freely across threads.  What a row or a
+    column stands for is the caller's: a ``Dataset`` holds its apps' ids
+    and its permission vocabulary.
     """
 
     data: np.ndarray
-    row_labels: Optional[tuple] = None
-    col_labels: Optional[tuple] = None
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -47,18 +46,6 @@ class BinaryMatrix:
         arr = np.ascontiguousarray(arr, dtype=np.uint8)
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
-        if self.row_labels is not None:
-            object.__setattr__(self, "row_labels", tuple(self.row_labels))
-            if len(self.row_labels) != arr.shape[0]:
-                raise DimensionError(
-                    f"{len(self.row_labels)} row labels for {arr.shape[0]} rows"
-                )
-        if self.col_labels is not None:
-            object.__setattr__(self, "col_labels", tuple(self.col_labels))
-            if len(self.col_labels) != arr.shape[1]:
-                raise DimensionError(
-                    f"{len(self.col_labels)} col labels for {arr.shape[1]} cols"
-                )
 
     @property
     def rows(self) -> int:
@@ -78,12 +65,8 @@ class BinaryMatrix:
     def __eq__(self, other):
         if not isinstance(other, BinaryMatrix):
             return NotImplemented
-        return (
-            self.shape == other.shape
-            and np.array_equal(self.data, other.data)
-            and self.row_labels == other.row_labels
-            and self.col_labels == other.col_labels
-        )
+        return (self.shape == other.shape
+                and np.array_equal(self.data, other.data))
 
     def __hash__(self):
         return hash((self.shape, self.data.tobytes()))

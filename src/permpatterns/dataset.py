@@ -35,8 +35,8 @@ class Dataset:
     describe app i.
 
     ``avg_rating`` is NaN for an unrated app, whose ``num_ratings`` is 0.
-    ``matrix`` is the N x D permission matrix; its row labels are ``ids``
-    and its column labels the sorted union of all permission names.
+    ``matrix`` is the N x D permission matrix, and column j of it is the
+    permission ``vocabulary[j]``: the sorted union of all permission names.
     """
 
     ids: tuple[str, ...]
@@ -46,9 +46,10 @@ class Dataset:
     avg_rating: np.ndarray      # float64, NaN when unrated
     num_ratings: np.ndarray     # int64
     matrix: BinaryMatrix
+    vocabulary: tuple[str, ...]
 
     def __post_init__(self):
-        for name in ("ids", "names", "categories"):
+        for name in ("ids", "names", "categories", "vocabulary"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name, dtype in (("price", np.float64), ("avg_rating", np.float64),
                             ("num_ratings", np.int64)):
@@ -61,23 +62,13 @@ class Dataset:
             if len(getattr(self, name)) != n:
                 raise DimensionError(
                     f"{len(getattr(self, name))} {name} for {n} matrix rows")
+        if len(self.vocabulary) != self.matrix.cols:
+            raise DimensionError(f"{len(self.vocabulary)} vocabulary names "
+                                 f"for {self.matrix.cols} matrix columns")
 
     @property
     def n(self) -> int:
         return len(self.ids)
-
-    @property
-    def d(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def vocabulary(self) -> tuple[str, ...]:
-        return self.matrix.col_labels
-
-    @property
-    def missing_rating_ids(self) -> tuple[str, ...]:
-        """Ids of the unrated apps, in row order."""
-        return tuple(compress(self.ids, np.isnan(self.avg_rating).tolist()))
 
     def to_matrix(self) -> BinaryMatrix:
         return self.matrix
@@ -215,10 +206,10 @@ def _first_repeat(ids: tuple[str, ...]) -> int:
         seen.add(app_id)
 
 
-def _permission_matrix(fields, ids: tuple[str, ...]) -> BinaryMatrix:
+def _permission_matrix(fields) -> tuple[BinaryMatrix, tuple[str, ...]]:
     """The N x D matrix of the permission fields, each a ';'-separated
-    string or a tuple of names, columns in sorted name order.  Each
-    distinct field is split once: apps repeat permission sets."""
+    string or a tuple of names, and its columns' names in sorted order.
+    Each distinct field is split once: apps repeat permission sets."""
     code_of = {field: i for i, field in enumerate(dict.fromkeys(fields))}
     codes = np.fromiter(map(code_of.__getitem__, fields), dtype=np.intp,
                         count=len(fields))
@@ -232,8 +223,7 @@ def _permission_matrix(fields, ids: tuple[str, ...]) -> BinaryMatrix:
     distinct[np.repeat(np.arange(len(pieces)), list(map(len, pieces))),
              np.fromiter(map(column.__getitem__, tokens), dtype=np.intp,
                          count=len(tokens))] = 1
-    return BinaryMatrix(distinct[:, :-1][codes], row_labels=ids,
-                        col_labels=vocabulary)
+    return BinaryMatrix(distinct[:, :-1][codes]), vocabulary
 
 
 @contextmanager
@@ -320,9 +310,10 @@ def _load(path: Path, fmt: str, column_map: dict) -> Dataset:
         raise DatasetError(f"line {row + first_line}: {message}")
     count[~rated] = 0   # unrated: the count is not trusted
 
+    matrix, vocabulary = _permission_matrix(permission_col)
     return Dataset(ids=ids, names=name_col, categories=category_col,
                    price=price, avg_rating=rating, num_ratings=count,
-                   matrix=_permission_matrix(permission_col, ids))
+                   matrix=matrix, vocabulary=vocabulary)
 
 
 def _take(ds: Dataset, rows: np.ndarray) -> Dataset:
@@ -332,12 +323,12 @@ def _take(ds: Dataset, rows: np.ndarray) -> Dataset:
     def of(column):
         return tuple(column[i] for i in pick)
 
-    ids = of(ds.ids)
-    return Dataset(ids=ids, names=of(ds.names), categories=of(ds.categories),
-                   price=ds.price[rows], avg_rating=ds.avg_rating[rows],
+    return Dataset(ids=of(ds.ids), names=of(ds.names),
+                   categories=of(ds.categories), price=ds.price[rows],
+                   avg_rating=ds.avg_rating[rows],
                    num_ratings=ds.num_ratings[rows],
-                   matrix=BinaryMatrix(ds.matrix.data[rows], row_labels=ids,
-                                       col_labels=ds.vocabulary))
+                   matrix=BinaryMatrix(ds.matrix.data[rows]),
+                   vocabulary=ds.vocabulary)
 
 
 def filter_reputation(ds: Dataset, criteria: ReputationCriteria

@@ -200,7 +200,7 @@ def _instability_job(job) -> tuple[Factorization, BinaryMatrix | None] | str:
     """One fit of the sweep; a failed fit comes back as its error message."""
     try:
         return _fit_half(*job)
-    except (ConfigError, FloatingPointError) as exc:
+    except ConfigError as exc:
         return str(exc)
 
 
@@ -212,10 +212,9 @@ def select_k(x: BinaryMatrix, k_range, repetitions: int,
     Every fit of a half is one job, and the jobs of all K and repetitions
     run in one sweep, largest K first.  With ``threads > 1`` they run in a
     pool of that many worker processes; the report is the same as a serial
-    sweep's.  A K whose fits raise ``ConfigError`` or
-    ``FloatingPointError`` is listed in ``failed_k`` with the first such
-    error in (repetition, half) order, and the sweep goes on; any other
-    exception propagates.
+    sweep's.  A K whose fits raise ``ConfigError`` is listed in
+    ``failed_k`` with the first such error in (repetition, half) order, and
+    the sweep goes on; any other exception propagates.
     """
     k_range = list(k_range)
     if not k_range:

@@ -10,7 +10,7 @@ from permpatterns import BinaryMatrix, Dataset, DatasetError, DimensionError
 from permpatterns.dataset import REQUIRED_COLUMNS
 
 
-def matrix_from_rows(rows, row_labels=None, col_labels=None) -> BinaryMatrix:
+def matrix_from_rows(rows) -> BinaryMatrix:
     """Build a BinaryMatrix from an iterable of equal-length 0/1 vectors."""
     rows = list(rows)
     if not rows:
@@ -19,7 +19,7 @@ def matrix_from_rows(rows, row_labels=None, col_labels=None) -> BinaryMatrix:
     for i, r in enumerate(rows):
         if len(r) != width:
             raise DimensionError(f"row {i} has length {len(r)}, expected {width}")
-    return BinaryMatrix(np.asarray(rows), row_labels=row_labels, col_labels=col_labels)
+    return BinaryMatrix(np.asarray(rows))
 
 
 def signal_bernoulli_param(z_row, beta, d: int) -> float:
@@ -266,5 +266,4 @@ def reference_load_dataset(path, fmt=None, column_map=None):
     return Dataset(ids=ids, names=[str(v or "") for v in name_col],
                    categories=[str(v or "") for v in category_col],
                    price=price, avg_rating=rating, num_ratings=count,
-                   matrix=BinaryMatrix(data, row_labels=ids,
-                                       col_labels=vocabulary))
+                   matrix=BinaryMatrix(data), vocabulary=vocabulary)

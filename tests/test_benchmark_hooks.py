@@ -1,22 +1,35 @@
 """The benchmark's span tracer (perfbench/tracer.py) finds the functions it
-wraps: a renamed hook would otherwise surface only as a failed benchmark run."""
+wraps, and its checks (perfbench/checks.py) find what they read in the
+outputs: a renamed hook or a dropped output key would otherwise surface only
+as a failed benchmark run."""
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
+
+from click.testing import CliRunner
 
 import permpatterns
 from permpatterns import FitConfig, plant_factorization
+from permpatterns.cli import main
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER_PATH = PERFBENCH / "tracer.py"
+
+
+def load_module(name, path):
+    """Import a perfbench script by its path; it is registered before it
+    runs, as ``dataclass`` looks its module up there."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_module("perfbench_tracer", TRACER_PATH)
 
 
 def bindings(tracer):
@@ -91,3 +104,36 @@ def test_traced_fit_records_one_em_step_span_per_step(tmp_path, monkeypatch):
     names = [span["name"] for span in tracer.load_spans(tmp_path)]
     assert names.count("engine.fit") == 1
     assert steps and names.count("engine.em_step") == len(steps)
+
+
+def test_outputs_hold_what_the_benchmark_checks_read(tmp_path, monkeypatch):
+    corpus = load_module("perfbench_corpus", PERFBENCH / "corpus.py")
+    checks = load_module("perfbench_checks", PERFBENCH / "checks.py")
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+
+    def run(*args):
+        result = runner.invoke(main, list(map(str, args)))
+        assert result.exit_code == 0, result.output
+
+    mine_corpus = corpus.facebook([1, 0], 400, k=5)
+    corpus.write_csv(mine_corpus, "mine.csv")
+    run("mine", "--input", "mine.csv", "--out-dir", "mine", "-k", 5)
+    problems, _ = checks.mine("mine", mine_corpus, "mine.csv")
+    assert problems == []
+
+    select_corpus = corpus.facebook([1, 0], 200, k=5, tiers=(1.0, 0.0, 0.0))
+    corpus.write_csv(select_corpus, "select.csv")
+    run("select-k", "--input", "select.csv", "--out-dir", "select",
+        "--k-min", 4, "--k-max", 6, "--repetitions", 1)
+    problems, _ = checks.select_k("select", "select.csv", 5, range(4, 7), 1)
+    assert problems == []
+
+    android = corpus.android([1], 3000)
+    corpus.write_csv(android, "android.csv")
+    run("stats", "--input", "android.csv", "--out-dir", "stats",
+        "--top-n", corpus.ANDROID_D)
+    assert checks.stats("stats", android.x, android.permissions,
+                        android.prices) == []
+    run("simulate", "--input", "android.csv", "--out-dir", "simulate")
+    assert checks.simulate("simulate", android.x) == []

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from permpatterns import cli, selection
+from permpatterns import ConfigError, cli, selection
 from permpatterns.cli import main
 from permpatterns.dataset import load_dataset
 from permpatterns.simulate import plant_factorization
@@ -324,7 +324,7 @@ class TestSelectK:
 
         def fit(x, k, config):
             if k == 3:
-                raise FloatingPointError("overflow in em_step")
+                raise ConfigError("overflow in em_step")
             return real_fit(x, k, config)
 
         monkeypatch.setattr(selection, "fit", fit)
@@ -535,7 +535,7 @@ class TestSimulate:
         for center, real, sim in rows:
             assert is_float_cell(center)
             assert is_int_cell(real) and is_int_cell(sim)
-        d = load_dataset(data).d
+        d = len(load_dataset(data).vocabulary)
         for col in (1, 2):
             assert sum(int(row[col]) for row in rows) == d * (d - 1)
         for name in ("pcp_summary.json", "manifest.json"):

@@ -65,11 +65,6 @@ def test_matrix_is_immutable():
         m.data[0, 0] = 0
 
 
-def test_label_length_checked():
-    with pytest.raises(DimensionError):
-        matrix_from_rows([[1, 0]], row_labels=["a", "b"])
-
-
 def test_hamming_identical_is_zero():
     m = matrix_from_rows([[1, 0], [0, 1]])
     assert hamming_distance(m, m) == 0

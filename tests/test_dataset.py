@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from permpatterns import (
     BinaryMatrix,
     Dataset,
     DatasetError,
+    DimensionError,
     ReputationCriteria,
     filter_reputation,
     load_dataset,
@@ -51,7 +53,6 @@ class TestLoadDataset:
             "app2,Two,Games,0.99,3.0,50,a;b\n",
         ])
         ds = load_dataset(path)
-        assert ds.d == 2
         assert ds.vocabulary == ("a", "b")
         assert ds.to_matrix().data.tolist() == [[1, 0], [1, 1]]
 
@@ -99,8 +100,7 @@ class TestLoadDataset:
         ]))
         ds = load_dataset(path)
         assert ds.vocabulary == ("a", "b", "c")
-        assert np.isnan(ds.avg_rating[1])
-        assert ds.missing_rating_ids == ("a2",)
+        assert np.isnan(ds.avg_rating).tolist() == [False, True]
         for entry, message in (
                 ({"name": "No id", "permissions": ["a"]},
                  "entry 1 lacks an id"),
@@ -236,7 +236,7 @@ class TestLoadDataset:
         ])
         ds = load_dataset(path)
         assert ds.n == 2 and ds.vocabulary == ("a",)
-        assert ds.missing_rating_ids == ("app2",)
+        assert np.isnan(ds.avg_rating).tolist() == [False, True]
         assert ds.to_matrix().data.tolist() == [[1], [0]]
         stats = summary_stats(ds)
         assert stats.price_cumulative == ((0.0, 0.5), (2.5, 1.0))
@@ -255,7 +255,7 @@ class TestLoadDataset:
             "app2,Two,Tools,0,4.0,7,a\n",
         ])
         ds = load_dataset(path)
-        assert ds.missing_rating_ids == ("app1",)
+        assert np.isnan(ds.avg_rating).tolist() == [True, False]
         assert summary_stats(ds).rating_table == ((4.0, 7),)
         _, _, low = filter_reputation(
             ds, ReputationCriteria(max_low_num_ratings=1))
@@ -295,8 +295,7 @@ class TestLoadDataset:
         ])
         ds = load_dataset(path)
         m = ds.to_matrix()
-        assert m.row_labels == ds.ids == ("app1", "app2")
-        assert m.col_labels == ds.vocabulary
+        assert ds.ids == ("app1", "app2")
         for i, perms in enumerate([{"a", "c"}, {"b"}]):
             assert {ds.vocabulary[d] for d in np.nonzero(m[i])[0]} == perms
 
@@ -319,7 +318,15 @@ def make_dataset(specs, prices=None):
         price=np.zeros(len(specs)) if prices is None else prices,
         avg_rating=[np.nan if r is None else r for r, _, _ in specs],
         num_ratings=[count for _, count, _ in specs],
-        matrix=BinaryMatrix(data, row_labels=ids, col_labels=vocab))
+        matrix=BinaryMatrix(data), vocabulary=vocab)
+
+
+def test_vocabulary_length_checked():
+    ds = make_dataset([(4.0, 100, {"a", "b"})])
+    assert ds.vocabulary == ("a", "b")
+    for vocabulary in (("a",), ("a", "b", "c")):
+        with pytest.raises(DimensionError, match="vocabulary"):
+            replace(ds, vocabulary=vocabulary)
 
 
 class TestFilterReputation:
@@ -442,9 +449,9 @@ def test_random_csv_matches_numpy(tmp_path):
 
     m = ds.to_matrix()
     assert np.array_equal(m.data, x)
-    assert m.col_labels == ds.vocabulary == vocab
-    assert m.row_labels == ds.ids == ids
-    assert ds.missing_rating_ids == tuple(np.array(ids)[unrated])
+    assert ds.vocabulary == vocab
+    assert ds.ids == ids
+    assert np.array_equal(np.isnan(ds.avg_rating), unrated)
     count = np.where(unrated, 0, count)
     assert np.array_equal(ds.num_ratings, count)
 
@@ -466,7 +473,6 @@ def test_random_csv_matches_numpy(tmp_path):
     for subset, rows in ((train, high[~held]), (test_high, high[held]),
                          (test_low, np.flatnonzero(count < 10))):
         assert subset.ids == tuple(np.array(ids)[rows])
-        assert subset.to_matrix().row_labels == subset.ids
         assert np.array_equal(subset.to_matrix().data, x[rows])
         assert subset.vocabulary == vocab
         assert np.array_equal(subset.price, price[rows])
@@ -576,7 +582,6 @@ def assert_same_dataset(ds, ref):
         # bytes, so that -0.0 and NaN count
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert ds.vocabulary == ref.vocabulary
-    assert ds.matrix.row_labels == ref.matrix.row_labels
     assert np.array_equal(ds.matrix.data, ref.matrix.data)
 
 
