@@ -43,9 +43,6 @@ from .evaluation import (
 from .selection import _instability_job, select_k  # noqa: F401
 from .simulate import marginal_probs, pcp_histogram, simulate_independent
 
-EXIT_INPUT_ERROR = 2
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -117,20 +114,21 @@ def _read_dataset(input_path: str, fmt: str | None,
             with open(column_map_path) as fh:
                 column_map = json.load(fh)
         except (OSError, RecursionError, ValueError) as exc:
-            _fail(f"bad column map: {exc}", EXIT_INPUT_ERROR)
+            _fail(f"bad column map: {exc}")
         if not (isinstance(column_map, dict)
                 and all(isinstance(v, str) for v in column_map.values())):
             _fail(f"bad column map: {column_map_path} is not a JSON object "
-                  "of column names", EXIT_INPUT_ERROR)
+                  "of column names")
     try:
         return load_dataset(input_path, fmt=fmt, column_map=column_map)
     except DatasetError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+        _fail(str(exc))
 
 
-def _fail(message: str, code: int):
+def _fail(message: str):
+    """Report an input or configuration error on one line and exit 2."""
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
 @click.group()
@@ -183,9 +181,10 @@ def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
 
 @main.command("select-k")
 @with_options(common_input)
-@click.option("--k-min", required=True, type=int)
-@click.option("--k-max", required=True, type=int)
-@click.option("--repetitions", default=5, show_default=True, type=int)
+@click.option("--k-min", required=True, type=click.IntRange(min=1))
+@click.option("--k-max", required=True, type=click.IntRange(min=1))
+@click.option("--repetitions", default=5, show_default=True,
+              type=click.IntRange(min=1))
 @click.option("--threads", default=1, show_default=True,
               type=click.IntRange(min=1),
               help="Worker processes; each fit of a half is one job. "
@@ -194,17 +193,13 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
                  k_min, k_max, repetitions, threads):
     """Instability sweep over K; selects the minimum-median K."""
     out, started = _start(out_dir)
-    if k_min > k_max or k_min < 1:
-        _fail(f"invalid K range [{k_min}, {k_max}]", EXIT_INPUT_ERROR)
-    if repetitions < 1:
-        _fail("repetitions must be at least 1", EXIT_INPUT_ERROR)
+    if k_min > k_max:
+        _fail(f"invalid K range [{k_min}, {k_max}]")
     x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
     if k_max > x.cols:
-        _fail(f"k_max={k_max} exceeds the number of permissions D={x.cols}",
-              EXIT_INPUT_ERROR)
+        _fail(f"k_max={k_max} exceeds the number of permissions D={x.cols}")
     if x.rows < 2:
-        _fail(f"select-k needs at least 2 apps to split, got {x.rows}",
-              EXIT_INPUT_ERROR)
+        _fail(f"select-k needs at least 2 apps to split, got {x.rows}")
     report = select_k(x, range(k_min, k_max + 1), repetitions,
                       FitConfig(seed=seed), threads=threads)
     rows = [(rec.k, rep, rep_seed, s, rec.median, rec.std,
@@ -222,7 +217,8 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
 
 @main.command()
 @with_options(common_input)
-@click.option("-k", "--patterns", "k", required=True, type=int,
+@click.option("-k", "--patterns", "k", required=True,
+              type=click.IntRange(min=1),
               help="Number of patterns to fit.")
 @click.option("--reputation-config", "reputation_path", default=None,
               help="JSON with min_avg_rating, min_num_ratings, "
@@ -234,26 +230,26 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
     out, started = _start(out_dir)
     if not (math.isfinite(kl_smoothing) and kl_smoothing >= 0):
         _fail("--kl-smoothing must be a finite number >= 0, "
-              f"got {kl_smoothing}", EXIT_INPUT_ERROR)
+              f"got {kl_smoothing}")
     criteria = ReputationCriteria()
     if reputation_path:
         try:
             with open(reputation_path) as fh:
                 criteria = ReputationCriteria(**json.load(fh))
         except (OSError, RecursionError, TypeError, ValueError) as exc:
-            _fail(f"bad reputation config: {exc}", EXIT_INPUT_ERROR)
+            _fail(f"bad reputation config: {exc}")
     ds = _read_dataset(input_path, fmt, column_map_path)
     try:
         train_ds, test_high_ds, test_low_ds = filter_reputation(ds, criteria)
     except DatasetError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+        _fail(str(exc))
     if train_ds.n == 0:
-        _fail("reputation filter left an empty training set", EXIT_INPUT_ERROR)
+        _fail("reputation filter left an empty training set")
     x_train = train_ds.to_matrix()
     try:
         fact = fit(x_train, k, FitConfig(seed=seed))
     except ConfigError as exc:
-        _fail(str(exc), EXIT_INPUT_ERROR)
+        _fail(str(exc))
 
     # (tag, apps, residuals) of each nonempty subset
     rates_train = error_rates(x_train, fact.z, fact.u)
@@ -306,7 +302,7 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
     out, started = _start(out_dir)
     x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
     if x.rows < 1:
-        _fail("simulate needs at least one app", EXIT_INPUT_ERROR)
+        _fail("simulate needs at least one app")
     sim_n = x.rows if sim_n is None else sim_n
     probs = marginal_probs(x)
     sim = simulate_independent(probs, sim_n, seed)

@@ -68,9 +68,6 @@ class BinaryMatrix:
         return (self.shape == other.shape
                 and np.array_equal(self.data, other.data))
 
-    def __hash__(self):
-        return hash((self.shape, self.data.tobytes()))
-
 
 def hamming_distance(a: BinaryMatrix, b: BinaryMatrix) -> int:
     """Number of positions where two equally-shaped binary matrices differ."""
@@ -81,25 +78,16 @@ def hamming_distance(a: BinaryMatrix, b: BinaryMatrix) -> int:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Annealing schedule and convergence knobs for the EM fitter.
+    """The EM fitter's cooling rate per temperature level, its convergence
+    test (at most ``max_inner_iterations`` steps per level, stopping at a
+    relative change of ``tolerance``) and the seed of its initial state."""
 
-    Temperature starts at ``initial_temperature`` and is multiplied by
-    ``cooling_factor`` after each inner convergence, stopping once it drops
-    to ``final_temperature`` or below.
-    """
-
-    initial_temperature: float = 2.0
     cooling_factor: float = 0.95
-    final_temperature: float = 0.05
     tolerance: float = 1e-5
     max_inner_iterations: int = 50
     seed: int = 0
 
     def __post_init__(self):
-        if self.initial_temperature <= 0 or self.final_temperature <= 0:
-            raise ConfigError("temperatures must be positive")
-        if self.final_temperature >= self.initial_temperature:
-            raise ConfigError("final temperature must be below the initial one")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ConfigError("cooling factor must lie in (0, 1)")
         if self.tolerance <= 0:

@@ -36,6 +36,10 @@ from .core import (
 # Keeps the noise log-terms finite; beta may still reach exact 0/1.
 PARAM_FLOOR = 1e-6
 
+# The ends of fit's annealing schedule.
+START_TEMPERATURE = 2.0
+END_TEMPERATURE = 0.05
+
 # The flip search takes rows in chunks bounded by this many (row, candidate,
 # perm) cells so it never materializes huge 3-d temporaries.
 _CHUNK_CELLS = 20_000_000
@@ -167,7 +171,12 @@ def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float,
               rows: _Rows | None = None):
     """The rows of x grouped by the state's assignment vectors (rows, where
     given, is that grouping) and each group's f0 and f1 at the state's beta
-    and r and at eps and inv_t."""
+    and r and at eps and inv_t.  x, z and beta must be (N, D), (N, K) and
+    (K, D), else DimensionError."""
+    (n, d), (k, d_beta) = x.shape, state.beta.shape
+    if state.z.shape != (n, k) or d != d_beta:
+        raise DimensionError(f"x {x.shape}, z {state.z.shape} and beta "
+                             f"{state.beta.shape} do not line up")
     rows = _Rows.of(x, state.z) if rows is None else rows
     log_q = _log_q(state.z[rows.first], state.beta)
     return rows, *_terms(log_q, state.r, eps, inv_t)
@@ -184,11 +193,8 @@ def _entry_sum(rows: _Rows, f0: np.ndarray, f1: np.ndarray) -> float:
 
 def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     """Plain (untempered) mixture log-likelihood of the observed matrix."""
-    xd = x.data
-    if xd.shape != (state.z.shape[0], state.beta.shape[1]):
-        raise DimensionError("x shape does not match the fit state")
     return _entry_sum(*_tabulate(
-        xd, state, float(np.clip(state.epsilon, 0.0, 1.0)), 1.0))
+        x.data, state, float(np.clip(state.epsilon, 0.0, 1.0)), 1.0))
 
 
 def tempered_log_likelihood(x: BinaryMatrix, state: FitState) -> float:
@@ -306,11 +312,10 @@ def em_step(x: BinaryMatrix, state: FitState,
     step's log-likelihood is the flip search's score of the final z.
     tabled is the E-step's input, _tabulate's (grouping, f0, f1) of x and
     the state at its clipped epsilon and temperature, or None to work it
-    out.  The returned state's table is the next step's input.
+    out, which checks the shapes.  The returned state's table is the next
+    step's input.
     """
     xd = x.data
-    if xd.shape != (state.z.shape[0], state.beta.shape[1]):
-        raise DimensionError("x shape does not match the fit state")
     if xd.size == 0:
         raise DimensionError("x has no entries")
 
@@ -341,7 +346,7 @@ def _initial_state(x: BinaryMatrix, k: int, config: FitConfig) -> FitState:
     p_assign = min(0.5, 2.0 / k)
     z = (rng.random((x.rows, k)) < p_assign).astype(np.uint8)
     return FitState(beta=beta, z=z, r=0.5, epsilon=0.5,
-                    temperature=config.initial_temperature)
+                    temperature=START_TEMPERATURE)
 
 
 def _converge(x: BinaryMatrix, state: FitState, temperature: float,
@@ -370,6 +375,8 @@ def _converge(x: BinaryMatrix, state: FitState, temperature: float,
 def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorization:
     """Fit K patterns to x by annealed EM; deterministic for a fixed seed.
 
+    The temperature cools from START_TEMPERATURE to END_TEMPERATURE by the
+    config's cooling_factor, then a level at T = 1 refines the fit.
     Patterns in the result are sorted by descending assignment frequency.
     """
     config = config or FitConfig()
@@ -381,13 +388,12 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
         raise ConfigError(f"K={k} exceeds the number of permissions D={x.cols}")
 
     state = _initial_state(x, k, config)
-    temperature = config.initial_temperature
+    temperature = START_TEMPERATURE
     while True:
         state = _converge(x, state, temperature, config)
-        if temperature <= config.final_temperature:
+        if temperature <= END_TEMPERATURE:
             break
-        temperature = max(temperature * config.cooling_factor,
-                          config.final_temperature)
+        temperature = max(temperature * config.cooling_factor, END_TEMPERATURE)
 
     # refinement at T=1: the cooled responsibilities are over-sharpened, so
     # re-estimate epsilon and r as plain maximum-likelihood values

@@ -243,6 +243,23 @@ class TestIngestExitCodes:
         assert result.exit_code == 0, result.output
 
 
+@pytest.mark.parametrize("command", [
+    ("select-k", "--k-min", "0", "--k-max", "2"),
+    ("select-k", "--k-min", "1", "--k-max", "0"),
+    ("select-k", "--k-min", "1", "--k-max", "2", "--repetitions", "0"),
+    ("mine", "-k", "0"),
+], ids=["k-min", "k-max", "repetitions", "mine-k"])
+def test_count_below_1_is_a_usage_error(runner, tmp_path, command):
+    data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*command, "--input", str(data),
+                                  "--out-dir", str(out)])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert "is not in the range x>=1" in result.output
+    assert not out.exists()
+
+
 class TestSelectK:
     def test_single_k(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=120, d=8, k=2)

@@ -121,8 +121,6 @@ def test_hamming_symmetry_and_triangle(seed, n, d):
 
 def test_fit_config_validation():
     with pytest.raises(ConfigError):
-        FitConfig(final_temperature=3.0)
-    with pytest.raises(ConfigError):
         FitConfig(cooling_factor=1.5)
     with pytest.raises(ConfigError):
         FitConfig(tolerance=0.0)

@@ -181,6 +181,20 @@ class TestLogLikelihood:
                          r=0.5, epsilon=0.0, temperature=1.0)
         assert log_likelihood(x, state) == float("-inf")
 
+    @pytest.mark.parametrize("function", [log_likelihood,
+                                          tempered_log_likelihood, em_step])
+    @pytest.mark.parametrize("x_shape,k_beta", [((8, 6), 3), ((7, 5), 3),
+                                                ((7, 6), 4)],
+                             ids=["extra-row", "missing-column",
+                                  "extra-pattern"])
+    def test_mismatched_shapes_rejected(self, function, x_shape, k_beta):
+        # z is 7 x 3; beta has k_beta patterns over 6 permissions
+        rng = np.random.default_rng(6)
+        state = make_state(rng, 7, 3, 6)
+        state.beta = rng.uniform(0, 1, (k_beta, 6))
+        with pytest.raises(DimensionError):
+            function(random_binary(rng, x_shape), state)
+
 
 class TestEmStep:
     def test_fixed_point_unchanged(self):
@@ -475,6 +489,20 @@ class TestFit:
         x = BinaryMatrix(np.ones((5, 3), dtype=int))
         with pytest.raises(ConfigError):
             fit(x, 4)
+
+    def test_annealing_schedule(self, monkeypatch):
+        temperatures = []
+        converge = engine._converge
+
+        def spied(x, state, temperature, config):
+            temperatures.append(temperature)
+            return converge(x, state, temperature, config)
+
+        monkeypatch.setattr(engine, "_converge", spied)
+        x, _, _ = plant_factorization(40, 8, 2, 0.3, 0.3, 0.02, 0.5, seed=12)
+        fit(x, 2, FitConfig(seed=0, cooling_factor=0.5))
+        # halving from 2.0, clamped at 0.05, then the refinement at T = 1
+        assert temperatures == [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.05, 1.0]
 
     def test_deterministic_for_fixed_seed(self):
         x, _, _ = plant_factorization(120, 15, 3, 0.25, 0.3, 0.05, 0.5, seed=8)

@@ -1,0 +1,125 @@
+"""Check that another source tree writes the same CLI outputs as this one.
+
+    python tools/same_outputs.py OTHER_SRC
+
+OTHER_SRC is a directory holding the ``permpatterns`` package, such as the
+``src`` of another commit::
+
+    mkdir ../parent && git archive HEAD src | tar -x -C ../parent
+    python tools/same_outputs.py ../parent/src
+
+The corpora come from ``perfbench/corpus.py``, which is imported by path
+and only read: ``mine -k 5`` and ``select-k`` over K 4..6 run on two
+Facebook-shaped corpora, ``stats`` and ``simulate`` on a 30,000-app
+Android-shaped one.  Every command runs once with this checkout's ``src``
+on ``PYTHONPATH`` and once with OTHER_SRC, one BLAS thread per process,
+and the outputs are compared byte for byte.  Manifests are compared after
+dropping ``duration_seconds`` and the output-directory prefix of the
+listed outputs.  Prints each file that differs and exits 1 if any does.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FACEBOOK_SEEDS = (44, 45)
+FACEBOOK_APPS = 400
+ANDROID_SEED = 7
+ANDROID_APPS = 30_000
+SELECT_K = ("select-k", "--k-min", "4", "--k-max", "6", "--repetitions", "2",
+            "--threads", "2")
+
+
+def _corpus_module():
+    """perfbench/corpus.py, loaded without writing its bytecode cache."""
+    sys.dont_write_bytecode = True
+    spec = importlib.util.spec_from_file_location(
+        "corpus", ROOT / "perfbench" / "corpus.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_inputs(work: Path) -> list[tuple[str, tuple, Path, int]]:
+    """Write the corpora under work; (name, command, input, seed) of each
+    command run."""
+    corpus = _corpus_module()
+    runs = []
+    for seed in FACEBOOK_SEEDS:
+        path = work / f"facebook-{seed}.csv"
+        corpus.write_csv(corpus.facebook(seed, FACEBOOK_APPS), path)
+        runs.append((f"mine-{seed}", ("mine", "-k", "5"), path, seed))
+        runs.append((f"select-k-{seed}", SELECT_K, path, seed))
+    path = work / "android.csv"
+    corpus.write_csv(corpus.android(ANDROID_SEED, ANDROID_APPS), path)
+    runs.append(("stats", ("stats", "--top-n", "130"), path, ANDROID_SEED))
+    runs.append(("simulate", ("simulate",), path, ANDROID_SEED))
+    return runs
+
+
+def run_all(src: Path, out_root: Path, runs) -> None:
+    """Run every command with src on PYTHONPATH, each into its own
+    directory under out_root; exit if one fails or if the package is not
+    imported from src."""
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    where = subprocess.run(
+        [sys.executable, "-c", "import permpatterns; print(permpatterns.__file__)"],
+        env=env, capture_output=True, text=True).stdout.strip()
+    if not where or not Path(where).resolve().is_relative_to(src.resolve()):
+        sys.exit(f"permpatterns is not imported from {src} (got {where!r})")
+    for name, command, path, seed in runs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "permpatterns.cli", *command,
+             "--input", str(path), "--seed", str(seed),
+             "--out-dir", str(out_root / name)],
+            env=env, capture_output=True, text=True)
+        if proc.returncode:
+            sys.exit(f"{name} exited {proc.returncode} with {src}:\n"
+                     f"{proc.stderr}")
+
+
+def comparable(out_root: Path, name: Path):
+    """A file's bytes, or for a manifest its content without the run time
+    and with the outputs relative to out_root."""
+    path = out_root / name
+    if path.name != "manifest.json":
+        return path.read_bytes()
+    manifest = json.loads(path.read_text())
+    del manifest["duration_seconds"]
+    manifest["outputs"] = [str(Path(p).relative_to(out_root))
+                           for p in manifest["outputs"]]
+    return manifest
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("other_src", type=Path,
+                        help="directory holding the other permpatterns")
+    other = parser.parse_args().other_src
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        runs = write_inputs(work)
+        sides = (work / "this", work / "other")
+        for src, out_root in zip((ROOT / "src", other), sides):
+            run_all(src, out_root, runs)
+        files = sorted({p.relative_to(side) for side in sides
+                        for p in side.rglob("*") if p.is_file()})
+        differ = [f for f in files
+                  if not all((side / f).is_file() for side in sides)
+                  or comparable(sides[0], f) != comparable(sides[1], f)]
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(differ)} of {len(files)} files differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
