@@ -97,10 +97,14 @@ def _write_manifest(out_dir: Path, command: str, input_path: str, seed: int,
 
 
 def _start(out_dir: str) -> tuple[Path, float]:
-    """Start the run's clock and create its output directory."""
+    """Start the run's clock and create its output directory; a directory
+    that cannot be created exits with code 2."""
     started = time.monotonic()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot create output directory {out}: {exc.strerror}")
     return out, started
 
 

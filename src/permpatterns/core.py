@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,14 +27,15 @@ def check_binary(arr: np.ndarray) -> None:
         raise ValueError("entries must be exactly 0 or 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinaryMatrix:
     """Immutable dense 0/1 matrix.
 
     The underlying array is stored as read-only uint8; all pipeline stages
     share BinaryMatrix instances freely across threads.  What a row or a
     column stands for is the caller's: a ``Dataset`` holds its apps' ids
-    and its permission vocabulary.
+    and its permission vocabulary.  Matrices compare and hash by identity;
+    compare values with ``np.array_equal`` on ``data``.
     """
 
     data: np.ndarray
@@ -61,12 +63,6 @@ class BinaryMatrix:
 
     def __getitem__(self, idx):
         return self.data[idx]
-
-    def __eq__(self, other):
-        if not isinstance(other, BinaryMatrix):
-            return NotImplemented
-        return (self.shape == other.shape
-                and np.array_equal(self.data, other.data))
 
 
 def hamming_distance(a: BinaryMatrix, b: BinaryMatrix) -> int:
@@ -96,46 +92,46 @@ class FitConfig:
             raise ConfigError("max inner iterations must be >= 1")
 
 
-@dataclass(frozen=True)
+def binarize(beta: np.ndarray) -> BinaryMatrix:
+    """Round beta to the Boolean pattern matrix.
+
+    beta[k, d] is p(u[k, d] == 0), so u is 1 where beta < 0.5; an exact
+    0.5 tie rounds to 0.
+    """
+    return BinaryMatrix((np.asarray(beta) < 0.5).astype(np.uint8))
+
+
+@dataclass(frozen=True, eq=False)
 class Factorization:
     """Result of fitting: Boolean factors plus the continuous mixture parameters.
 
-    ``u`` holds one pattern per row (K x D), ``z`` the per-application pattern
-    assignments (N x K).  ``beta[k, d]`` is the probability that pattern k does
-    *not* contain permission d; ``u`` is its binarization.
+    ``z`` holds the per-application pattern assignments (N x K).
+    ``beta[k, d]`` is the probability that pattern k does *not* contain
+    permission d; ``u``, one pattern per row (K x D), is its binarization,
+    computed on first use.  Like matrices, results compare and hash by
+    identity.
     """
 
     z: BinaryMatrix
-    u: BinaryMatrix
     beta: np.ndarray
     r: float
     epsilon: float
-    log_likelihood: float = float("nan")
-    seed: int = 0
+    log_likelihood: float
+    seed: int
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float)
-        if beta.shape != self.u.shape:
-            raise DimensionError(f"beta shape {beta.shape} != u shape {self.u.shape}")
-        if self.z.cols != self.u.rows:
-            raise DimensionError(
-                f"z has {self.z.cols} patterns but u has {self.u.rows}"
-            )
-        if beta.size and (beta.min() < 0 or beta.max() > 1):
-            raise ValueError("beta entries must lie in [0, 1]")
-        if not (0.0 <= self.r <= 1.0 and 0.0 <= self.epsilon <= 1.0):
-            raise ValueError("r and epsilon must lie in [0, 1]")
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
 
-    @property
-    def K(self) -> int:
-        return self.u.rows
+    @cached_property
+    def u(self) -> BinaryMatrix:
+        return binarize(self.beta)
 
     def to_json_dict(self) -> dict:
         """Serializable summary; pattern rows are ordered by the fitter."""
         return {
-            "K": self.K,
+            "K": len(self.beta),
             "u": self.u.data.astype(int).tolist(),
             "z_counts": self.z.data.sum(axis=0).astype(int).tolist(),
             "beta": np.round(self.beta, 12).tolist(),

@@ -72,15 +72,6 @@ def boolean_product(z: BinaryMatrix, u: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix((prod > 0).astype(np.uint8))
 
 
-def binarize(beta: np.ndarray) -> BinaryMatrix:
-    """Round beta to the Boolean pattern matrix.
-
-    beta[k, d] is p(u[k, d] == 0), so u is 1 where beta < 0.5; an exact
-    0.5 tie rounds to 0.
-    """
-    return BinaryMatrix((np.asarray(beta) < 0.5).astype(np.uint8))
-
-
 def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """log q of every row of z, shape (rows, D); zeros map to -inf-ish."""
     return z.astype(float) @ np.log(np.clip(beta, 1e-300, 1.0))
@@ -361,7 +352,7 @@ def _converge(x: BinaryMatrix, state: FitState, temperature: float,
     rows = None if state.table is None else state.table[0]
     tabled = _tabulate(x.data, state, _clip(state.epsilon), 1.0 / temperature,
                        rows)
-    state.log_likelihood = prev = _entry_sum(*tabled)
+    prev = _entry_sum(*tabled)
     for _ in range(config.max_inner_iterations):
         state = em_step(x, state, tabled)
         tabled = state.table
@@ -404,10 +395,9 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
     order = np.lexsort((np.arange(k), -counts))
     z = state.z[:, order]
     beta = state.beta[order]
-    u = binarize(beta)
     ll = log_likelihood(x, FitState(beta=beta, z=z, r=state.r,
                                     epsilon=state.epsilon, temperature=1.0))
-    return Factorization(z=BinaryMatrix(z), u=u, beta=beta, r=state.r,
+    return Factorization(z=BinaryMatrix(z), beta=beta, r=state.r,
                          epsilon=state.epsilon, log_likelihood=ll,
                          seed=config.seed)
 

@@ -225,6 +225,15 @@ def assert_exit_contract(result):
     assert "Traceback" not in result.output
 
 
+def assert_input_error(result, message):
+    """Exit 2 with one error line that holds message, and no traceback."""
+    assert result.exit_code == 2, (result.exit_code, result.exception)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert message in lines[0]
+    assert "Traceback" not in result.output
+
+
 class TestIngestExitCodes:
     @settings(max_examples=150, deadline=None)
     @given(command=st.sampled_from(INGEST_COMMANDS),
@@ -242,6 +251,16 @@ class TestIngestExitCodes:
         result = stats_on(tmp_path_factory, fmt, VALID_INPUT[fmt])
         assert result.exit_code == 0, result.output
 
+    @pytest.mark.parametrize("content,message", [
+        ('{"id": "a1", "permissions": ["p"]}',
+         "expected a JSON array of objects"),
+        ('[{"id": "a1", "permissions": ["p"]}, ["a2"]]',
+         "entry 2 is not an object"),
+    ], ids=["not-an-array", "entry-not-an-object"])
+    def test_json_shape_exits_2(self, tmp_path_factory, content, message):
+        result = stats_on(tmp_path_factory, "json", content.encode())
+        assert_input_error(result, message)
+
 
 @pytest.mark.parametrize("command", [
     ("select-k", "--k-min", "0", "--k-max", "2"),
@@ -258,6 +277,17 @@ def test_count_below_1_is_a_usage_error(runner, tmp_path, command):
     assert "Traceback" not in result.output
     assert "is not in the range x>=1" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", INGEST_COMMANDS,
+                         ids=lambda command: command[0])
+def test_out_dir_under_a_file_exits_2(runner, tmp_path, command):
+    # mkdir fails with ENOTDIR, which, unlike permission bits, stops root
+    data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+    result = runner.invoke(main, [*command, "--input", str(data),
+                                  "--out-dir", str(data / "sub")])
+    assert_input_error(result, f"cannot create output directory {data}/sub: "
+                               "Not a directory")
 
 
 class TestSelectK:
@@ -484,6 +514,40 @@ class TestMine:
                                       str(path)])
         assert result.exit_code == 2
         assert "bad reputation config" in result.output
+
+    @pytest.mark.parametrize("name", ["min_num_ratings",
+                                      "max_low_num_ratings", "test_size"])
+    def test_negative_reputation_config_exits_2(self, runner, tmp_path, name):
+        data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+        path = tmp_path / "reputation.json"
+        path.write_text(json.dumps({name: -1}))
+        result = runner.invoke(main, ["mine", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "-k", "2", "--reputation-config",
+                                      str(path)])
+        assert_input_error(result, "bad reputation config: ")
+        assert "must be non-negative" in result.output
+
+    def test_test_size_above_high_reputation_count_exits_2(self, runner,
+                                                           tmp_path):
+        data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+        path = tmp_path / "reputation.json"
+        path.write_text(json.dumps({"test_size": 41}))
+        result = runner.invoke(main, ["mine", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "-k", "2", "--reputation-config",
+                                      str(path)])
+        assert_input_error(result, "test size")
+
+    def test_k_above_d_exits_2(self, runner, tmp_path):
+        data = tmp_path / "apps.csv"
+        data.write_text(CSV_HEADER + "".join(
+            f"app{i},App {i},Tools,0,4.5,500,p;q;r\n" for i in range(20)))
+        result = runner.invoke(main, ["mine", "--input", str(data),
+                                      "--out-dir", str(tmp_path / "out"),
+                                      "-k", "4"])
+        assert_input_error(result,
+                           "K=4 exceeds the number of permissions D=3")
 
     @pytest.mark.parametrize("option,message", [
         ("--column-map", "bad column map"),

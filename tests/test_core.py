@@ -59,6 +59,21 @@ def test_check_binary_agrees_with_entrywise_formula(arr):
             check_binary(arr)
 
 
+@pytest.mark.parametrize("arr", [np.array([1, 0]), np.zeros((2, 2, 2))],
+                         ids=["1-d", "3-d"])
+def test_matrix_rejects_other_ranks(arr):
+    with pytest.raises(DimensionError, match="expected a 2-d array"):
+        BinaryMatrix(arr)
+
+
+def test_matrix_compares_by_identity():
+    # no value equality: compare values with np.array_equal on .data
+    a, b = matrix_from_rows([[1, 0]]), matrix_from_rows([[1, 0]])
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert np.array_equal(a.data, b.data)
+
+
 def test_matrix_is_immutable():
     m = matrix_from_rows([[1, 0]])
     with pytest.raises(ValueError):
@@ -124,3 +139,5 @@ def test_fit_config_validation():
         FitConfig(cooling_factor=1.5)
     with pytest.raises(ConfigError):
         FitConfig(tolerance=0.0)
+    with pytest.raises(ConfigError):
+        FitConfig(max_inner_iterations=0)

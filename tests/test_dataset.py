@@ -56,6 +56,11 @@ class TestLoadDataset:
         assert ds.vocabulary == ("a", "b")
         assert ds.to_matrix().data.tolist() == [[1, 0], [1, 1]]
 
+    def test_unsupported_format(self, tmp_path):
+        path = write_csv(tmp_path / "apps.csv", ["app1,One,Tools,0,4.5,200,a\n"])
+        with pytest.raises(DatasetError, match="unsupported format 'xml'"):
+            load_dataset(path, fmt="xml")
+
     def test_empty_permission_field(self, tmp_path):
         path = write_csv(tmp_path / "apps.csv", [
             "app1,One,Tools,0,4.5,200,a\n",
@@ -327,6 +332,14 @@ def test_vocabulary_length_checked():
     for vocabulary in (("a",), ("a", "b", "c")):
         with pytest.raises(DimensionError, match="vocabulary"):
             replace(ds, vocabulary=vocabulary)
+
+
+@pytest.mark.parametrize("name", ["ids", "names", "categories", "price",
+                                  "avg_rating", "num_ratings"])
+def test_column_lengths_checked(name):
+    ds = make_dataset([(4.0, 100, {"a"}), (3.0, 5, {"a"})])
+    with pytest.raises(DimensionError, match=f"1 {name} for 2 matrix rows"):
+        replace(ds, **{name: getattr(ds, name)[:1]})
 
 
 class TestFilterReputation:

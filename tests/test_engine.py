@@ -16,9 +16,9 @@ from permpatterns import (
     log_likelihood,
     tempered_log_likelihood,
 )
-from permpatterns.core import ConfigError, DimensionError
+from permpatterns.core import ConfigError, DimensionError, binarize
 from permpatterns.evaluation import error_rates
-from permpatterns.engine import FitState, binarize, em_step
+from permpatterns.engine import FitState, em_step
 from permpatterns.simulate import plant_factorization
 
 from helpers import (
@@ -490,6 +490,12 @@ class TestFit:
         with pytest.raises(ConfigError):
             fit(x, 4)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)],
+                             ids=["no-rows", "no-columns"])
+    def test_empty_input_rejected(self, shape):
+        with pytest.raises(ConfigError, match="nonempty"):
+            fit(BinaryMatrix(np.zeros(shape, dtype=np.uint8)), 1)
+
     def test_annealing_schedule(self, monkeypatch):
         temperatures = []
         converge = engine._converge
@@ -537,6 +543,28 @@ class TestFit:
         assert len(doc["z_counts"]) == 2
         assert doc["seed"] == 0
         assert 0.0 <= doc["epsilon"] <= 1.0
+
+    @pytest.mark.parametrize("planted", [
+        (80, 10, 2, 0.3, 0.3, 0.0, 0.5, 11),
+        (120, 15, 3, 0.25, 0.3, 0.05, 0.5, 8),
+        (30, 8, 2, 0.0, 0.0, 0.0, 0.5, 3),       # an all-zero input
+    ])
+    def test_result_postconditions(self, planted):
+        # what Factorization takes on trust from fit: beta, r and epsilon
+        # in [0, 1], one z column per pattern, u the binarization of a
+        # read-only beta
+        *shape, seed = planted
+        x, _, _ = plant_factorization(*shape, seed=seed)
+        k = shape[2]
+        fact = fit(x, k, FitConfig(seed=0))
+        assert fact.beta.shape == (k, x.cols)
+        assert fact.beta.min() >= 0.0 and fact.beta.max() <= 1.0
+        assert 0.0 <= fact.r <= 1.0 and 0.0 <= fact.epsilon <= 1.0
+        assert fact.z.shape == (x.rows, k) and fact.z.cols == len(fact.beta)
+        assert np.array_equal(fact.u.data, binarize(fact.beta).data)
+        assert fact.u is fact.u
+        assert not fact.beta.flags.writeable
+        assert fact == fact and fact != replace(fact)
 
 
 def assignment_ll(x_row, u, selected, r, epsilon):
@@ -628,6 +656,12 @@ class TestAssignPatterns:
         u = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
         for row in ([2, 0.5, 1.0], [257, 257, 0]):
             with pytest.raises(ValueError):
+                assign_patterns(np.array(row), u, 0.5, 0.05)
+
+    def test_row_length_checked(self):
+        u = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
+        for row in ([1, 0], [1, 0, 1, 0], [[1, 0, 1]]):
+            with pytest.raises(DimensionError, match="row length"):
                 assign_patterns(np.array(row), u, 0.5, 0.05)
 
     def test_matrix_dimension_mismatch(self):

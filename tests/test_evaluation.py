@@ -51,6 +51,15 @@ class TestErrorRates:
             assert rates.fn_per_app[i] == fn
             assert rates.fp_per_app[i] == fp
 
+    @pytest.mark.parametrize("x_shape", [(4, 6), (5, 7)])
+    def test_shape_mismatch(self, x_shape):
+        # z (4, 2) and u (2, 7) reconstruct a (4, 7) matrix
+        x = BinaryMatrix(np.zeros(x_shape, dtype=np.uint8))
+        z = BinaryMatrix(np.ones((4, 2), dtype=np.uint8))
+        u = BinaryMatrix(np.ones((2, 7), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="reconstruction"):
+            error_rates(x, z, u)
+
     def test_totals_equal_hamming(self):
         rng = np.random.default_rng(2)
         for _ in range(20):

@@ -115,6 +115,15 @@ class TestMatchPatterns:
         rng = np.random.default_rng(9)
         with pytest.raises(DimensionError):
             match_patterns(random_binary(rng, (3, 4)), random_binary(rng, (3, 5)))
+        for shape in ((3, 5), (4, 4)):
+            with pytest.raises(DimensionError):
+                match_patterns_exhaustive(random_binary(rng, (3, 4)),
+                                          random_binary(rng, shape))
+
+    def test_exhaustive_limited_to_k_8(self):
+        u = BinaryMatrix(np.eye(9, dtype=np.uint8))
+        with pytest.raises(ValueError, match="K <= 8"):
+            match_patterns_exhaustive(u, u)
 
 
 class TestDisagreementScore:
@@ -129,6 +138,12 @@ class TestDisagreementScore:
             a = random_binary(rng, (10000, k))
             b = random_binary(rng, (10000, k))
             assert disagreement_score(a, b) == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("shape", [(20, 4), (21, 3)])
+    def test_shape_mismatch(self, shape):
+        a = BinaryMatrix(np.zeros((20, 3), dtype=np.uint8))
+        with pytest.raises(DimensionError):
+            disagreement_score(a, BinaryMatrix(np.zeros(shape, dtype=np.uint8)))
 
     def test_upper_bound(self):
         k = 3

@@ -29,6 +29,10 @@ class TestMarginalProbs:
         x = matrix_from_rows([[1], [0], [1], [0]])
         assert marginal_probs(x)[0] == 0.5
 
+    def test_no_rows(self):
+        with pytest.raises(DimensionError, match="at least one row"):
+            marginal_probs(BinaryMatrix(np.zeros((0, 3), dtype=np.uint8)))
+
 
 class TestSimulateIndependent:
     def test_extreme_probabilities(self):
