@@ -67,10 +67,20 @@ def _column(values):
     return list(map(text.__getitem__, which.tolist()))
 
 
+def _open(path: Path, **kwargs):
+    """Open an output file for writing, creating its directory first; a
+    directory that cannot be created exits with code 2."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _fail(f"cannot create output directory {path.parent}: {exc.strerror}")
+    return open(path, "w", **kwargs)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> Path:
     """Write one table: a float cell as its repr, NaN as an empty cell.
     The cells are converted a column at a time."""
-    with open(path, "w", newline="") as fh, _cyclic_gc_paused():
+    with _open(path, newline="") as fh, _cyclic_gc_paused():
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(zip(*map(_column, zip(*rows))))
@@ -78,7 +88,7 @@ def _write_csv(path: Path, header: list[str], rows) -> Path:
 
 
 def _write_json(path: Path, obj) -> Path:
-    with open(path, "w") as fh:
+    with _open(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
     return path
 
@@ -94,18 +104,6 @@ def _write_manifest(out_dir: Path, command: str, input_path: str, seed: int,
         "outputs": sorted(str(p) for p in outputs),
         "duration_seconds": round(time.monotonic() - started, 3),
     })
-
-
-def _start(out_dir: str) -> tuple[Path, float]:
-    """Start the run's clock and create its output directory; a directory
-    that cannot be created exits with code 2."""
-    started = time.monotonic()
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(f"cannot create output directory {out}: {exc.strerror}")
-    return out, started
 
 
 def _read_dataset(input_path: str, fmt: str | None,
@@ -167,7 +165,7 @@ def with_options(options):
               type=click.IntRange(min=0))
 def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
     """Descriptive statistics: permission frequencies, prices, ratings."""
-    out, started = _start(out_dir)
+    started, out = time.monotonic(), Path(out_dir)
     summary = summary_stats(_read_dataset(input_path, fmt, column_map_path),
                             top_n=top_n)
     outputs = [
@@ -196,7 +194,7 @@ def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
 def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
                  k_min, k_max, repetitions, threads):
     """Instability sweep over K; selects the minimum-median K."""
-    out, started = _start(out_dir)
+    started, out = time.monotonic(), Path(out_dir)
     if k_min > k_max:
         _fail(f"invalid K range [{k_min}, {k_max}]")
     x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
@@ -231,7 +229,7 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
 def mine(input_path, fmt, column_map_path, seed, out_dir, k,
          reputation_path, kl_smoothing):
     """Fit patterns on high-reputation apps and evaluate all three subsets."""
-    out, started = _start(out_dir)
+    started, out = time.monotonic(), Path(out_dir)
     if not (math.isfinite(kl_smoothing) and kl_smoothing >= 0):
         _fail("--kl-smoothing must be a finite number >= 0, "
               f"got {kl_smoothing}")
@@ -303,7 +301,7 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
 def simulate(input_path, fmt, column_map_path, seed, out_dir,
              bins, sim_n):
     """Independent-request null model versus the real PCP distribution."""
-    out, started = _start(out_dir)
+    started, out = time.monotonic(), Path(out_dir)
     x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
     if x.rows < 1:
         _fail("simulate needs at least one app")

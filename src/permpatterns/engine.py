@@ -13,9 +13,10 @@ integer keys (``_keys``): a row's packed bits, one native uint64 for up to
 64 columns and a void view of the packed bytes for wider rows.  A step's
 E-step input is the grouping of the rows with its counts (``_Rows``) and
 each group's mixture terms f0, f1.  The returned state carries the next
-step's input as ``table``: the E-step's grouping when no row flipped, else
-a new one, and the flip search's terms of each final vector.  The fitting
-loop (``_converge``) hands it to the next step.  It tabulates once per
+step's input as ``table``: when no row moved, the E-step's own grouping
+with the terms the flip search found for each group's vector, else a
+fresh tabulation of the new state (``_tabulate``).  The fitting loop
+(``_converge``) hands it to the next step.  It tabulates once per
 temperature, on the grouping the last step handed off.
 """
 from __future__ import annotations
@@ -97,8 +98,8 @@ def _keys(z: np.ndarray) -> np.ndarray:
 
 
 def _group(keys: np.ndarray):
-    """The distinct keys in sorted order, the index of one occurrence of
-    each, and each key's index into them."""
+    """The index of one occurrence of each distinct key, in the keys'
+    sorted order, and each key's index into them."""
     order = np.argsort(keys)
     ordered = keys[order]
     new = np.empty(keys.size, dtype=bool)
@@ -106,7 +107,7 @@ def _group(keys: np.ndarray):
     new[1:] = ordered[1:] != ordered[:-1]
     group = np.empty(keys.size, dtype=np.intp)
     group[order] = np.cumsum(new) - 1
-    return ordered[new], order[new], group
+    return order[new], group
 
 
 def _noise_terms(r: float, eps: float, inv_t: float):
@@ -137,11 +138,10 @@ def _terms(log_q: np.ndarray, r: float, eps: float, inv_t: float):
 
 @dataclass(frozen=True)
 class _Rows:
-    """The rows of (x, z) grouped by their vector of z: the distinct keys,
-    a row of each, each row's group, and for each group and column the
-    number of its rows with x = 0 (n0) and with x = 1 (n1)."""
+    """The rows of (x, z) grouped by their vector of z: a row of each
+    group, each row's group, and for each group and column the number of
+    its rows with x = 0 (n0) and with x = 1 (n1)."""
 
-    keys: np.ndarray
     first: np.ndarray
     group: np.ndarray
     n0: np.ndarray
@@ -149,13 +149,13 @@ class _Rows:
 
     @classmethod
     def of(cls, x: np.ndarray, z: np.ndarray) -> _Rows:
-        keys, first, group = _group(_keys(z))
+        first, group = _group(_keys(z))
         u, d = first.size, x.shape[1]
         cells = (group[:, None] * d + np.arange(d)).ravel()
         n1 = np.bincount(cells, weights=x.ravel(), minlength=u * d)
         n1 = n1.reshape(u, d)
         n0 = np.bincount(group, minlength=u)[:, None] - n1
-        return cls(keys, first, group, n0, n1)
+        return cls(first, group, n0, n1)
 
 
 def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float,
@@ -232,9 +232,9 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
     difference.  grouped is the E-step's grouping of state.z's rows, which
     the first pass uses when it searches every row in one chunk.  Returns
     the new z, the tempered log-likelihood at it (the sum of each row's
-    score at its final z) and the next step's E-step input: the grouping
-    of the new z's rows (grouped if no row flipped) and the terms of each
-    of its groups, those of the candidates that rows ended at.
+    score at its final z) and, if that first pass moved no row, the next
+    step's E-step input: grouped and the terms of each group's own
+    vector.  Otherwise the third value is None.
     """
     z = state.z.copy()
     n = z.shape[0]
@@ -246,7 +246,6 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
     moves = np.eye(k_count + 1, k_count, -1, dtype=np.uint8)
     chunk = max(1, _CHUNK_CELLS // ((k_count + 1) * d))
     row_ll = np.empty(n)
-    ended = []          # (keys, f0, f1) of the candidates rows ended at
     search = np.arange(n)
     for p in range(max_passes):
         flipped = []
@@ -256,12 +255,13 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
                 # every row in order, z unchanged: no regrouping or gather
                 first, group, xr = grouped.first, grouped.group, xf
             else:
-                _, first, group = _group(_keys(z[rows]))
+                first, group = _group(_keys(z[rows]))
                 xr = xf[rows]
             cand = (z[rows[first], None, :] ^ moves).reshape(-1, k_count)
-            keys, distinct, which = _group(_keys(cand))
+            distinct, which = _group(_keys(cand))
             f0, f1 = _terms(cand[distinct].astype(float) @ log_beta,
                             r, eps, inv_t)
+            own = which[::k_count + 1]      # each group's unflipped candidate
             which = which.reshape(-1, k_count + 1)[group]   # (rows, K+1)
             score = (np.matmul((f1 - f0)[which],
                                xr.reshape(-1, d, 1))[..., 0]
@@ -270,25 +270,17 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
             best = np.argmax(delta, axis=1)
             at = np.arange(rows.size)
             gain = delta[at, best] > 1e-12
-            pick = np.where(gain, best + 1, 0)
             z[rows[gain], best[gain]] ^= 1
-            row_ll[rows] = score[at, pick]
-            kept = np.zeros(keys.size, dtype=bool)
-            kept[which[at, pick]] = True
-            ended.append((keys[kept], f0[kept], f1[kept]))
+            row_ll[rows] = score[at, np.where(gain, best + 1, 0)]
             flipped.append(rows[gain])
         search = np.concatenate(flipped)
         if not search.size:
             break
-    keys, f0, f1 = ended[0]
-    if len(ended) > 1:      # merge the parts, one row per key
-        keys, f0, f1 = (np.concatenate(col) for col in zip(*ended))
-        keys, once = _group(keys)[:2]
-        f0, f1 = f0[once], f1[once]
-    # no row flipped iff the first pass flipped none
-    rows = grouped if p == 0 and not search.size else _Rows.of(x, z)
-    at = np.searchsorted(keys, rows.keys)
-    return z, float(row_ll.sum()), (rows, f0[at], f1[at])
+    ll = float(row_ll.sum())
+    if p == 0 and not search.size and n <= chunk:
+        # no row moved, and the one chunk held the terms of every group
+        return z, ll, (grouped, f0[own], f1[own])
+    return z, ll, None
 
 
 def em_step(x: BinaryMatrix, state: FitState,
@@ -304,7 +296,8 @@ def em_step(x: BinaryMatrix, state: FitState,
     tabled is the E-step's input, _tabulate's (grouping, f0, f1) of x and
     the state at its clipped epsilon and temperature, or None to work it
     out, which checks the shapes.  The returned state's table is the next
-    step's input.
+    step's input: the flip search's own table if no row moved, else a
+    fresh _tabulate of the new state.
     """
     xd = x.data
     if xd.size == 0:
@@ -328,6 +321,8 @@ def em_step(x: BinaryMatrix, state: FitState,
                    temperature=state.temperature)
     new.z, new.log_likelihood, new.table = _update_z(
         xd, new, rows, max_passes=2 * state.z.shape[1])
+    if new.table is None:
+        new.table = _tabulate(xd, new, new_eps, inv_t)
     return new
 
 
@@ -587,7 +582,7 @@ def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
     scored once."""
     if x.cols != u.cols:
         raise DimensionError(f"row length {x.cols} != D={u.cols}")
-    _, first, group = _group(_keys(x.data))
+    first, group = _group(_keys(x.data))
     rows = x.data[first] == 1
     chunk = max(1, _ASSIGN_CELLS // max(1, (u.rows + 1) * u.rows * u.cols))
     logs = _set_logs(r, epsilon)

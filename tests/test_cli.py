@@ -290,6 +290,29 @@ def test_out_dir_under_a_file_exits_2(runner, tmp_path, command):
                                "Not a directory")
 
 
+@pytest.mark.parametrize("command", INGEST_COMMANDS,
+                         ids=lambda command: command[0])
+def test_missing_input_leaves_no_out_dir(runner, tmp_path, command):
+    result = runner.invoke(main, [*command, "--input",
+                                  str(tmp_path / "nope.csv"), "--out-dir",
+                                  str(tmp_path / "o1" / "sub")])
+    assert_input_error(result, "nope.csv")
+    assert not (tmp_path / "o1").exists()
+
+
+@pytest.mark.parametrize("command, message", [
+    (("select-k", "--k-min", "3", "--k-max", "2"), "invalid K range [3, 2]"),
+    (("mine", "-k", "2", "--kl-smoothing", "nan"), "--kl-smoothing"),
+], ids=["select-k-range", "mine-kl-smoothing"])
+def test_rejected_option_leaves_no_out_dir(runner, tmp_path, command,
+                                           message):
+    data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+    result = runner.invoke(main, [*command, "--input", str(data),
+                                  "--out-dir", str(tmp_path / "o1" / "sub")])
+    assert_input_error(result, message)
+    assert not (tmp_path / "o1").exists()
+
+
 class TestSelectK:
     def test_single_k(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=120, d=8, k=2)

@@ -15,11 +15,18 @@ Android-shaped one.  Every command runs once with this checkout's ``src``
 on ``PYTHONPATH`` and once with OTHER_SRC, one BLAS thread per process,
 and the outputs are compared byte for byte.  Manifests are compared after
 dropping ``duration_seconds`` and the output-directory prefix of the
-listed outputs.  Prints each file that differs and exits 1 if any does.
+listed outputs.
+
+The written files round beta, so the fits behind them are compared as
+well: on each Facebook corpus, the ``mine`` training set at K=5 and every
+``select-k`` half at each of its K are fitted again with each source tree,
+and z, beta, r, epsilon and the log-likelihood must be equal bit for bit.
+Prints each file and fit that differs and exits 1 if any does.
 """
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import os
@@ -33,8 +40,14 @@ FACEBOOK_SEEDS = (44, 45)
 FACEBOOK_APPS = 400
 ANDROID_SEED = 7
 ANDROID_APPS = 30_000
-SELECT_K = ("select-k", "--k-min", "4", "--k-max", "6", "--repetitions", "2",
-            "--threads", "2")
+SELECT_KS, SELECT_REPETITIONS = (4, 5, 6), 2
+SELECT_K = ("select-k", "--k-min", str(SELECT_KS[0]),
+            "--k-max", str(SELECT_KS[-1]),
+            "--repetitions", str(SELECT_REPETITIONS), "--threads", "2")
+# run in a child process with one tree's package: print fit_digests' result
+FIT_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+             "from same_outputs import fit_digests; "
+             "print(json.dumps(fit_digests(json.loads(sys.argv[2]))))")
 
 
 def _corpus_module():
@@ -64,12 +77,18 @@ def write_inputs(work: Path) -> list[tuple[str, tuple, Path, int]]:
     return runs
 
 
+def _env(src: Path) -> dict[str, str]:
+    """The environment of a child that imports the package from src."""
+    return {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+            "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_all(src: Path, out_root: Path, runs) -> None:
     """Run every command with src on PYTHONPATH, each into its own
     directory under out_root; exit if one fails or if the package is not
     imported from src."""
-    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = _env(src)
     where = subprocess.run(
         [sys.executable, "-c", "import permpatterns; print(permpatterns.__file__)"],
         env=env, capture_output=True, text=True).stdout.strip()
@@ -84,6 +103,51 @@ def run_all(src: Path, out_root: Path, runs) -> None:
         if proc.returncode:
             sys.exit(f"{name} exited {proc.returncode} with {src}:\n"
                      f"{proc.stderr}")
+
+
+def fit_digests(corpora) -> dict[str, str]:
+    """For each (csv path, seed) in corpora, the SHA-256 of each fit's
+    exact z, beta, r, epsilon and log-likelihood: the ``mine`` training set
+    at K=5, then each ``select-k`` half at each K, fitted as the commands
+    fit them.  Runs with the package that is on the path."""
+    from permpatterns import FitConfig, fit
+    from permpatterns.dataset import (ReputationCriteria, filter_reputation,
+                                      load_dataset)
+    from permpatterns.selection import split_dataset
+
+    def digest(fact) -> str:
+        values = (fact.r, fact.epsilon, fact.log_likelihood)
+        return hashlib.sha256(fact.z.data.tobytes() + fact.beta.tobytes()
+                              + repr(values).encode()).hexdigest()
+
+    digests = {}
+    for path, seed in corpora:
+        name = Path(path).stem
+        ds = load_dataset(path)
+        train = filter_reputation(ds, ReputationCriteria())[0].to_matrix()
+        digests[f"{name} mine K=5"] = digest(
+            fit(train, 5, FitConfig(seed=seed)))
+        x = ds.to_matrix()
+        for rep in range(SELECT_REPETITIONS):
+            halves = split_dataset(x, seed + rep)
+            for k in SELECT_KS:
+                for h, half in enumerate(halves):
+                    digests[f"{name} select-k K={k} repetition {rep} "
+                            f"half {h + 1}"] = digest(
+                        fit(half, k, FitConfig(seed=seed + rep)))
+    return digests
+
+
+def run_fits(src: Path, corpora) -> dict[str, str]:
+    """fit_digests of corpora, run with the package in src."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FIT_CHILD, str(Path(__file__).parent),
+         json.dumps(corpora)],
+        env=_env(src), capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"the fits exited {proc.returncode} with {src}:\n"
+                 f"{proc.stderr}")
+    return json.loads(proc.stdout)
 
 
 def comparable(out_root: Path, name: Path):
@@ -115,10 +179,18 @@ def main() -> int:
         differ = [f for f in files
                   if not all((side / f).is_file() for side in sides)
                   or comparable(sides[0], f) != comparable(sides[1], f)]
+        corpora = [(str(path), seed) for _, command, path, seed in runs
+                   if command[0] == "mine"]
+        ours, theirs = (run_fits(src, corpora)
+                        for src in (ROOT / "src", other))
+    fits_differ = [name for name in ours if ours[name] != theirs.get(name)]
     for name in differ:
         print(f"differs: {name}")
+    for name in fits_differ:
+        print(f"fit differs: {name}")
     print(f"{len(differ)} of {len(files)} files differ")
-    return 1 if differ else 0
+    print(f"{len(fits_differ)} of {len(ours)} fits differ")
+    return 1 if differ or fits_differ else 0
 
 
 if __name__ == "__main__":
