@@ -296,8 +296,8 @@ def em_step(x: BinaryMatrix, state: FitState,
     tabled is the E-step's input, _tabulate's (grouping, f0, f1) of x and
     the state at its clipped epsilon and temperature, or None to work it
     out, which checks the shapes.  The returned state's table is the next
-    step's input: the flip search's own table if no row moved, else a
-    fresh _tabulate of the new state.
+    step's input: the E-step's grouping with the flip search's terms if
+    no row moved, else a fresh _tabulate of the new state.
     """
     xd = x.data
     if xd.size == 0:
