@@ -302,6 +302,8 @@ def em_step(x: BinaryMatrix, state: FitState,
     xd = x.data
     if xd.size == 0:
         raise DimensionError("x has no entries")
+    if state.z.shape[1] == 0:
+        raise DimensionError("the state has no patterns")
 
     eps, inv_t = _clip(state.epsilon), 1.0 / state.temperature
     rows, f0, f1 = tabled or _tabulate(xd, state, eps, inv_t)
@@ -453,23 +455,32 @@ def _greedy_assign(x: np.ndarray, u: BinaryMatrix, logs) -> np.ndarray:
     """assign_patterns' search for every row of the bool (N, D) array x at
     once, at logs = _set_logs(r, epsilon).
 
-    The N * (K+1) pairs of a row and a start run side by side; each step
-    scores every candidate of every pair still moving by matrix products.
-    This is assign_matrix's path: on batches its per-call cost is shared by
-    many rows, where assign_patterns' scalar search pays per row.
+    The pairs of a row and a start run side by side; each step scores
+    every candidate of every pair still moving by matrix products.  As in
+    assign_patterns, a start from the singleton of a pattern that shares no
+    entry with the row or with any pattern that touches the row is not
+    searched: its pair never moves and keeps a log-likelihood of -inf, so
+    the choice of the start passes over it.  This is assign_matrix's path:
+    on batches its per-call cost is shared by many rows, where
+    assign_patterns' scalar search pays per row.
     """
     n, d = x.shape
     k = u.rows
+    uf = u.data.astype(float)
     # pair p is row p // (K+1) from the empty set (p % (K+1) == 0) or from
-    # the singleton of pattern p % (K+1) - 1
+    # the singleton of pattern p % (K+1) - 1; reach holds the entries of
+    # each row and of the patterns that touch it
+    reach = x | ((x @ uf.T > 0) @ uf > 0)
+    starts = np.ones((n, k + 1), dtype=bool)
+    starts[:, 1:] = reach @ uf.T > 0
+    searched = np.flatnonzero(starts)
     xs = np.repeat(x, k + 1, axis=0)
     ones = xs.sum(axis=1)
     selected = np.tile(np.eye(k + 1, k, -1, dtype=bool), (n, 1))
-    uf = u.data.astype(float)
     cover = selected @ uf           # how many selected patterns cover an entry
-    ll = np.empty(len(xs))          # each pair's current log-likelihood
+    ll = np.full(len(xs), -np.inf)  # each pair's current log-likelihood
     for adding in (True, False):
-        live = np.arange(len(xs))
+        live = searched
         while live.size:
             xl, cov = xs[live], cover[live]
             covered = cov > 0
@@ -496,16 +507,21 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     """Greedy maximum-likelihood pattern assignment for a single row.
 
     Runs the add-then-prune greedy from the empty set and, to escape
-    single-pattern traps, from each singleton seed; the highest-likelihood
-    result wins.  Deterministic; ties go to the earliest start and lowest
+    single-pattern traps, from the singletons of the patterns that can
+    change the result; the highest-likelihood result wins.  A start from
+    the singleton of a pattern that shares no entry with the row or with
+    any pattern that touches the row is not searched: it would end at the
+    empty start's set with the same log-likelihood, and that start comes
+    first.  Deterministic; ties go to the earliest start and lowest
     pattern index: a greedy step scans the candidates by index and keeps
     one only when it beats the best so far by more than 1e-12, and the
     starts are scanned the same way.
 
-    The row and each pattern are held as Python ints used as bit sets, and
-    every count is a popcount, so one row costs a few hundred integer
-    operations rather than the vectorised search's fixed numpy overhead.
-    The search, its tie rule and its arithmetic (the same integer counts
+    The row and each pattern are held as Python ints used as bit sets (the
+    patterns' are u.row_bits, packed once per matrix), and every count is
+    a popcount, so one row costs a few hundred integer operations rather
+    than the vectorised search's fixed numpy overhead.  The search, its
+    starts, its tie rule and its arithmetic (the same integer counts
     through _set_ll) are those of _greedy_assign, so the result equals the
     row's assign_matrix result.
     """
@@ -515,7 +531,7 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     check_binary(x_row)
     logs, d = _set_logs(r, epsilon), u.cols
     x = int.from_bytes(np.packbits(x_row == 1).tobytes(), "big")
-    pats = [int.from_bytes(row, "big") for row in np.packbits(u.data, axis=1)]
+    pats = u.row_bits
     ones = x.bit_count()
     # An add candidate that covers no still-uncovered requested entry (m1 =
     # 0) cannot be kept, so only patterns that touch x are scanned.  It
@@ -528,8 +544,26 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     # it ties it, and the scan keeps neither.  Selected patterns have m1 = 0
     # too, so they need no mask.
     touching = [(j, p) for j, p in enumerate(pats) if p & x]
+    # A start from the singleton of a pattern that shares no entry with the
+    # row or with any pattern that touches the row is not searched; an
+    # empty pattern is one.  Its pattern covers no entry of the row or of
+    # any add candidate, so its add phase keeps what the empty start's
+    # keeps, with the same m1 and m0.  In the prune, removing it gains
+    # |pattern| * (match0 - miss0) >= about 1e-6 at every step and changes
+    # no other removal's counts, so the prune drops it and otherwise makes
+    # the empty start's removals.  The start ends at the empty start's set
+    # with the same counts and so the same value, and the start scan keeps
+    # the earlier, empty start.  This leans on rounding as the filter above
+    # does: the add scan compares values whose n10 is offset by |pattern|.
+    # Exactly tied values (at r = 0.5 different count pairs tie) round
+    # apart by a few ulps of |ll|, under 1e-12 while |ll| < 1024, so both
+    # starts keep the same candidate; further out the two roundings could
+    # part a tie by more than 1e-12 in one start and not in the other.
+    reach = x
+    for _, p in touching:
+        reach |= p
     best, chosen = -np.inf, []
-    for start in range(-1, len(pats)):
+    for start in [-1] + [j for j, p in enumerate(pats) if p & reach]:
         sel = [start] if start >= 0 else []
         covered = pats[start] if start >= 0 else 0
         n11 = (covered & x).bit_count()

@@ -469,6 +469,14 @@ class TestEmStepOracle:
         with pytest.raises(DimensionError):
             em_step(BinaryMatrix(np.zeros((0, 3), dtype=np.uint8)), state)
 
+    def test_zero_patterns_rejected(self):
+        state = FitState(beta=np.zeros((0, 2)),
+                         z=np.zeros((3, 0), dtype=np.uint8),
+                         r=0.5, epsilon=0.5, temperature=1.0)
+        x = BinaryMatrix(np.ones((3, 2), dtype=np.uint8))
+        with pytest.raises(DimensionError, match="no patterns"):
+            em_step(x, state)
+
 
 class TestKeys:
     @pytest.mark.parametrize("k", [0, 1, 8, 9, 63, 64, 65, 130])
@@ -753,9 +761,22 @@ SET_CASES = {
                          cols(0, 10) | cols(20, 30) | cols(900, 908),
                          cols(10, 20) | cols(30, 40) | cols(908, 916)],
                   1e-6, 1e-6, [1, 1, 1]),
-    # pattern 1 is empty: its start ends at pattern 0 plus itself, tied
-    # with the empty start's result
+    # pattern 1 is empty, so its start is not searched; searched, it would
+    # end at pattern 0 plus itself, tied with the empty start's result
     "start tie": (WIDE, [cols(0, 10), set()], 1e-6, 1e-6, [1, 0]),
+    # pattern 0 shares no entry with the row or with pattern 1, the one
+    # pattern that touches it, so its start is not searched; searched, it
+    # would add 1 and drop 0, the empty start's result
+    "start apart from the row and its patterns": (
+        (8, range(4)), [{6, 7}, cols(0, 5)], 0.5, 0.1, [0, 1]),
+    # Pattern 0 shares no entry with the row, but it holds the unrequested
+    # entries 4 and 5 of patterns 1 and 2.  Each of those alone covers two
+    # requested and two unrequested entries and ties the empty set, so the
+    # empty start adds nothing.  From pattern 0, both cover only requested
+    # entries and go in, and none comes out: this start wins.
+    "start apart from the row only": (
+        (8, range(4)), [{4, 5}, {0, 1, 4, 5}, {2, 3, 4, 5}], 0.5, 0.1,
+        [1, 1, 1]),
     # Y goes in first, then X, then W1 and W2, which cover all that X and
     # Y request but entry 0.  Dropping X or Y then gains the same, and the
     # prune drops X, the lower index, though Y went in first.
@@ -791,6 +812,41 @@ class TestAssignOracle:
         x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
                                       seed=27)
         assert_all_paths_equal(x.data, u, 0.5, 0.02)
+
+    # At r = 0.5 an entry's log-terms do not depend on x, so count pairs
+    # with the same n11 - n10 tie exactly
+    @pytest.mark.parametrize("r, eps", [(0.5, 0.5), (0.5, 1e-6)]
+                             + [(r, eps) for r in CLIP_VALUES
+                                for eps in CLIP_VALUES])
+    def test_planted_k30_at_ties_and_clip_bounds(self, r, eps):
+        x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
+                                      seed=33)
+        assert_all_paths_equal(x.data, u, r, eps)
+
+    def test_batch_searches_only_starts_that_can_win(self, monkeypatch):
+        x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
+                                      seed=28)
+        rows = x.data == 1
+        pats = [set(np.flatnonzero(p)) for p in u.data]
+        searched = 0
+        for row in rows:
+            reach = set(np.flatnonzero(row))
+            reach |= set().union(*(p for p in pats if p & reach))
+            searched += 1 + sum(1 for p in pats if p & reach)
+        assert searched < len(rows) * (u.rows + 1)
+        calls = []
+        first_better = engine._first_better
+
+        def spy(scores, base):
+            calls.append(len(scores))
+            return first_better(scores, base)
+
+        monkeypatch.setattr(engine, "_first_better", spy)
+        got = engine._greedy_assign(rows, u, engine._set_logs(0.5, 0.02))
+        # the first call scores the add candidates of every searched pair
+        assert calls[0] == searched
+        want = [reference_assign(row, u, 0.5, 0.02) for row in x.data]
+        assert got.tolist() == np.array(want).tolist()
 
     @pytest.mark.parametrize("case", sorted(SET_CASES))
     def test_constructed_cases(self, case):

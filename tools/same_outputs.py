@@ -21,7 +21,13 @@ The written files round beta, so the fits behind them are compared as
 well: on each Facebook corpus, the ``mine`` training set at K=5 and every
 ``select-k`` half at each of its K are fitted again with each source tree,
 and z, beta, r, epsilon and the log-likelihood must be equal bit for bit.
-Prints each file and fit that differs and exits 1 if any does.
+
+Scoring is compared on held-out apps: those of the Android corpus against
+its planted K=30 model, and those of each Facebook corpus against the
+model its ``mine`` run fitted (this checkout's ``factorization.json``).
+Each tree scores them with ``assign_matrix`` as one batch and with
+``assign_patterns`` one app at a time, and every assignment must be equal.
+Prints each file, fit and scoring that differs and exits 1 if any does.
 """
 from __future__ import annotations
 
@@ -35,19 +41,23 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 FACEBOOK_SEEDS = (44, 45)
 FACEBOOK_APPS = 400
 ANDROID_SEED = 7
 ANDROID_APPS = 30_000
+SCORED_APPS = 2_000
 SELECT_KS, SELECT_REPETITIONS = (4, 5, 6), 2
 SELECT_K = ("select-k", "--k-min", str(SELECT_KS[0]),
             "--k-max", str(SELECT_KS[-1]),
             "--repetitions", str(SELECT_REPETITIONS), "--threads", "2")
-# run in a child process with one tree's package: print fit_digests' result
-FIT_CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
-             "from same_outputs import fit_digests; "
-             "print(json.dumps(fit_digests(json.loads(sys.argv[2]))))")
+# run in a child process with one tree's package: print the result of the
+# function of this module named by argv[2] on the JSON argument argv[3]
+CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+         "import same_outputs; print(json.dumps(getattr(same_outputs, "
+         "sys.argv[2])(json.loads(sys.argv[3]))))")
 
 
 def _corpus_module():
@@ -60,21 +70,34 @@ def _corpus_module():
     return module
 
 
-def write_inputs(work: Path) -> list[tuple[str, tuple, Path, int]]:
-    """Write the corpora under work; (name, command, input, seed) of each
-    command run."""
+def write_inputs(work: Path, out_root: Path):
+    """Write the corpora and the held-out apps under work.  Returns the
+    (name, command, input, seed) of each command run and the (name, apps,
+    model) of each scoring; a Facebook model is the factorization.json
+    that the corpus's mine run writes under out_root."""
     corpus = _corpus_module()
-    runs = []
+    runs, scorings = [], []
     for seed in FACEBOOK_SEEDS:
+        data = corpus.facebook(seed, FACEBOOK_APPS)
         path = work / f"facebook-{seed}.csv"
-        corpus.write_csv(corpus.facebook(seed, FACEBOOK_APPS), path)
+        corpus.write_csv(data, path)
         runs.append((f"mine-{seed}", ("mine", "-k", "5"), path, seed))
         runs.append((f"select-k-{seed}", SELECT_K, path, seed))
+        apps = work / f"facebook-{seed}-apps.npy"
+        np.save(apps, corpus.facebook_apps([seed, 1], data.u, SCORED_APPS))
+        scorings.append((f"facebook-{seed} fitted K=5", str(apps), str(
+            out_root / f"mine-{seed}" / "factorization.json")))
+    data = corpus.android(ANDROID_SEED, ANDROID_APPS)
     path = work / "android.csv"
-    corpus.write_csv(corpus.android(ANDROID_SEED, ANDROID_APPS), path)
+    corpus.write_csv(data, path)
     runs.append(("stats", ("stats", "--top-n", "130"), path, ANDROID_SEED))
     runs.append(("simulate", ("simulate",), path, ANDROID_SEED))
-    return runs
+    apps, model = work / "android-apps.npy", work / "android-model.json"
+    np.save(apps, corpus.android_apps([ANDROID_SEED, 1], data.u, SCORED_APPS))
+    model.write_text(json.dumps({"u": data.u.tolist(), "r": data.r,
+                                 "epsilon": data.epsilon}))
+    scorings.append(("android planted K=30", str(apps), str(model)))
+    return runs, scorings
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -138,14 +161,38 @@ def fit_digests(corpora) -> dict[str, str]:
     return digests
 
 
-def run_fits(src: Path, corpora) -> dict[str, str]:
-    """fit_digests of corpora, run with the package in src."""
+def score_digests(scorings) -> dict[str, str]:
+    """For each (name, apps, model) in scorings, the SHA-256 of the
+    assignments of the apps (an .npy file) against the model (a JSON file
+    with u, r and epsilon): by assign_matrix in one batch and by
+    assign_patterns one app at a time.  Runs with the package that is on
+    the path."""
+    from permpatterns import BinaryMatrix, assign_matrix, assign_patterns
+
+    digests = {}
+    for name, apps, model in scorings:
+        x = np.load(apps)
+        fact = json.loads(Path(model).read_text())
+        u = BinaryMatrix(np.array(fact["u"], dtype=np.uint8))
+        r, eps = fact["r"], fact["epsilon"]
+        batch = assign_matrix(BinaryMatrix(x), u, r, eps).data
+        single = np.array([assign_patterns(row, u, r, eps) for row in x])
+        for entry, z in (("assign_matrix", batch),
+                         ("assign_patterns", single)):
+            digests[f"{name} {entry}"] = hashlib.sha256(
+                z.astype(np.uint8).tobytes()).hexdigest()
+    return digests
+
+
+def run_child(src: Path, function: str, arg) -> dict[str, str]:
+    """function(arg), one of this module's digest functions, run with the
+    package in src."""
     proc = subprocess.run(
-        [sys.executable, "-c", FIT_CHILD, str(Path(__file__).parent),
-         json.dumps(corpora)],
+        [sys.executable, "-c", CHILD, str(Path(__file__).parent), function,
+         json.dumps(arg)],
         env=_env(src), capture_output=True, text=True)
     if proc.returncode:
-        sys.exit(f"the fits exited {proc.returncode} with {src}:\n"
+        sys.exit(f"{function} exited {proc.returncode} with {src}:\n"
                  f"{proc.stderr}")
     return json.loads(proc.stdout)
 
@@ -170,8 +217,8 @@ def main() -> int:
     other = parser.parse_args().other_src
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        runs = write_inputs(work)
         sides = (work / "this", work / "other")
+        runs, scorings = write_inputs(work, sides[0])
         for src, out_root in zip((ROOT / "src", other), sides):
             run_all(src, out_root, runs)
         files = sorted({p.relative_to(side) for side in sides
@@ -181,16 +228,22 @@ def main() -> int:
                   or comparable(sides[0], f) != comparable(sides[1], f)]
         corpora = [(str(path), seed) for _, command, path, seed in runs
                    if command[0] == "mine"]
-        ours, theirs = (run_fits(src, corpora)
-                        for src in (ROOT / "src", other))
-    fits_differ = [name for name in ours if ours[name] != theirs.get(name)]
+        compared = []
+        for what, function, arg in (("fit", "fit_digests", corpora),
+                                    ("scoring", "score_digests", scorings)):
+            ours, theirs = (run_child(src, function, arg)
+                            for src in (ROOT / "src", other))
+            compared.append((what, len(ours), [
+                name for name in ours if ours[name] != theirs.get(name)]))
     for name in differ:
         print(f"differs: {name}")
-    for name in fits_differ:
-        print(f"fit differs: {name}")
+    for what, _, names in compared:
+        for name in names:
+            print(f"{what} differs: {name}")
     print(f"{len(differ)} of {len(files)} files differ")
-    print(f"{len(fits_differ)} of {len(ours)} fits differ")
-    return 1 if differ or fits_differ else 0
+    for what, count, names in compared:
+        print(f"{len(names)} of {count} {what}s differ")
+    return 1 if differ or any(names for *_, names in compared) else 0
 
 
 if __name__ == "__main__":
