@@ -430,9 +430,11 @@ def _first_better(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
 
 
 def _set_logs(r: float, epsilon: float) -> tuple[float, float, float, float]:
-    """The log-probabilities of one entry given whether the assigned
-    patterns cover it, at the clipped r and epsilon: covered with x = 1,
-    uncovered with x = 0, uncovered with x = 1, covered with x = 0."""
+    """Log-probabilities of an entry by whether the assigned patterns cover
+    it, at r and epsilon in [0, 1] (else ValueError), clipped: covered with
+    x = 1, uncovered with x = 0, uncovered with x = 1, covered with x = 0."""
+    if not (0.0 <= r <= 1.0 and 0.0 <= epsilon <= 1.0):     # rejects NaN
+        raise ValueError(f"r and epsilon must lie in [0, 1]: {r}, {epsilon}")
     r, eps = _clip(r), _clip(epsilon)
     # covered and x agree -> eps*p_N + (1-eps); disagree -> eps*p_N
     return (float(np.log(eps * r + (1 - eps))),
@@ -453,53 +455,53 @@ def _set_ll(n11, n10, ones, d: int, logs):
 
 def _greedy_assign(x: np.ndarray, u: BinaryMatrix, logs) -> np.ndarray:
     """assign_patterns' search for every row of the bool (N, D) array x at
-    once, at logs = _set_logs(r, epsilon).
+    once, at logs = _set_logs(r, epsilon); a batch shares the call's costs.
 
-    The pairs of a row and a start run side by side; each step scores
-    every candidate of every pair still moving by matrix products.  As in
-    assign_patterns, a start from the singleton of a pattern that shares no
-    entry with the row or with any pattern that touches the row is not
-    searched: its pair never moves and keeps a log-likelihood of -inf, so
-    the choice of the start passes over it.  This is assign_matrix's path:
-    on batches its per-call cost is shared by many rows, where
-    assign_patterns' scalar search pays per row.
+    Only the pairs of a row and a start that assign_patterns searches hold
+    state: the selected patterns, how many of them cover each entry, and
+    the integer counts n11 and n10 with their log-likelihood.  Each step
+    scores the candidates of every pair still moving from two float32
+    count products (exact below 2^24 columns); a pair that moves adds the
+    chosen candidate's counts and takes its value, the float _set_ll gives
+    a recount.
     """
-    n, d = x.shape
-    k = u.rows
-    uf = u.data.astype(float)
-    # pair p is row p // (K+1) from the empty set (p % (K+1) == 0) or from
-    # the singleton of pattern p % (K+1) - 1; reach holds the entries of
-    # each row and of the patterns that touch it
-    reach = x | ((x @ uf.T > 0) @ uf > 0)
-    starts = np.ones((n, k + 1), dtype=bool)
-    starts[:, 1:] = reach @ uf.T > 0
-    searched = np.flatnonzero(starts)
-    xs = np.repeat(x, k + 1, axis=0)
+    (n, d), k = x.shape, u.rows
+    ut = np.ascontiguousarray(u.data.T, dtype=np.float32)
+    # pair p is row p // (K+1) from start s = p % (K+1), pads[s]: the empty
+    # set or pattern s - 1, which covers hits[row, s] requested entries
+    pads = np.vstack([np.zeros(d, np.float32), ut.T])
+    hits = x @ pads.T
+    starts = (x | ((hits > 0) @ pads > 0)) @ pads.T > 0
+    starts[:, 0] = True
+    pairs = np.flatnonzero(starts)
+    row, start = np.divmod(pairs, k + 1)
+    selected = np.eye(k + 1, k, -1, dtype=bool)[start]
+    cover, xs = pads[start], x[row]
+    n11 = hits.ravel()[pairs].astype(float)
+    n10 = cover.sum(axis=1, dtype=float) - n11
     ones = xs.sum(axis=1)
-    selected = np.tile(np.eye(k + 1, k, -1, dtype=bool), (n, 1))
-    cover = selected @ uf           # how many selected patterns cover an entry
-    ll = np.full(len(xs), -np.inf)  # each pair's current log-likelihood
-    for adding in (True, False):
-        live = searched
+    ll = _set_ll(n11, n10, ones, d, logs)
+    for adding, signed in ((True, ut), (False, -ut)):
+        live = np.arange(pairs.size)
         while live.size:
-            xl, cov = xs[live], cover[live]
-            covered = cov > 0
-            n11, n10 = (covered & xl).sum(axis=1), (covered & ~xl).sum(axis=1)
-            # entries a candidate flips: adding covers the uncovered ones,
-            # removing uncovers those it alone covers
-            flips = ~covered if adding else cov == 1
-            sign = 1 if adding else -1
-            cand = _set_ll(n11[:, None] + sign * ((flips & xl) @ uf.T),
-                           n10[:, None] + sign * ((flips & ~xl) @ uf.T),
-                           ones[live, None], d, logs)
-            cand[selected[live] == adding] = -np.inf
-            ll[live] = _set_ll(n11, n10, ones[live], d, logs)
-            best = _first_better(cand, ll[live])
-            live, best = live[best >= 0], best[best >= 0]
-            selected[live, best] = adding
-            cover[live] += sign * uf[best]
-    start = _first_better(ll.reshape(n, k + 1), np.full(n, -np.inf))
-    return selected.reshape(n, k + 1, k)[np.arange(n), start].astype(np.uint8)
+            # adding covers uncovered entries, removing uncovers once-covered
+            flips = cover[live] == (0 if adding else 1)
+            m1 = (flips & xs[live]).astype(np.float32) @ signed
+            c11 = n11[live, None] + m1
+            c10 = n10[live, None] + (flips.astype(np.float32) @ signed - m1)
+            cand = _set_ll(c11, c10, ones[live, None], d, logs)
+            if not adding:  # adding a selected pattern ties ll: never kept
+                cand[~selected[live]] = -np.inf
+            j = _first_better(cand, ll[live])
+            i = np.flatnonzero(j >= 0)
+            live, j = live[i], j[i]
+            n11[live], n10[live], ll[live] = c11[i, j], c10[i, j], cand[i, j]
+            selected[live, j] = adding
+            cover[live] += signed.T[j]
+    lls = np.full(starts.shape, -np.inf)
+    lls[starts] = ll
+    won = np.arange(n) * (k + 1) + _first_better(lls, np.full(n, -np.inf))
+    return selected[np.searchsorted(pairs, won)].astype(np.uint8)
 
 
 def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
@@ -521,9 +523,9 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     patterns' are u.row_bits, packed once per matrix), and every count is
     a popcount, so one row costs a few hundred integer operations rather
     than the vectorised search's fixed numpy overhead.  The search, its
-    starts, its tie rule and its arithmetic (the same integer counts
-    through _set_ll) are those of _greedy_assign, so the result equals the
-    row's assign_matrix result.
+    starts, its tie rule and its arithmetic are _greedy_assign's: a start
+    carries its integer counts n11 and n10 and takes the kept candidate's
+    _set_ll value, so the result equals the row's assign_matrix result.
     """
     x_row = np.asarray(x_row)
     if x_row.shape != (u.cols,):

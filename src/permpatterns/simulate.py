@@ -25,7 +25,7 @@ def simulate_independent(p: np.ndarray, n: int, seed: int) -> BinaryMatrix:
     """N hypothetical applications requesting each permission d independently
     with probability p[d]."""
     p = np.asarray(p, dtype=float)
-    if p.size and (p.min() < 0 or p.max() > 1):
+    if not ((p >= 0) & (p <= 1)).all():       # NaN fails both
         raise ValueError("probabilities must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     # block by block, the same stream as one rng.random((n, D)) draw

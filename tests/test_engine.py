@@ -697,6 +697,16 @@ class TestAssignPatterns:
         with pytest.raises(DimensionError):
             assign_matrix(matrix_from_rows([[1, 0], [0, 1]]), u, 0.5, 0.05)
 
+    @pytest.mark.parametrize("r, eps", [(math.nan, 0.1), (0.5, math.nan),
+                                        (-0.1, 0.1), (0.5, 1.5)])
+    def test_probability_outside_unit_interval_rejected(self, r, eps):
+        u = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
+        x = matrix_from_rows([[1, 1, 0]])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            assign_patterns(x.data[0], u, r, eps)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            assign_matrix(x, u, r, eps)
+
 
 def oracle_cases(seed, cases, rows):
     """Seeded random (x, u, r, epsilon) with K 1-12 and D 1-39, r cycling
@@ -726,6 +736,38 @@ def clip_cases(seed, rows):
             u = random_binary(rng, (k, d), rng.uniform(0.05, 0.6))
             x = random_binary(rng, (rows, d), rng.uniform(0.05, 0.7)).data
             yield x, u, r, eps
+
+
+@st.composite
+def assignment_inputs(draw):
+    """(x, u, r, epsilon) with K 0-30 and D 0-150.  A pattern is empty,
+    full, random or a copy of an earlier one; a row is all zeros, all
+    ones, random or the union of 1-3 patterns with a few entries flipped.
+    r and epsilon come from CLIP_VALUES or from a uniform draw."""
+    k, d = draw(st.integers(0, 30)), draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["zeros", "ones", "random", "copy"])
+    u = np.zeros((k, d), dtype=np.uint8)
+    for j in range(k):
+        kind = draw(kinds)
+        if kind == "ones":
+            u[j] = 1
+        elif kind == "random" or (kind == "copy" and j == 0):
+            u[j] = rng.random(d) < rng.uniform(0.0, 0.5)
+        elif kind == "copy":
+            u[j] = u[draw(st.integers(0, j - 1))]
+    x = np.zeros((draw(st.integers(1, 4)), d), dtype=np.uint8)
+    for row in x:
+        kind = draw(kinds)
+        if kind == "ones":
+            row[:] = 1
+        elif kind == "random" or (kind == "copy" and k == 0):
+            row[:] = rng.random(d) < rng.uniform(0.0, 1.0)
+        elif kind == "copy":
+            union = u[rng.integers(0, k, size=rng.integers(1, 4))].max(axis=0)
+            row[:] = union ^ (rng.random(d) < 0.05)
+    probability = st.sampled_from(CLIP_VALUES) | st.floats(0.0, 1.0)
+    return x, BinaryMatrix(u), draw(probability), draw(probability)
 
 
 def assert_all_paths_equal(x, u, r, eps):
@@ -847,6 +889,14 @@ class TestAssignOracle:
         assert calls[0] == searched
         want = [reference_assign(row, u, 0.5, 0.02) for row in x.data]
         assert got.tolist() == np.array(want).tolist()
+
+    @given(assignment_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix_rows_equal_oracle_property(self, inputs):
+        x, u, r, eps = inputs
+        got = assign_matrix(BinaryMatrix(x), u, r, eps).data
+        for row, z in zip(x, got):
+            assert z.tolist() == reference_assign(row, u, r, eps).tolist()
 
     @pytest.mark.parametrize("case", sorted(SET_CASES))
     def test_constructed_cases(self, case):

@@ -70,6 +70,11 @@ class TestSimulateIndependent:
         with pytest.raises(ValueError):
             simulate_independent(np.array([1.2]), 10, seed=0)
 
+    @pytest.mark.parametrize("p", [[0.5, np.nan], [np.nan], [-0.1, 0.5]])
+    def test_nan_or_negative_probability(self, p):
+        with pytest.raises(ValueError):
+            simulate_independent(np.array(p), 10, seed=0)
+
 
 class TestPlantFactorization:
     def test_noiseless_limit(self):

@@ -25,8 +25,10 @@ and z, beta, r, epsilon and the log-likelihood must be equal bit for bit.
 Scoring is compared on held-out apps: those of the Android corpus against
 its planted K=30 model, and those of each Facebook corpus against the
 model its ``mine`` run fitted (this checkout's ``factorization.json``).
-Each tree scores them with ``assign_matrix`` as one batch and with
-``assign_patterns`` one app at a time, and every assignment must be equal.
+Each tree scores them with ``assign_matrix`` as one batch, with
+``assign_matrix`` in slices of the benchmark's batch size (22 Android
+apps, 100 Facebook apps) and with ``assign_patterns`` one app at a time,
+and every assignment must be equal.
 Prints each file, fit and scoring that differs and exits 1 if any does.
 """
 from __future__ import annotations
@@ -49,6 +51,8 @@ FACEBOOK_APPS = 400
 ANDROID_SEED = 7
 ANDROID_APPS = 30_000
 SCORED_APPS = 2_000
+# the apps of one assign_matrix batch in perfbench/run.py
+ANDROID_SLICE, FACEBOOK_SLICE = 22, 100
 SELECT_KS, SELECT_REPETITIONS = (4, 5, 6), 2
 SELECT_K = ("select-k", "--k-min", str(SELECT_KS[0]),
             "--k-max", str(SELECT_KS[-1]),
@@ -73,8 +77,8 @@ def _corpus_module():
 def write_inputs(work: Path, out_root: Path):
     """Write the corpora and the held-out apps under work.  Returns the
     (name, command, input, seed) of each command run and the (name, apps,
-    model) of each scoring; a Facebook model is the factorization.json
-    that the corpus's mine run writes under out_root."""
+    model, slice size) of each scoring; a Facebook model is the
+    factorization.json that the corpus's mine run writes under out_root."""
     corpus = _corpus_module()
     runs, scorings = [], []
     for seed in FACEBOOK_SEEDS:
@@ -85,8 +89,9 @@ def write_inputs(work: Path, out_root: Path):
         runs.append((f"select-k-{seed}", SELECT_K, path, seed))
         apps = work / f"facebook-{seed}-apps.npy"
         np.save(apps, corpus.facebook_apps([seed, 1], data.u, SCORED_APPS))
-        scorings.append((f"facebook-{seed} fitted K=5", str(apps), str(
-            out_root / f"mine-{seed}" / "factorization.json")))
+        model = out_root / f"mine-{seed}" / "factorization.json"
+        scorings.append((f"facebook-{seed} fitted K=5", str(apps), str(model),
+                         FACEBOOK_SLICE))
     data = corpus.android(ANDROID_SEED, ANDROID_APPS)
     path = work / "android.csv"
     corpus.write_csv(data, path)
@@ -96,7 +101,8 @@ def write_inputs(work: Path, out_root: Path):
     np.save(apps, corpus.android_apps([ANDROID_SEED, 1], data.u, SCORED_APPS))
     model.write_text(json.dumps({"u": data.u.tolist(), "r": data.r,
                                  "epsilon": data.epsilon}))
-    scorings.append(("android planted K=30", str(apps), str(model)))
+    scorings.append(("android planted K=30", str(apps), str(model),
+                     ANDROID_SLICE))
     return runs, scorings
 
 
@@ -162,22 +168,26 @@ def fit_digests(corpora) -> dict[str, str]:
 
 
 def score_digests(scorings) -> dict[str, str]:
-    """For each (name, apps, model) in scorings, the SHA-256 of the
-    assignments of the apps (an .npy file) against the model (a JSON file
-    with u, r and epsilon): by assign_matrix in one batch and by
-    assign_patterns one app at a time.  Runs with the package that is on
-    the path."""
+    """For each (name, apps, model, slice size) in scorings, the SHA-256
+    of the assignments of the apps (an .npy file) against the model (a
+    JSON file with u, r and epsilon): by assign_matrix in one batch and in
+    slices of the given size, and by assign_patterns one app at a time.
+    Runs with the package that is on the path."""
     from permpatterns import BinaryMatrix, assign_matrix, assign_patterns
 
     digests = {}
-    for name, apps, model in scorings:
+    for name, apps, model, size in scorings:
         x = np.load(apps)
         fact = json.loads(Path(model).read_text())
         u = BinaryMatrix(np.array(fact["u"], dtype=np.uint8))
         r, eps = fact["r"], fact["epsilon"]
         batch = assign_matrix(BinaryMatrix(x), u, r, eps).data
+        sliced = np.vstack([
+            assign_matrix(BinaryMatrix(x[lo:lo + size]), u, r, eps).data
+            for lo in range(0, len(x), size)])
         single = np.array([assign_patterns(row, u, r, eps) for row in x])
         for entry, z in (("assign_matrix", batch),
+                         (f"assign_matrix in slices of {size}", sliced),
                          ("assign_patterns", single)):
             digests[f"{name} {entry}"] = hashlib.sha256(
                 z.astype(np.uint8).tobytes()).hexdigest()
