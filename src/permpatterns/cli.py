@@ -145,7 +145,8 @@ common_input = [
                  default=None, help="Input format (default: by extension)."),
     click.option("--column-map", "column_map_path", default=None,
                  help="JSON file mapping schema columns to input columns."),
-    click.option("--seed", default=0, show_default=True, type=int),
+    click.option("--seed", default=0, show_default=True,
+                 type=click.IntRange(min=0)),
     click.option("--out-dir", "out_dir", required=True,
                  type=click.Path(file_okay=False)),
 ]

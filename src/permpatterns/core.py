@@ -64,14 +64,6 @@ class BinaryMatrix:
     def __getitem__(self, idx):
         return self.data[idx]
 
-    @cached_property
-    def row_bits(self) -> tuple[int, ...]:
-        """Each row as a Python int bit set: its packed bits read
-        big-endian, so column 0 is the highest bit of the first byte.
-        Computed on first use."""
-        return tuple(int.from_bytes(row, "big")
-                     for row in np.packbits(self.data, axis=1))
-
 
 def hamming_distance(a: BinaryMatrix, b: BinaryMatrix) -> int:
     """Number of positions where two equally-shaped binary matrices differ."""
@@ -98,6 +90,8 @@ class FitConfig:
             raise ConfigError("tolerance must be positive")
         if self.max_inner_iterations < 1:
             raise ConfigError("max inner iterations must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 def binarize(beta: np.ndarray) -> BinaryMatrix:

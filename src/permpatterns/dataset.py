@@ -98,8 +98,8 @@ class ReputationCriteria:
                 raise ValueError(f"{name} must be an integer")
         if self.min_num_ratings < 0 or self.max_low_num_ratings < 0:
             raise ValueError("rating-count thresholds must be non-negative")
-        if self.test_size < 0:
-            raise ValueError("test size must be non-negative")
+        if self.test_size < 0 or self.split_seed < 0:
+            raise ValueError("test size and split seed must be non-negative")
 
 
 def _read_csv(path: Path, column_map: dict) -> list[tuple]:

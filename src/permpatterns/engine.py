@@ -22,6 +22,7 @@ temperature, on the grouping the last step handed off.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -429,33 +430,38 @@ def _first_better(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
     return best_i
 
 
-def _set_logs(r: float, epsilon: float) -> tuple[float, float, float, float]:
-    """Log-probabilities of an entry by whether the assigned patterns cover
-    it, at r and epsilon in [0, 1] (else ValueError), clipped: covered with
-    x = 1, uncovered with x = 0, uncovered with x = 1, covered with x = 0."""
+@lru_cache(maxsize=1)
+def _model(u: BinaryMatrix, r: float, epsilon: float):
+    """What scoring against patterns u at r and epsilon in [0, 1] (else
+    ValueError) needs, built once per (u, r, epsilon), u being cached by
+    identity with read-only data: the log-probabilities of an entry at r
+    and epsilon clipped, covered with x = 1, uncovered with x = 0,
+    uncovered with x = 1 and covered with x = 0; each pattern as a Python
+    int bit set read big-endian, column 0 the top bit of the first byte;
+    and u's transpose as a contiguous float32 array."""
     if not (0.0 <= r <= 1.0 and 0.0 <= epsilon <= 1.0):     # rejects NaN
         raise ValueError(f"r and epsilon must lie in [0, 1]: {r}, {epsilon}")
     r, eps = _clip(r), _clip(epsilon)
     # covered and x agree -> eps*p_N + (1-eps); disagree -> eps*p_N
-    return (float(np.log(eps * r + (1 - eps))),
-            float(np.log(eps * (1 - r) + (1 - eps))),
-            float(np.log(eps * r)),
-            float(np.log(eps * (1 - r))))
+    logs = tuple(float(np.log(p)) for p in (eps * r + (1 - eps),
+                 eps * (1 - r) + (1 - eps), eps * r, eps * (1 - r)))
+    pats = tuple(int.from_bytes(b, "big") for b in np.packbits(u.data, axis=1))
+    return logs, pats, np.ascontiguousarray(u.data.T, dtype=np.float32)
 
 
 def _set_ll(n11, n10, ones, d: int, logs):
     """Log-likelihood of rows with `ones` of d entries requested when the
     assigned patterns cover n11 requested and n10 unrequested entries;
-    logs is _set_logs(r, epsilon).  Integer counts, as Python ints or in
+    logs is _model's first item.  Integer counts, as Python ints or in
     arrays, give the same floats either way."""
     match1, match0, miss1, miss0 = logs
     return (n11 * match1 + (d - ones - n10) * match0
             + (ones - n11) * miss1 + n10 * miss0)
 
 
-def _greedy_assign(x: np.ndarray, u: BinaryMatrix, logs) -> np.ndarray:
+def _greedy_assign(x: np.ndarray, model) -> np.ndarray:
     """assign_patterns' search for every row of the bool (N, D) array x at
-    once, at logs = _set_logs(r, epsilon); a batch shares the call's costs.
+    once against _model(u, r, epsilon); a batch shares the call's costs.
 
     Only the pairs of a row and a start that assign_patterns searches hold
     state: the selected patterns, how many of them cover each entry, and
@@ -465,8 +471,8 @@ def _greedy_assign(x: np.ndarray, u: BinaryMatrix, logs) -> np.ndarray:
     chosen candidate's counts and takes its value, the float _set_ll gives
     a recount.
     """
-    (n, d), k = x.shape, u.rows
-    ut = np.ascontiguousarray(u.data.T, dtype=np.float32)
+    logs, _, ut = model
+    (n, d), k = x.shape, ut.shape[1]
     # pair p is row p // (K+1) from start s = p % (K+1), pads[s]: the empty
     # set or pattern s - 1, which covers hits[row, s] requested entries
     pads = np.vstack([np.zeros(d, np.float32), ut.T])
@@ -520,7 +526,7 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     starts are scanned the same way.
 
     The row and each pattern are held as Python ints used as bit sets (the
-    patterns' are u.row_bits, packed once per matrix), and every count is
+    patterns' come from _model, packed once per model), and every count is
     a popcount, so one row costs a few hundred integer operations rather
     than the vectorised search's fixed numpy overhead.  The search, its
     starts, its tie rule and its arithmetic are _greedy_assign's: a start
@@ -531,9 +537,8 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     if x_row.shape != (u.cols,):
         raise DimensionError(f"row length {x_row.shape} != D={u.cols}")
     check_binary(x_row)
-    logs, d = _set_logs(r, epsilon), u.cols
+    (logs, pats, _), d = _model(u, r, epsilon), u.cols
     x = int.from_bytes(np.packbits(x_row == 1).tobytes(), "big")
-    pats = u.row_bits
     ones = x.bit_count()
     # An add candidate that covers no still-uncovered requested entry (m1 =
     # 0) cannot be kept, so only patterns that touch x are scanned.  It
@@ -621,8 +626,8 @@ def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
     first, group = _group(_keys(x.data))
     rows = x.data[first] == 1
     chunk = max(1, _ASSIGN_CELLS // max(1, (u.rows + 1) * u.rows * u.cols))
-    logs = _set_logs(r, epsilon)
+    model = _model(u, r, epsilon)
     out = np.zeros((first.size, u.rows), dtype=np.uint8)
     for lo in range(0, first.size, chunk):
-        out[lo:lo + chunk] = _greedy_assign(rows[lo:lo + chunk], u, logs)
+        out[lo:lo + chunk] = _greedy_assign(rows[lo:lo + chunk], model)
     return BinaryMatrix(out[group])

@@ -281,6 +281,22 @@ def test_count_below_1_is_a_usage_error(runner, tmp_path, command):
 
 @pytest.mark.parametrize("command", INGEST_COMMANDS,
                          ids=lambda command: command[0])
+def test_negative_seed_is_a_usage_error(runner, tmp_path, command):
+    data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*command, "--input", str(data),
+                                  "--out-dir", str(out), "--seed", "-1"])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    errors = [line for line in result.output.splitlines()
+              if line.startswith("Error: ")]
+    assert errors == ["Error: Invalid value for '--seed': -1 is not in the "
+                      "range x>=0."]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", INGEST_COMMANDS,
+                         ids=lambda command: command[0])
 def test_out_dir_under_a_file_exits_2(runner, tmp_path, command):
     # mkdir fails with ENOTDIR, which, unlike permission bits, stops root
     data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
@@ -539,7 +555,8 @@ class TestMine:
         assert "bad reputation config" in result.output
 
     @pytest.mark.parametrize("name", ["min_num_ratings",
-                                      "max_low_num_ratings", "test_size"])
+                                      "max_low_num_ratings", "test_size",
+                                      "split_seed"])
     def test_negative_reputation_config_exits_2(self, runner, tmp_path, name):
         data = planted_csv(tmp_path / "apps.csv", n=40, d=5)
         path = tmp_path / "reputation.json"
@@ -550,6 +567,7 @@ class TestMine:
                                       str(path)])
         assert_input_error(result, "bad reputation config: ")
         assert "must be non-negative" in result.output
+        assert not (tmp_path / "out").exists()
 
     def test_test_size_above_high_reputation_count_exits_2(self, runner,
                                                            tmp_path):

@@ -80,16 +80,6 @@ def test_matrix_is_immutable():
         m.data[0, 0] = 0
 
 
-def test_row_bits():
-    # 9 columns pad to two bytes: column j is bit 15 - j
-    m = matrix_from_rows([[1, 0, 0, 0, 0, 0, 0, 0, 1],
-                          [0, 0, 0, 0, 0, 0, 0, 0, 0],
-                          [0, 1, 1, 0, 0, 0, 0, 0, 0]])
-    assert m.row_bits == (2 ** 15 + 2 ** 7, 0, 2 ** 14 + 2 ** 13)
-    assert m.row_bits is m.row_bits
-    assert BinaryMatrix(np.zeros((2, 0), dtype=np.uint8)).row_bits == (0, 0)
-
-
 def test_hamming_identical_is_zero():
     m = matrix_from_rows([[1, 0], [0, 1]])
     assert hamming_distance(m, m) == 0
@@ -151,3 +141,6 @@ def test_fit_config_validation():
         FitConfig(tolerance=0.0)
     with pytest.raises(ConfigError):
         FitConfig(max_inner_iterations=0)
+    # numpy's generators take only non-negative seeds
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        FitConfig(seed=-1)

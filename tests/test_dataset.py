@@ -375,6 +375,11 @@ class TestFilterReputation:
         with pytest.raises(DatasetError, match="test size"):
             filter_reputation(ds, ReputationCriteria(test_size=5))
 
+    def test_negative_split_seed_rejected(self):
+        # numpy's generators take only non-negative seeds
+        with pytest.raises(ValueError, match="split seed must be non-negative"):
+            ReputationCriteria(split_seed=-1)
+
     def test_sampling_deterministic(self):
         specs = [(4.5, 200, {"a"}) for _ in range(50)]
         ds = make_dataset(specs)

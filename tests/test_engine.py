@@ -702,10 +702,13 @@ class TestAssignPatterns:
     def test_probability_outside_unit_interval_rejected(self, r, eps):
         u = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
         x = matrix_from_rows([[1, 1, 0]])
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            assign_patterns(x.data[0], u, r, eps)
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            assign_matrix(x, u, r, eps)
+        # on every call, also after a valid call has cached its model
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                assign_patterns(x.data[0], u, r, eps)
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                assign_matrix(x, u, r, eps)
+            assert assign_patterns(x.data[0], u, 0.5, 0.1).tolist() == [1, 0]
 
 
 def oracle_cases(seed, cases, rows):
@@ -884,7 +887,7 @@ class TestAssignOracle:
             return first_better(scores, base)
 
         monkeypatch.setattr(engine, "_first_better", spy)
-        got = engine._greedy_assign(rows, u, engine._set_logs(0.5, 0.02))
+        got = engine._greedy_assign(rows, engine._model(u, 0.5, 0.02))
         # the first call scores the add candidates of every searched pair
         assert calls[0] == searched
         want = [reference_assign(row, u, 0.5, 0.02) for row in x.data]
@@ -989,6 +992,45 @@ class TestAssignOracle:
         x = BinaryMatrix(np.ones((n, d), dtype=np.uint8))
         u = BinaryMatrix(np.ones((k, d), dtype=np.uint8))
         assert assign_matrix(x, u, 0.5, 0.1).data.shape == (n, k)
+
+
+class TestModel:
+    def test_bit_sets_and_transpose(self):
+        # 9 columns pad to two bytes: column j is bit 15 - j
+        u = matrix_from_rows([[1, 0, 0, 0, 0, 0, 0, 0, 1],
+                              [0, 0, 0, 0, 0, 0, 0, 0, 0],
+                              [0, 1, 1, 0, 0, 0, 0, 0, 0]])
+        model = engine._model(u, 0.2, 0.1)
+        logs, pats, ut = model
+        assert pats == (2 ** 15 + 2 ** 7, 0, 2 ** 14 + 2 ** 13)
+        assert ut.dtype == np.float32 and ut.flags.c_contiguous
+        assert ut.tolist() == u.data.T.tolist()
+        # covered with x = 1, uncovered with x = 0, uncovered with x = 1,
+        # covered with x = 0
+        assert logs == pytest.approx(np.log([0.92, 0.98, 0.02, 0.08]))
+        assert engine._model(u, 0.2, 0.1) is model
+        empty = BinaryMatrix(np.zeros((2, 0), dtype=np.uint8))
+        assert engine._model(empty, 0.2, 0.1)[1] == (0, 0)
+
+    def test_alternating_models_equal_oracle(self):
+        # two pattern matrices of one shape, and one of them at two (r,
+        # epsilon) pairs, each assigning some rows differently from the
+        # others; a model handed to another's call would show
+        rng = np.random.default_rng(34)
+        u1, u2 = (random_binary(rng, (6, 20), 0.3) for _ in range(2))
+        x = random_binary(rng, (12, 20), 0.4).data
+        models = [(u1, 0.5, 0.1), (u2, 0.5, 0.1), (u1, 0.999999, 0.4)]
+        want = [[reference_assign(row, *model).tolist() for row in x]
+                for model in models]
+        assert want[0] != want[1] and want[0] != want[2]
+        for _ in range(2):
+            for row_i, row in enumerate(x):
+                for m, model in enumerate(models):
+                    assert (assign_patterns(row, *model).tolist()
+                            == want[m][row_i])
+            for m, model in enumerate(models):
+                assert (assign_matrix(BinaryMatrix(x), *model).data.tolist()
+                        == want[m])
 
 
 def spied_scan(monkeypatch):

@@ -28,7 +28,9 @@ model its ``mine`` run fitted (this checkout's ``factorization.json``).
 Each tree scores them with ``assign_matrix`` as one batch, with
 ``assign_matrix`` in slices of the benchmark's batch size (22 Android
 apps, 100 Facebook apps) and with ``assign_patterns`` one app at a time,
-and every assignment must be equal.
+and every assignment must be equal.  The Facebook apps are then scored
+once more with the two models' calls alternating, app by app and slice
+by slice, and these assignments must equal the per-model ones as well.
 Prints each file, fit and scoring that differs and exits 1 if any does.
 """
 from __future__ import annotations
@@ -172,10 +174,18 @@ def score_digests(scorings) -> dict[str, str]:
     of the assignments of the apps (an .npy file) against the model (a
     JSON file with u, r and epsilon): by assign_matrix in one batch and in
     slices of the given size, and by assign_patterns one app at a time.
-    Runs with the package that is on the path."""
+    Then the apps of the Facebook scorings once more, with their models
+    alternating app by app with assign_patterns and slice by slice with
+    assign_matrix, so that what a call keeps of one model cannot reach
+    another model's call unseen: these assignments get one digest, and
+    the function exits if they differ from the per-model ones.  Runs with
+    the package that is on the path."""
     from permpatterns import BinaryMatrix, assign_matrix, assign_patterns
 
-    digests = {}
+    def digest(z) -> str:
+        return hashlib.sha256(z.astype(np.uint8).tobytes()).hexdigest()
+
+    digests, facebook = {}, []
     for name, apps, model, size in scorings:
         x = np.load(apps)
         fact = json.loads(Path(model).read_text())
@@ -189,8 +199,25 @@ def score_digests(scorings) -> dict[str, str]:
         for entry, z in (("assign_matrix", batch),
                          (f"assign_matrix in slices of {size}", sliced),
                          ("assign_patterns", single)):
-            digests[f"{name} {entry}"] = hashlib.sha256(
-                z.astype(np.uint8).tobytes()).hexdigest()
+            digests[f"{name} {entry}"] = digest(z)
+        if name.startswith("facebook"):
+            facebook.append((x, (u, r, eps), single, sliced))
+    # each Facebook model's single and sliced assignments once more, with
+    # the calls alternating between the models
+    again = [([], []) for _ in facebook]
+    for i in range(SCORED_APPS):
+        for (x, model, *_), (rows, _) in zip(facebook, again):
+            rows.append(assign_patterns(x[i], *model))
+    for lo in range(0, SCORED_APPS, FACEBOOK_SLICE):
+        for (x, model, *_), (_, slices) in zip(facebook, again):
+            slices.append(assign_matrix(
+                BinaryMatrix(x[lo:lo + FACEBOOK_SLICE]), *model).data)
+    again = [np.vstack(z) for pair in again for z in pair]
+    once = [z for *_, single, sliced in facebook for z in (single, sliced)]
+    if not all(map(np.array_equal, again, once)):
+        sys.exit("the Facebook models' assignments differ when their calls "
+                 "alternate")
+    digests["facebook models alternating"] = digest(np.vstack(again))
     return digests
 
 
