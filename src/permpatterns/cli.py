@@ -308,7 +308,11 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
         _fail("simulate needs at least one app")
     sim_n = x.rows if sim_n is None else sim_n
     probs = marginal_probs(x)
-    sim = simulate_independent(probs, sim_n, seed)
+    try:
+        sim = simulate_independent(probs, sim_n, seed)
+    except MemoryError:
+        _fail(f"--sim-n {sim_n}: {sim_n} simulated apps of {x.cols} "
+              "permissions do not fit in memory")
     pcp_real, undef_real = pcp_matrix(x)
     pcp_sim, undef_sim = pcp_matrix(sim)
     hist = pcp_histogram(pcp_real, pcp_sim, bins=bins)

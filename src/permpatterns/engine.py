@@ -12,17 +12,21 @@ A step works per distinct assignment vector.  Rows are grouped by sorting
 integer keys (``_keys``): a row's packed bits, one native uint64 for up to
 64 columns and a void view of the packed bytes for wider rows.  A step's
 E-step input is the grouping of the rows with its counts (``_Rows``) and
-each group's mixture terms f0, f1.  The returned state carries the next
-step's input as ``table``: when no row moved, the E-step's own grouping
-with the terms the flip search found for each group's vector, else a
-fresh tabulation of the new state (``_tabulate``).  The fitting loop
-(``_converge``) hands it to the next step.  It tabulates once per
-temperature, on the grouping the last step handed off.
+each group's mixture terms f0, f1.  The grouping also holds the flip
+search's plan (``_plan``), which depends on z alone and is built on first
+use: the distinct candidate vectors and each row's candidates among them.
+The returned state carries the next step's input as ``table``: when no
+row moved, the E-step's own grouping, with its plan, and the terms the
+flip search found for each group's vector, else a fresh tabulation of the
+new state (``_tabulate``), whose plan the next flip search builds.  The
+fitting loop (``_converge``) hands it to the next step.  It tabulates
+once per temperature, on the grouping the last step handed off, so a
+plan lasts until a row moves.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,9 +78,14 @@ def boolean_product(z: BinaryMatrix, u: BinaryMatrix) -> BinaryMatrix:
     return BinaryMatrix((prod > 0).astype(np.uint8))
 
 
+def _log_beta(beta: np.ndarray) -> np.ndarray:
+    """log beta with zeros at log 1e-300, so that 0 * log beta stays 0."""
+    return np.log(np.maximum(beta, 1e-300))
+
+
 def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """log q of every row of z, shape (rows, D); zeros map to -inf-ish."""
-    return z.astype(float) @ np.log(np.clip(beta, 1e-300, 1.0))
+    return z.astype(float) @ _log_beta(beta)
 
 
 def _clip(p: float) -> float:
@@ -137,14 +146,29 @@ def _terms(log_q: np.ndarray, r: float, eps: float, inv_t: float):
     return f0, f1
 
 
+def _plan(vectors: np.ndarray, group: np.ndarray):
+    """The flip search's candidates for rows whose vectors of z are
+    vectors[group], which depend on z alone.  A vector's candidates are
+    itself and its K single-bit flips.  Returns the distinct candidates
+    as a float matrix (the left factor of their log q), each row's K + 1
+    candidates as indices into it, and each vector's own candidate."""
+    k = vectors.shape[1]
+    # candidate 0 keeps z, candidate j + 1 flips bit j
+    moves = np.eye(k + 1, k, -1, dtype=np.uint8)
+    cand = (vectors[:, None, :] ^ moves).reshape(-1, k)
+    distinct, which = _group(_keys(cand))
+    return (cand[distinct].astype(float), which.reshape(-1, k + 1)[group],
+            which[::k + 1])
+
+
 @dataclass(frozen=True)
 class _Rows:
-    """The rows of (x, z) grouped by their vector of z: a row of each
-    group, each row's group, and for each group and column the number of
-    its rows with x = 0 (n0) and with x = 1 (n1)."""
+    """The rows of (x, z) grouped by their vector of z: each row's group,
+    each group's vector, and for each group and column the number of its
+    rows with x = 0 (n0) and with x = 1 (n1)."""
 
-    first: np.ndarray
     group: np.ndarray
+    vectors: np.ndarray
     n0: np.ndarray
     n1: np.ndarray
 
@@ -156,7 +180,13 @@ class _Rows:
         n1 = np.bincount(cells, weights=x.ravel(), minlength=u * d)
         n1 = n1.reshape(u, d)
         n0 = np.bincount(group, minlength=u)[:, None] - n1
-        return cls(first, group, n0, n1)
+        return cls(group, z[first], n0, n1)
+
+    @cached_property
+    def plan(self):
+        """_plan of the grouped rows, built on first use; a grouping that
+        goes on to the next step takes its plan with it."""
+        return _plan(self.vectors, self.group)
 
 
 def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float,
@@ -170,7 +200,7 @@ def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float,
         raise DimensionError(f"x {x.shape}, z {state.z.shape} and beta "
                              f"{state.beta.shape} do not line up")
     rows = _Rows.of(x, state.z) if rows is None else rows
-    log_q = _log_q(state.z[rows.first], state.beta)
+    log_q = _log_q(rows.vectors, state.beta)
     return rows, *_terms(log_q, state.r, eps, inv_t)
 
 
@@ -185,8 +215,8 @@ def _entry_sum(rows: _Rows, f0: np.ndarray, f1: np.ndarray) -> float:
 
 def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     """Plain (untempered) mixture log-likelihood of the observed matrix."""
-    return _entry_sum(*_tabulate(
-        x.data, state, float(np.clip(state.epsilon, 0.0, 1.0)), 1.0))
+    eps = float(min(max(state.epsilon, 0.0), 1.0))
+    return _entry_sum(*_tabulate(x.data, state, eps, 1.0))
 
 
 def tempered_log_likelihood(x: BinaryMatrix, state: FitState) -> float:
@@ -208,16 +238,18 @@ def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
     of each one's entries with x = 0 and x = 1.
     """
     q = np.exp(np.minimum(log_q, 0.0))
-    one_minus_q = np.clip(1.0 - q, 1e-300, 1.0)
+    one_minus_q = np.maximum(1.0 - q, 1e-300)
     mask = zu.T.astype(float)[:, :, None]                      # (K, U, 1)
-    fired = np.clip((1.0 - beta[:, None, :]) / one_minus_q, 0.0, 1.0)
+    # in [0, 1] where beta is: 1 - beta >= 0
+    fired = np.minimum((1.0 - beta[:, None, :]) / one_minus_q, 1.0)
     # one summation for both, so that beta stays exactly 1 where no
     # x = 1 entry credits pattern k
     denom = (mask * (w0 + w1)).sum(axis=1)                     # (K, D)
     num = (mask * (w0 + w1 * (1.0 - fired))).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         upd = num / denom
-    return np.where(denom > 0, np.clip(upd, 0.0, 1.0), beta)
+    # 0 <= num <= denom, and where denom is 0 the NaN is not taken
+    return np.where(denom > 0, np.minimum(upd, 1.0), beta)
 
 
 def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
@@ -228,23 +260,21 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
     simultaneously; the result does not depend on row order.  A row that
     did not flip would not flip again, so a pass searches only the last
     pass's flipped rows.  A row's candidates are its z and its K single-bit
-    flips; the terms of x = 0 and x = 1 are tabulated once per distinct
-    candidate vector, and a row's score is the x = 0 sum plus x times the
-    difference.  grouped is the E-step's grouping of state.z's rows, which
-    the first pass uses when it searches every row in one chunk.  Returns
-    the new z, the tempered log-likelihood at it (the sum of each row's
-    score at its final z) and, if that first pass moved no row, the next
-    step's E-step input: grouped and the terms of each group's own
-    vector.  Otherwise the third value is None.
+    flips (_plan); the terms of x = 0 and x = 1 are tabulated once per
+    distinct candidate vector, and a row's score is the x = 0 sum plus x
+    times the difference.  grouped is the E-step's grouping of state.z's
+    rows, whose plan the first pass uses when it searches every row in one
+    chunk.  Returns the new z, the tempered log-likelihood at it (the sum
+    of each row's score at its final z) and, if that first pass moved no
+    row, the next step's E-step input: grouped, with its plan, and the
+    terms of each group's own vector.  Otherwise the third value is None.
     """
     z = state.z.copy()
     n = z.shape[0]
     xf = x.astype(float)
     k_count, d = state.beta.shape
     r, eps, inv_t = state.r, state.epsilon, 1.0 / state.temperature
-    log_beta = np.log(np.clip(state.beta, 1e-300, 1.0))
-    # candidate 0 keeps z, candidate j + 1 flips bit j
-    moves = np.eye(k_count + 1, k_count, -1, dtype=np.uint8)
+    log_beta = _log_beta(state.beta)
     chunk = max(1, _CHUNK_CELLS // ((k_count + 1) * d))
     row_ll = np.empty(n)
     search = np.arange(n)
@@ -253,17 +283,13 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
         for lo in range(0, search.size, chunk):
             rows = search[lo:lo + chunk]
             if p == 0 and rows.size == n:
-                # every row in order, z unchanged: no regrouping or gather
-                first, group, xr = grouped.first, grouped.group, xf
+                # every row in order, z unchanged: the grouping's plan
+                (distinct, which, own), xr = grouped.plan, xf
             else:
                 first, group = _group(_keys(z[rows]))
+                distinct, which, own = _plan(z[rows[first]], group)
                 xr = xf[rows]
-            cand = (z[rows[first], None, :] ^ moves).reshape(-1, k_count)
-            distinct, which = _group(_keys(cand))
-            f0, f1 = _terms(cand[distinct].astype(float) @ log_beta,
-                            r, eps, inv_t)
-            own = which[::k_count + 1]      # each group's unflipped candidate
-            which = which.reshape(-1, k_count + 1)[group]   # (rows, K+1)
+            f0, f1 = _terms(distinct @ log_beta, r, eps, inv_t)
             score = (np.matmul((f1 - f0)[which],
                                xr.reshape(-1, d, 1))[..., 0]
                      + f0.sum(axis=-1)[which])
@@ -297,8 +323,9 @@ def em_step(x: BinaryMatrix, state: FitState,
     tabled is the E-step's input, _tabulate's (grouping, f0, f1) of x and
     the state at its clipped epsilon and temperature, or None to work it
     out, which checks the shapes.  The returned state's table is the next
-    step's input: the E-step's grouping with the flip search's terms if
-    no row moved, else a fresh _tabulate of the new state.
+    step's input: the E-step's grouping, with its flip-search plan, and
+    the flip search's terms if no row moved, else a fresh _tabulate of the
+    new state.
     """
     xd = x.data
     if xd.size == 0:
@@ -308,7 +335,7 @@ def em_step(x: BinaryMatrix, state: FitState,
 
     eps, inv_t = _clip(state.epsilon), 1.0 / state.temperature
     rows, f0, f1 = tabled or _tabulate(xd, state, eps, inv_t)
-    log_q = _log_q(state.z[rows.first], state.beta)
+    log_q = _log_q(rows.vectors, state.beta)
     n0, n1 = rows.n0, rows.n1
     a0, a1 = _noise_terms(state.r, eps, inv_t)
     # tempered noise responsibilities of an x = 0 and an x = 1 entry
@@ -318,7 +345,7 @@ def em_step(x: BinaryMatrix, state: FitState,
     new_eps = _clip(rho_sum / xd.size)
     r = _clip(noise1.sum() / rho_sum) if rho_sum > 0 else state.r
 
-    beta = _update_beta(state.z[rows.first], state.beta, log_q,
+    beta = _update_beta(rows.vectors, state.beta, log_q,
                         n0 * (1.0 - rho0), n1 * (1.0 - rho1))
     new = FitState(beta=beta, z=state.z, r=r, epsilon=new_eps,
                    temperature=state.temperature)

@@ -681,6 +681,20 @@ class TestSimulate:
         assert result.exit_code == 2
         assert option in result.output
 
+    def test_sim_n_beyond_memory_exits_2(self, runner, tmp_path):
+        # 10^17 apps of 2 permissions take 2 * 10^17 bytes, more than a
+        # 2^57-byte user address space, so the allocation fails at once
+        data = tmp_path / "apps.csv"
+        data.write_text(CSV_HEADER + "a0,A,Tools,0,4.5,500,p0;p1\n"
+                        "a1,B,Games,0,4.5,500,p1\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--input", str(data),
+                                      "--out-dir", str(out),
+                                      "--sim-n", str(10 ** 17)])
+        assert result.exit_code == 2, result.output
+        assert "--sim-n" in result.output and "memory" in result.output
+        assert not out.exists()
+
     def test_fixed_seed_byte_identical(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=200, d=10, k=2)
         outputs = []

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -146,6 +147,63 @@ def mixture_ll_oracle(x, state):
     return total
 
 
+class TestRangeEnds:
+    """The public entry points raise no floating-point warning at the ends
+    of the parameter ranges, and give -inf where an entry is impossible."""
+
+    X = [[1, 0, 1, 0], [0, 0, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0], [1, 0, 0, 0]]
+    Z = [[1, 0], [0, 1], [1, 1], [0, 0], [0, 0]]
+    # exact 0 and 1 entries: pattern 0 always fires on column 0
+    BETA = [[0.0, 1.0, 0.5, 1.0], [1.0, 0.0, 1.0, 0.3]]
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1.0])
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    @pytest.mark.parametrize("temperature", [2.0, 1.0, 0.05])
+    def test_state_at_range_ends(self, epsilon, r, temperature):
+        x = matrix_from_rows(self.X)
+        state = FitState(beta=np.array(self.BETA),
+                         z=np.array(self.Z, dtype=np.uint8), r=r,
+                         epsilon=epsilon, temperature=temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ll = log_likelihood(x, state)
+            tempered = tempered_log_likelihood(x, state)
+            new = em_step(x, state)
+        # the rows with z = 0 request column 0, which their signal never
+        # does: without noise (epsilon 0) the entry is impossible
+        want = mixture_ll_oracle(x.data, state)
+        assert (ll == -math.inf) == (epsilon == 0.0) == (want == -math.inf)
+        assert ll == pytest.approx(want, rel=1e-12, abs=0)
+        assert tempered == pytest.approx(
+            reference_tempered_log_likelihood(x, state), rel=1e-12, abs=0)
+        beta, z, r_new, eps_new, step_ll = reference_em_step(x, state)
+        assert np.array_equal(new.z, z)
+        np.testing.assert_allclose(new.beta, beta, rtol=1e-12, atol=0)
+        np.testing.assert_allclose([new.r, new.epsilon, new.log_likelihood],
+                                   [r_new, eps_new, step_ll], rtol=1e-12,
+                                   atol=0)
+
+    @pytest.mark.parametrize("fill", [0, 1, "column"])
+    def test_fit_on_data_at_range_ends(self, fill):
+        """All-zero and all-one data drive r, epsilon and beta to the ends
+        of their ranges."""
+        x = np.zeros((12, 5), dtype=np.uint8)
+        if fill == 1:
+            x[:] = 1
+        elif fill == "column":
+            x[:, 0] = 1
+        x = BinaryMatrix(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fact = fit(x, 2, FitConfig(seed=0, cooling_factor=0.5))
+            ll = log_likelihood(x, FitState(
+                beta=fact.beta, z=fact.z.data, r=fact.r,
+                epsilon=fact.epsilon, temperature=1.0))
+        assert fact.log_likelihood == ll
+        assert math.isfinite(ll)
+        assert ((fact.beta >= 0) & (fact.beta <= 1)).all()
+
+
 class TestLogLikelihood:
     def test_pure_fair_noise(self):
         rng = np.random.default_rng(3)
@@ -243,9 +301,9 @@ def assert_hand_off(x, state, hand_off):
     state's rows and each group's terms at its parameters."""
     rows, f0, f1 = hand_off
     want = engine._Rows.of(x.data, state.z)
-    for name in ("first", "group", "n0", "n1"):
+    for name in ("group", "vectors", "n0", "n1"):
         assert np.array_equal(getattr(rows, name), getattr(want, name)), name
-    terms = engine._terms(engine._log_q(state.z[rows.first], state.beta),
+    terms = engine._terms(engine._log_q(rows.vectors, state.beta),
                           state.r, engine._clip(state.epsilon),
                           1.0 / state.temperature)
     np.testing.assert_allclose((f0, f1), terms, rtol=1e-12, atol=0)
@@ -399,7 +457,7 @@ class TestEmStepOracle:
         rows, f0, f1 = new.table
         want_rows, want_f0, want_f1 = engine._tabulate(
             x.data, new, new.epsilon, 1.0 / temperature)
-        for name in ("first", "group", "n0", "n1"):
+        for name in ("group", "vectors", "n0", "n1"):
             assert np.array_equal(getattr(rows, name),
                                   getattr(want_rows, name)), name
         # bit for bit, not within a tolerance
@@ -449,7 +507,7 @@ class TestEmStepOracle:
             assert_likelihoods_as_reference(x, state)
         assert state.table is table
 
-    def test_carried_rows_not_used_for_other_x(self):
+    def test_carried_rows_not_used_for_other_x(self, monkeypatch):
         rng = np.random.default_rng(18)
         x, state = shared_rows_state(rng, 30, 9, 14, 1.0)
         # the hand-off groups the rows of x, not of the other matrix
@@ -461,6 +519,60 @@ class TestEmStepOracle:
         assert_likelihoods_as_reference(other, state)
         assert state.table is table
         assert_steps_as_reference(other, state)
+        # step until a step moves no row, so that the grouping it hands on
+        # carries the flip-search plan built for it
+        for _ in range(50):
+            new = em_step(x, state, state.table)
+            if np.array_equal(new.z, state.z):
+                break
+            state = new
+        else:
+            pytest.fail("every step flipped a row")
+        state = new
+        assert "plan" in vars(state.table[0])
+        plans = []
+        plan = engine._plan
+
+        def counted(vectors, group):
+            plans.append(vectors)
+            return plan(vectors, group)
+
+        monkeypatch.setattr(engine, "_plan", counted)
+        # a step on other data plans afresh, as does a step after z changed
+        assert_steps_as_reference(other, state)
+        assert len(plans) >= 1
+        state.z[0] = 1 - state.z[0]
+        assert_steps_as_reference(x, state)
+        assert len(plans) >= 2
+        # the plan after the change holds row 0's new vector
+        assert any((vectors == state.z[0]).all(axis=1).any()
+                   for vectors in plans[1:])
+
+    def test_steps_on_carried_plans_equal_fresh_steps(self):
+        """A sequence of steps, each on the table the step before handed
+        on, equals bit for bit the steps that each work out their own
+        table and plan; rows move in some of the steps and not in others."""
+        x, _, _ = plant_factorization(120, 30, 5, 0.2, 0.3, 0.05, 0.5,
+                                      seed=21)
+        rng = np.random.default_rng(4)
+        state = FitState(beta=rng.uniform(0.4, 0.6, (5, 30)),
+                         z=(rng.random((120, 5)) < 0.4).astype(np.uint8),
+                         r=0.5, epsilon=0.5, temperature=0.3)
+        carried = fresh = state
+        moved = []
+        for _ in range(150):
+            new = em_step(x, carried, carried.table)
+            fresh = em_step(x, fresh)
+            moved.append(not np.array_equal(new.z, carried.z))
+            # a step that moved no row hands on its grouping with the plan
+            # its flip search used; any other step hands on a fresh one
+            assert ("plan" in vars(new.table[0])) == (not moved[-1])
+            carried = new
+            assert np.array_equal(carried.z, fresh.z)
+            assert carried.beta.tobytes() == fresh.beta.tobytes()
+            assert (carried.r, carried.epsilon, carried.log_likelihood) == (
+                fresh.r, fresh.epsilon, fresh.log_likelihood)
+        assert 5 < sum(moved) < len(moved) - 5
 
     def test_zero_rows_rejected(self):
         state = FitState(beta=np.full((2, 3), 0.5),

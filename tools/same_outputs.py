@@ -21,6 +21,9 @@ The written files round beta, so the fits behind them are compared as
 well: on each Facebook corpus, the ``mine`` training set at K=5 and every
 ``select-k`` half at each of its K are fitted again with each source tree,
 and z, beta, r, epsilon and the log-likelihood must be equal bit for bit.
+For each fit that differs, the script says whether z and u (beta
+binarized) are equal and prints the largest relative difference of beta,
+r, epsilon and the log-likelihood.
 
 Scoring is compared on held-out apps: those of the Android corpus against
 its planted K=30 model, and those of each Facebook corpus against the
@@ -136,20 +139,26 @@ def run_all(src: Path, out_root: Path, runs) -> None:
                      f"{proc.stderr}")
 
 
-def fit_digests(corpora) -> dict[str, str]:
+def fit_digests(corpora) -> dict[str, dict]:
     """For each (csv path, seed) in corpora, the SHA-256 of each fit's
-    exact z, beta, r, epsilon and log-likelihood: the ``mine`` training set
-    at K=5, then each ``select-k`` half at each K, fitted as the commands
-    fit them.  Runs with the package that is on the path."""
+    exact z, beta, r, epsilon and log-likelihood, with those values: the
+    ``mine`` training set at K=5, then each ``select-k`` half at each K,
+    fitted as the commands fit them.  Runs with the package that is on the
+    path."""
     from permpatterns import FitConfig, fit
     from permpatterns.dataset import (ReputationCriteria, filter_reputation,
                                       load_dataset)
     from permpatterns.selection import split_dataset
 
-    def digest(fact) -> str:
+    def digest(fact) -> dict:
         values = (fact.r, fact.epsilon, fact.log_likelihood)
-        return hashlib.sha256(fact.z.data.tobytes() + fact.beta.tobytes()
-                              + repr(values).encode()).hexdigest()
+        return {"digest": hashlib.sha256(
+                    fact.z.data.tobytes() + fact.beta.tobytes()
+                    + repr(values).encode()).hexdigest(),
+                "z": fact.z.data.tolist(), "u": fact.u.data.tolist(),
+                "beta": fact.beta.tolist(), "r": fact.r,
+                "epsilon": fact.epsilon,
+                "log_likelihood": fact.log_likelihood}
 
     digests = {}
     for path, seed in corpora:
@@ -167,6 +176,23 @@ def fit_digests(corpora) -> dict[str, str]:
                             f"half {h + 1}"] = digest(
                         fit(half, k, FitConfig(seed=seed + rep)))
     return digests
+
+
+def fit_difference(ours: dict, theirs: dict) -> str:
+    """How two fit_digests entries of one fit differ: whether z and u are
+    equal, and the largest relative difference of each float."""
+    parts = [f"{name} {'equal' if ours[name] == theirs[name] else 'differ'}"
+             for name in ("z", "u")]
+    for name in ("beta", "r", "epsilon", "log_likelihood"):
+        a, b = np.asarray(ours[name]), np.asarray(theirs[name])
+        if a.shape != b.shape:
+            parts.append(f"{name} shapes {a.shape} and {b.shape}")
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+        rel = np.where(a == b, 0.0, rel)
+        parts.append(f"{name} rel {float(rel.max(initial=0.0)):.2e}")
+    return ", ".join(parts)
 
 
 def score_digests(scorings) -> dict[str, str]:
@@ -234,6 +260,11 @@ def run_child(src: Path, function: str, arg) -> dict[str, str]:
     return json.loads(proc.stdout)
 
 
+def _digest(entry):
+    """The digest of a fit_digests or score_digests entry."""
+    return entry["digest"] if isinstance(entry, dict) else entry
+
+
 def comparable(out_root: Path, name: Path):
     """A file's bytes, or for a manifest its content without the run time
     and with the outputs relative to out_root."""
@@ -270,16 +301,19 @@ def main() -> int:
                                     ("scoring", "score_digests", scorings)):
             ours, theirs = (run_child(src, function, arg)
                             for src in (ROOT / "src", other))
-            compared.append((what, len(ours), [
-                name for name in ours if ours[name] != theirs.get(name)]))
+            compared.append((what, ours, theirs, [
+                name for name in ours if _digest(ours[name])
+                != _digest(theirs.get(name))]))
     for name in differ:
         print(f"differs: {name}")
-    for what, _, names in compared:
+    for what, ours, theirs, names in compared:
         for name in names:
             print(f"{what} differs: {name}")
+            if what == "fit" and name in theirs:
+                print(f"  {fit_difference(ours[name], theirs[name])}")
     print(f"{len(differ)} of {len(files)} files differ")
-    for what, count, names in compared:
-        print(f"{len(names)} of {count} {what}s differ")
+    for what, ours, _, names in compared:
+        print(f"{len(names)} of {len(ours)} {what}s differ")
     return 1 if differ or any(names for *_, names in compared) else 0
 
 
