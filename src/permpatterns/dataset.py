@@ -11,9 +11,10 @@ import csv
 import gc
 import json
 import numbers
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter, ne
 from pathlib import Path
 
@@ -102,26 +103,69 @@ class ReputationCriteria:
             raise ValueError("test size and split seed must be non-negative")
 
 
+def _plain_lines(path: Path) -> list[str] | None:
+    """The lines of a CSV file if the csv module's default dialect reads
+    each of them as ``line.split(",")``, else None.
+
+    That holds when the text has no quote, no carriage return and no NUL,
+    and no line is longer than the csv module's field size limit.  The
+    text is split at "\\n" only: ``str.splitlines`` also splits at
+    characters such as "\\x0b" and "\\u2028", which the csv module keeps
+    inside a field."""
+    data = path.read_bytes()
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    try:
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None   # the csv route reports it where it meets it
+    # each form of the file is dropped once the next one is made
+    del data
+    lines = text.split("\n")
+    del text
+    if not lines[-1]:
+        lines.pop()   # the end of the last line, not a line
+    if max(map(len, lines), default=0) > csv.field_size_limit():
+        return None
+    return lines
+
+
 def _read_csv(path: Path, column_map: dict) -> list[tuple]:
     """The schema's columns of a CSV file; a missing trailing field reads
-    as empty."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise DatasetError(f"{path}: empty file")
-            names = [column_map.get(k, k) for k in REQUIRED_COLUMNS]
-            unknown = set(names) - set(header)
-            if unknown:
-                raise DatasetError(f"{path}: missing columns {sorted(unknown)}")
-            # a blank line is not a record and has no line number
-            rows = list(filter(None, reader))
-        except csv.Error as exc:
-            # such as a field over the csv module's size limit, which is
-            # left as it is: raising it would hold for the whole process
-            raise DatasetError(
-                f"{path}: line {reader.line_num}: {exc}") from exc
+    as empty.  A file that ``_plain_lines`` accepts is split with str
+    methods, and any other goes through the csv module."""
+    names = [column_map.get(k, k) for k in REQUIRED_COLUMNS]
+
+    def checked(header):
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
+        unknown = set(names) - set(header)
+        if unknown:
+            raise DatasetError(f"{path}: missing columns {sorted(unknown)}")
+        return header
+
+    lines = _plain_lines(path)
+    if lines is None:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = checked(next(reader, None))
+                records = list(reader)
+            except csv.Error as exc:
+                # such as a field over the csv module's size limit, which
+                # is left as it is: raising it would hold for the whole
+                # process
+                raise DatasetError(
+                    f"{path}: line {reader.line_num}: {exc}") from exc
+    else:
+        # in place, so that each line is freed as its fields are made; a
+        # blank line has no fields, as the csv module reads it
+        for i, line in enumerate(lines):
+            lines[i] = line.split(",") if line else []
+        header = checked(lines[0] if lines else None)
+        records = islice(lines, 1, None)
+    # a blank line is not a record and has no line number
+    rows = list(filter(None, records))
     if not rows:
         return [()] * len(names)
     width = len(header)
@@ -138,7 +182,7 @@ def _read_json(path: Path, column_map: dict) -> list[list]:
     reader's: a missing key or null reads as "", an id as ``str(v)``, a
     name or category as ``str(v or "")``, a permission list as a tuple of
     str and any other permission value as ``str(v or "")``."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     try:
         payload = json.loads(text)
@@ -168,33 +212,49 @@ def _read_json(path: Path, column_map: dict) -> list[list]:
              for v in permissions]]
 
 
-def _present(values) -> np.ndarray:
-    """Which values are not empty: an empty CSV field, or a JSON null."""
-    return np.fromiter(map(ne, values, repeat("")), dtype=bool,
-                       count=len(values))
-
-
-def _convert(values, present: np.ndarray, convert, dtype, fill,
-             failures: list) -> np.ndarray:
-    """``convert`` applied to the values where ``present``, and ``fill``
-    elsewhere, as an array.  The first value it rejects goes into
-    ``failures`` as (index, message), and only the entries before it are
-    then converted."""
-    out = np.full(len(values), fill, dtype=dtype)
-    taken = list(compress(values, present))
+def _distinct(cells) -> tuple[list, np.ndarray]:
+    """The distinct cells in order of first appearance, and the index of
+    each cell's value among them.  A JSON array or object is no dict key,
+    so a column holding one has each of its cells as its own value."""
+    index = defaultdict(count().__next__)
     try:
-        out[present] = np.fromiter(map(convert, taken), dtype=dtype,
-                                   count=len(taken))
-        return out
+        codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp,
+                            count=len(cells))
+    except TypeError:
+        return list(cells), np.arange(len(cells))
+    return list(index), codes
+
+
+def _convert(cells, convert, fill, dtype, failures: list
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """``convert`` applied to each cell that is not empty ("", which a
+    JSON null also reads as) and ``fill`` for each empty one, as an array,
+    with the mask of the cells that are not empty.
+
+    Apps repeat values, so ``convert`` runs once per distinct cell.  JSON
+    cells that are equal but not alike (1 and True, 0 and -0.0) share the
+    first one's result: they convert alike but for the sign of a zero,
+    which no valid rating has.  The first cell that ``convert`` rejects
+    goes into ``failures`` as (index, message), and the cells whose value
+    first appears after it are left as ``fill``."""
+    table, codes = _distinct(cells)
+    present = np.fromiter(map(ne, table, repeat("")), dtype=bool,
+                          count=len(table))
+    values = np.full(len(table), fill, dtype=dtype)
+    taken = list(compress(table, present))
+    try:
+        values[present] = np.fromiter(map(convert, taken), dtype=dtype,
+                                      count=len(taken))
     except (TypeError, ValueError, OverflowError):
-        pass
-    for i, value in zip(np.flatnonzero(present).tolist(), taken):
-        try:
-            out[i] = convert(value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            failures.append((i, str(exc)))
-            break
-    return out
+        for j in np.flatnonzero(present).tolist():
+            try:
+                values[j] = convert(table[j])
+            except (TypeError, ValueError, OverflowError) as exc:
+                # the first cell of the first value rejected is the first
+                # cell rejected
+                failures.append((int((codes == j).argmax()), str(exc)))
+                break
+    return values[codes], present[codes]
 
 
 def _first_repeat(ids: tuple[str, ...]) -> int:
@@ -206,15 +266,27 @@ def _first_repeat(ids: tuple[str, ...]) -> int:
         seen.add(app_id)
 
 
+def _price(cell) -> float:
+    """A price: 0 for any false JSON value, such as 0, false or []."""
+    return float(cell) if cell else 0.0
+
+
+def _whole(cell) -> int:
+    """int(cell), rejecting a JSON number with a fraction, which int()
+    would cut off."""
+    value = int(cell)
+    if isinstance(cell, float) and value != cell:
+        raise ValueError(f"num_ratings {cell} is not a whole number")
+    return value
+
+
 def _permission_matrix(fields) -> tuple[BinaryMatrix, tuple[str, ...]]:
     """The N x D matrix of the permission fields, each a ';'-separated
     string or a tuple of names, and its columns' names in sorted order.
     Each distinct field is split once: apps repeat permission sets."""
-    code_of = {field: i for i, field in enumerate(dict.fromkeys(fields))}
-    codes = np.fromiter(map(code_of.__getitem__, fields), dtype=np.intp,
-                        count=len(fields))
+    table, codes = _distinct(fields)
     pieces = [field.split(";") if isinstance(field, str) else field
-              for field in code_of]
+              for field in table]
     tokens = list(map(str.strip, chain.from_iterable(pieces)))
     vocabulary = tuple(sorted(set(tokens) - {""}))
     column = dict(zip(vocabulary, range(len(vocabulary))))
@@ -285,14 +357,9 @@ def _load(path: Path, fmt: str, column_map: dict) -> Dataset:
     if len(set(ids)) < len(ids):
         i = _first_repeat(ids)
         failures.append((i, f"duplicate app id {ids[i]!r}"))
-    # a price is 0 when empty or, in JSON, any false value
-    priced = np.fromiter(map(bool, price_col), dtype=bool,
-                         count=len(price_col))
-    price = _convert(price_col, priced, float, np.float64, 0.0, failures)
-    rated = _present(rating_col)
-    rating = _convert(rating_col, rated, float, np.float64, np.nan, failures)
-    count = _convert(count_col, _present(count_col), int, np.int64, 0,
-                     failures)
+    price, _ = _convert(price_col, _price, 0.0, np.float64, failures)
+    rating, rated = _convert(rating_col, float, np.nan, np.float64, failures)
+    count, _ = _convert(count_col, _whole, 0, np.int64, failures)
     outside = rated & ~((rating >= 1.0) & (rating <= 5.0))
     if outside.any():
         i = int(outside.argmax())

@@ -1,6 +1,7 @@
 """Small builders and reference formulas shared by the unit tests."""
 import csv
 import json
+import math
 from operator import itemgetter
 from pathlib import Path
 
@@ -170,32 +171,38 @@ def reference_assign(x_row, u, r, eps):
 
 
 def reference_load_dataset(path, fmt=None, column_map=None):
-    """dataset.load_dataset converting one value at a time, with every
-    check written out per column.  Besides the checks of the per-value
-    loader it replaces, it rejects a price that is negative or not finite,
-    after every other check."""
+    """dataset.load_dataset with every CSV file read by the csv module,
+    one value converted at a time and every check written out per column.
+    Besides the checks of the per-value loader it replaces, it rejects a
+    price that is negative or not finite (after every other check) and a
+    JSON count with a fraction."""
     path = Path(path)
     if fmt is None:
         fmt = "json" if path.suffix.lower() == ".json" else "csv"
     column_map = column_map or {}
     names = [column_map.get(k, k) for k in REQUIRED_COLUMNS]
     if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise DatasetError(f"{path}: empty file")
-            unknown = set(names) - set(header)
-            if unknown:
-                raise DatasetError(f"{path}: missing columns {sorted(unknown)}")
-            where = {name: i for i, name in enumerate(header)}
-            pick = itemgetter(*(where[name] for name in names))
-            width = len(header)
-            rows = [pick(row + [""] * (width - len(row)))
-                    for row in reader if row]
+            try:
+                header = next(reader, None)
+                if header is None:
+                    raise DatasetError(f"{path}: empty file")
+                unknown = set(names) - set(header)
+                if unknown:
+                    raise DatasetError(
+                        f"{path}: missing columns {sorted(unknown)}")
+                where = {name: i for i, name in enumerate(header)}
+                pick = itemgetter(*(where[name] for name in names))
+                width = len(header)
+                rows = [pick(row + [""] * (width - len(row)))
+                        for row in reader if row]
+            except csv.Error as exc:
+                raise DatasetError(
+                    f"{path}: line {reader.line_num}: {exc}") from exc
         columns, first_line = list(zip(*rows)) or [()] * len(names), 2
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
         if not isinstance(payload, list):
             raise DatasetError(f"{path}: expected a JSON array of objects")
@@ -219,6 +226,13 @@ def reference_load_dataset(path, fmt=None, column_map=None):
                 break
         return out
 
+    def whole(value):
+        # int() would cut off the fraction of a JSON number
+        if (isinstance(value, float) and math.isfinite(value)
+                and not value.is_integer()):
+            raise ValueError(f"num_ratings {value} is not a whole number")
+        return int(value)
+
     failures = []
     ids = tuple("" if v is None else str(v).strip() for v in id_col)
     if "" in ids:
@@ -234,7 +248,8 @@ def reference_load_dataset(path, fmt=None, column_map=None):
     rating = convert(rating_col,
                      lambda v: float(v) if v not in (None, "") else np.nan,
                      np.float64)
-    count = convert(count_col, lambda v: int(v) if v not in (None, "") else 0,
+    count = convert(count_col,
+                    lambda v: whole(v) if v not in (None, "") else 0,
                     np.int64)
     for i in range(len(ids)):
         if rated[i] and not 1.0 <= rating[i] <= 5.0:

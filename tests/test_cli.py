@@ -1,3 +1,4 @@
+import codecs
 import csv
 import json
 import math
@@ -250,6 +251,18 @@ class TestIngestExitCodes:
     def test_valid_inputs_load(self, tmp_path_factory, fmt):
         result = stats_on(tmp_path_factory, fmt, VALID_INPUT[fmt])
         assert result.exit_code == 0, result.output
+
+    @pytest.mark.parametrize("fmt", sorted(VALID_INPUT))
+    def test_byte_order_mark_is_skipped(self, tmp_path_factory, fmt):
+        result = stats_on(tmp_path_factory, fmt,
+                          codecs.BOM_UTF8 + VALID_INPUT[fmt])
+        assert result.exit_code == 0, result.output
+
+    def test_fractional_json_count_exits_2(self, tmp_path_factory):
+        content = '[{"id": "a1", "avg_rating": 4.5, "num_ratings": 99.9}]'
+        result = stats_on(tmp_path_factory, "json", content.encode())
+        assert_input_error(result,
+                           "line 1: num_ratings 99.9 is not a whole number")
 
     @pytest.mark.parametrize("content,message", [
         ('{"id": "a1", "permissions": ["p"]}',

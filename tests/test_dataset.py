@@ -1,6 +1,8 @@
+import codecs
 import csv
 import gc
 import json
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -208,6 +210,24 @@ class TestLoadDataset:
                 load_dataset(path)
             assert str(info.value) == f"line 2: {message}"
 
+    def test_json_fractional_count_rejected(self, tmp_path):
+        # int() would cut 99.9 off to 99, and the CSV cell "99.9" is an
+        # error too; a whole float is a count
+        for value, message in ((99.9, "num_ratings 99.9 is not a whole "
+                                      "number"),
+                               (-0.5, "num_ratings -0.5 is not a whole "
+                                      "number"),
+                               (float("nan"),
+                                "cannot convert float NaN to integer")):
+            path = write_records(tmp_path, "json",
+                                 [VALID, dict(VALID, id="app2",
+                                              num_ratings=value)])
+            with pytest.raises(DatasetError) as info:
+                load_dataset(path)
+            assert str(info.value) == f"line 2: {message}"
+        path = write_records(tmp_path, "json", [dict(VALID, num_ratings=2e2)])
+        assert load_dataset(path).num_ratings.tolist() == [200]
+
     def test_json_price_literals(self, tmp_path):
         # json writes NaN and -Infinity as bare literals, which it reads back
         path = tmp_path / "apps.json"
@@ -303,6 +323,54 @@ class TestLoadDataset:
         assert ds.ids == ("app1", "app2")
         for i, perms in enumerate([{"a", "c"}, {"b"}]):
             assert {ds.vocabulary[d] for d in np.nonzero(m[i])[0]} == perms
+
+
+def test_csv_line_ends_and_quotes_load_alike(tmp_path):
+    # "\n" lines without quotes are split as plain text; "\r\n" lines or a
+    # quoted field go through the csv module, with or without a byte-order
+    # mark
+    lines = [CSV_HEADER.rstrip("\n"), "app1,One,Tools,0.99,4.5,200,a;b",
+             "app2,Two,Games,0,,7,b", "", "app3,Three,Tools,,3.25,12,"]
+    path = tmp_path / "apps.csv"
+    path.write_text("\n".join(lines) + "\n")
+    want = load_dataset(path)
+    assert want.ids == ("app1", "app2", "app3")
+    quoted = [line.replace(",Two,", ',"Two",') for line in lines]
+    for text in ("\n".join(lines), "\r\n".join(lines) + "\r\n",
+                 "\n".join(quoted) + "\n"):
+        for bom in ("", "\ufeff"):
+            path.write_text(bom + text, encoding="utf-8", newline="")
+            assert_same_dataset(load_dataset(path), want)
+
+
+def test_json_byte_order_mark_is_skipped(tmp_path):
+    path = write_records(tmp_path, "json", [VALID, dict(VALID, id="app2")])
+    want = load_dataset(path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert_same_dataset(load_dataset(path), want)
+
+
+LIMIT = csv.field_size_limit()
+
+
+@pytest.mark.parametrize("line,error", [
+    # the csv module reads a NUL from Python 3.11 on
+    ("app1,N\0ame,Tools,0,4.5,200,a",
+     None if sys.version_info >= (3, 11) else "line 2: line contains NUL"),
+    ("x" * LIMIT, None),
+    ("x" * (LIMIT + 1), f"line 2: field larger than field limit ({LIMIT})"),
+    ("app1,One,Tools,0,4.5,200," + "p" * LIMIT, None),
+    ("app1,One,Tools,0,4.5,200," + "p" * (LIMIT + 1),
+     f"line 2: field larger than field limit ({LIMIT})"),
+], ids=["nul", "line-at-limit", "line-over-limit", "field-at-limit",
+        "field-over-limit"])
+def test_csv_edge_lines_read_as_csv_module_reads_them(tmp_path, line, error):
+    path = write_csv(tmp_path / "apps.csv", [line + "\n"])
+    (ds, message), (ref, ref_message) = (load_or_error(path),
+                                         reference_or_error(path))
+    assert message == ref_message == (error and f"{path}: {error}")
+    if ref is not None:
+        assert_same_dataset(ds, ref)
 
 
 def permission_sets(ds):
@@ -501,6 +569,10 @@ def test_random_csv_matches_numpy(tmp_path):
 # Loader equivalence: small generated tables load into the same Dataset as
 # the per-value reference loader, or fail with the same message.
 TEXT = st.text(alphabet=" ,;\n\"'aéZ0.", max_size=5)
+# text the csv module writes unquoted: with "\n" line ends such a table is
+# split as plain text.  \x0b, \x1c and \u2028 end a line for
+# str.splitlines, not for the csv module.
+PLAIN_TEXT = st.text(alphabet=" ;'aéZ0.\x0b\x1c\u2028", max_size=5)
 CSV_VALUES = {
     "name": TEXT,
     "category": TEXT,
@@ -516,6 +588,12 @@ CSV_ODD = st.sampled_from(["oops", "nan", "inf", "-inf", "-2", "6", "0.5",
                            "-1", "2.5", "9" * 20, "", " ", "1_0", "0x1"])
 JSON_NUMBER = st.one_of(st.integers(-3, 600), st.floats(-2, 600),
                         st.sampled_from([-0.0, 0.0, 0, 1, 5]))
+CSV_PLAIN_VALUES = {
+    **CSV_VALUES, "name": PLAIN_TEXT, "category": PLAIN_TEXT,
+    "permissions": st.lists(st.sampled_from(
+        ["a", " b", "c ", "", " ", "a b", "é", "\u2028"]),
+        max_size=4).map(";".join),
+}
 JSON_VALUES = {
     "name": st.one_of(st.none(), TEXT, st.integers(), st.booleans(),
                       st.lists(TEXT, max_size=2)),
@@ -537,12 +615,16 @@ JSON_ODD = st.one_of(CSV_ODD, JSON_NUMBER, st.booleans(), st.none(),
 
 @st.composite
 def tables(draw, fmt):
-    """(rows, keys missing per row, blank-line flags, short-row widths) of
-    up to 8 apps, with at most one cell set to an odd value."""
-    values = CSV_VALUES if fmt == "csv" else JSON_VALUES
+    """Up to 8 apps, with at most one cell set to an odd value: JSON
+    objects with some keys missing, or a CSV line end and (blank-line flag,
+    fields) rows, some of them short."""
+    plain = fmt == "csv" and draw(st.booleans())
+    values = {"csv": CSV_PLAIN_VALUES if plain else CSV_VALUES,
+              "json": JSON_VALUES}[fmt]
+    text = PLAIN_TEXT if plain else TEXT
     n = draw(st.integers(0, 8))
     # an id is mostly a fresh one (None here), else text or a JSON number
-    given_id = TEXT if fmt == "csv" else st.one_of(TEXT, st.integers(0, 3))
+    given_id = text if fmt == "csv" else st.one_of(text, st.integers(0, 3))
     ids = draw(st.lists(st.integers(0, 7).flatmap(
         lambda k: given_id if k == 7 else st.none()), min_size=n, max_size=n))
     rows = [{"id": f"app{i}" if app_id is None else app_id,
@@ -561,20 +643,22 @@ def tables(draw, fmt):
     # each row keeps its first `width` fields and may follow a blank line
     shape = draw(st.lists(st.tuples(st.booleans(), st.sampled_from(
         [7, 7, 7, 7, 1, 3, 6])), min_size=n, max_size=n))
-    return [(blank, [row[key] for key in VALID][:width])
-            for row, (blank, width) in zip(rows, shape)]
+    return draw(st.sampled_from(["\n", "\r\n"])), [
+        (blank, [row[key] for key in VALID][:width])
+        for row, (blank, width) in zip(rows, shape)]
 
 
 def write_table(path, fmt, table):
     if fmt == "json":
         path.write_text(json.dumps(table))
         return
+    newline, rows = table
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator=newline)
         writer.writerow(list(VALID))
-        for blank, fields in table:
+        for blank, fields in rows:
             if blank:
-                fh.write("\r\n")
+                fh.write(newline)
             writer.writerow(fields)
 
 

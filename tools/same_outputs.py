@@ -11,9 +11,12 @@ OTHER_SRC is a directory holding the ``permpatterns`` package, such as the
 The corpora come from ``perfbench/corpus.py``, which is imported by path
 and only read: ``mine -k 5`` and ``select-k`` over K 4..6 run on two
 Facebook-shaped corpora, ``stats`` and ``simulate`` on a 30,000-app
-Android-shaped one.  Every command runs once with this checkout's ``src``
-on ``PYTHONPATH`` and once with OTHER_SRC, one BLAS thread per process,
-and the outputs are compared byte for byte.  Manifests are compared after
+Android-shaped one.  That corpus is written with "\\n" line ends and no
+quotes, which the loader splits as plain text, so ``stats`` and
+``simulate`` also run on a copy with "\\r\\n" line ends, which the loader
+reads with the csv module.  Every command runs once with this checkout's
+``src`` on ``PYTHONPATH`` and once with OTHER_SRC, one BLAS thread per
+process, and the outputs are compared byte for byte.  Manifests are compared after
 dropping ``duration_seconds`` and the output-directory prefix of the
 listed outputs.
 
@@ -100,8 +103,13 @@ def write_inputs(work: Path, out_root: Path):
     data = corpus.android(ANDROID_SEED, ANDROID_APPS)
     path = work / "android.csv"
     corpus.write_csv(data, path)
-    runs.append(("stats", ("stats", "--top-n", "130"), path, ANDROID_SEED))
-    runs.append(("simulate", ("simulate",), path, ANDROID_SEED))
+    crlf = work / "android-crlf.csv"
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    for suffix, source in (("", path), ("-crlf", crlf)):
+        runs.append((f"stats{suffix}", ("stats", "--top-n", "130"), source,
+                     ANDROID_SEED))
+        runs.append((f"simulate{suffix}", ("simulate",), source,
+                     ANDROID_SEED))
     apps, model = work / "android-apps.npy", work / "android-model.json"
     np.save(apps, corpus.android_apps([ANDROID_SEED, 1], data.u, SCORED_APPS))
     model.write_text(json.dumps({"u": data.u.tolist(), "r": data.r,
