@@ -113,7 +113,7 @@ def _read_dataset(input_path: str, fmt: str | None,
     column_map = None
     if column_map_path:
         try:
-            with open(column_map_path) as fh:
+            with open(column_map_path, encoding="utf-8-sig") as fh:
                 column_map = json.load(fh)
         except (OSError, RecursionError, ValueError) as exc:
             _fail(f"bad column map: {exc}")
@@ -237,7 +237,7 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
     criteria = ReputationCriteria()
     if reputation_path:
         try:
-            with open(reputation_path) as fh:
+            with open(reputation_path, encoding="utf-8-sig") as fh:
                 criteria = ReputationCriteria(**json.load(fh))
         except (OSError, RecursionError, TypeError, ValueError) as exc:
             _fail(f"bad reputation config: {exc}")
@@ -308,14 +308,18 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
         _fail("simulate needs at least one app")
     sim_n = x.rows if sim_n is None else sim_n
     probs = marginal_probs(x)
+    # numpy refuses an array larger than its index range with ValueError
     try:
         sim = simulate_independent(probs, sim_n, seed)
-    except MemoryError:
+    except (MemoryError, ValueError):
         _fail(f"--sim-n {sim_n}: {sim_n} simulated apps of {x.cols} "
               "permissions do not fit in memory")
     pcp_real, undef_real = pcp_matrix(x)
     pcp_sim, undef_sim = pcp_matrix(sim)
-    hist = pcp_histogram(pcp_real, pcp_sim, bins=bins)
+    try:
+        hist = pcp_histogram(pcp_real, pcp_sim, bins=bins)
+    except (MemoryError, ValueError):
+        _fail(f"--bins {bins}: {bins} bins do not fit in memory")
     avg_real, flag_real = average_pcp(pcp_real, undef_real)
     avg_sim, flag_sim = average_pcp(pcp_sim, undef_sim)
     outputs = [

@@ -11,17 +11,17 @@ it as T cools.  Each em_step is monotone in the tempered log-likelihood.
 A step works per distinct assignment vector.  Rows are grouped by sorting
 integer keys (``_keys``): a row's packed bits, one native uint64 for up to
 64 columns and a void view of the packed bytes for wider rows.  A step's
-E-step input is the grouping of the rows with its counts (``_Rows``) and
-each group's mixture terms f0, f1.  The grouping also holds the flip
-search's plan (``_plan``), which depends on z alone and is built on first
-use: the distinct candidate vectors and each row's candidates among them.
-The returned state carries the next step's input as ``table``: when no
-row moved, the E-step's own grouping, with its plan, and the terms the
-flip search found for each group's vector, else a fresh tabulation of the
-new state (``_tabulate``), whose plan the next flip search builds.  The
-fitting loop (``_converge``) hands it to the next step.  It tabulates
-once per temperature, on the grouping the last step handed off, so a
-plan lasts until a row moves.
+E-step input, its table, is the grouping of the rows with its counts
+(``_Rows``), each group's log q and its mixture terms f0, f1.  The
+grouping also holds the flip search's plan (``_plan``), which depends on z
+alone and is built on first use: the distinct candidate vectors and each
+row's candidates among them.  The returned state carries the next step's
+table: when no row moved, the E-step's grouping, with its plan, and the
+log q and terms the flip search found for each group's vector, else a
+fresh tabulation of the new state (``_tabulate``).  The fitting loop
+(``_converge``) hands it on, and at a new temperature turns its log q
+into new terms on its grouping, so a state's log q is computed once and
+a plan lasts until a row moves.
 """
 from __future__ import annotations
 
@@ -65,8 +65,8 @@ class FitState:
     epsilon: float
     temperature: float
     log_likelihood: float = float("nan")   # tempered, at self.temperature
-    # the next em_step's input, (grouping, f0, f1), from the step that made
-    # this state; only the fitting loop reads it
+    # the next em_step's input, (grouping, log q, f0, f1), from the step
+    # that made this state; only the fitting loop reads it
     table: tuple | None = field(default=None, compare=False, repr=False)
 
 
@@ -81,11 +81,6 @@ def boolean_product(z: BinaryMatrix, u: BinaryMatrix) -> BinaryMatrix:
 def _log_beta(beta: np.ndarray) -> np.ndarray:
     """log beta with zeros at log 1e-300, so that 0 * log beta stays 0."""
     return np.log(np.maximum(beta, 1e-300))
-
-
-def _log_q(z: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """log q of every row of z, shape (rows, D); zeros map to -inf-ish."""
-    return z.astype(float) @ _log_beta(beta)
 
 
 def _clip(p: float) -> float:
@@ -136,10 +131,9 @@ def _terms(log_q: np.ndarray, r: float, eps: float, inv_t: float):
     """
     a0, a1 = _noise_terms(r, eps, inv_t)
     log_q = np.minimum(log_q, 0.0)
-    q = np.exp(log_q)
     with np.errstate(divide="ignore", invalid="ignore"):
         # q == 1 and x == 1 is an impossible signal event: log1p(-1) = -inf
-        log_one_minus_q = np.log1p(-q)
+        log_one_minus_q = np.log1p(-np.exp(log_q))
         log_signal = np.log1p(-eps)
     f0 = np.logaddexp(a0, (log_signal + log_q) * inv_t)
     f1 = np.logaddexp(a1, (log_signal + log_one_minus_q) * inv_t)
@@ -189,23 +183,23 @@ class _Rows:
         return _plan(self.vectors, self.group)
 
 
-def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float,
-              rows: _Rows | None = None):
-    """The rows of x grouped by the state's assignment vectors (rows, where
-    given, is that grouping) and each group's f0 and f1 at the state's beta
-    and r and at eps and inv_t.  x, z and beta must be (N, D), (N, K) and
-    (K, D), else DimensionError."""
+def _tabulate(x: np.ndarray, state: FitState, eps: float, inv_t: float):
+    """The rows of x grouped by the state's assignment vectors, each
+    group's log q at the state's beta (zeros of beta map to -inf-ish), and
+    each group's f0 and f1 at that, the state's r and eps and inv_t.  x, z
+    and beta must be (N, D), (N, K) and (K, D), else DimensionError."""
     (n, d), (k, d_beta) = x.shape, state.beta.shape
     if state.z.shape != (n, k) or d != d_beta:
         raise DimensionError(f"x {x.shape}, z {state.z.shape} and beta "
                              f"{state.beta.shape} do not line up")
-    rows = _Rows.of(x, state.z) if rows is None else rows
-    log_q = _log_q(rows.vectors, state.beta)
-    return rows, *_terms(log_q, state.r, eps, inv_t)
+    rows = _Rows.of(x, state.z)
+    log_q = rows.vectors.astype(float) @ _log_beta(state.beta)
+    return rows, log_q, *_terms(log_q, state.r, eps, inv_t)
 
 
-def _entry_sum(rows: _Rows, f0: np.ndarray, f1: np.ndarray) -> float:
-    """Sum of the tempered mixture terms f over the entries of the rows."""
+def _entry_sum(table) -> float:
+    """Sum of the tempered mixture terms f over the entries of a table."""
+    rows, _, f0, f1 = table
     n0, n1 = rows.n0, rows.n1
     # a cell with no entries adds 0, also where its term is -inf
     with np.errstate(invalid="ignore"):
@@ -216,13 +210,13 @@ def _entry_sum(rows: _Rows, f0: np.ndarray, f1: np.ndarray) -> float:
 def log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     """Plain (untempered) mixture log-likelihood of the observed matrix."""
     eps = float(min(max(state.epsilon, 0.0), 1.0))
-    return _entry_sum(*_tabulate(x.data, state, eps, 1.0))
+    return _entry_sum(_tabulate(x.data, state, eps, 1.0))
 
 
 def tempered_log_likelihood(x: BinaryMatrix, state: FitState) -> float:
     """Sum over entries of log[(eps*p_N)^(1/T) + ((1-eps)*p_S)^(1/T)]."""
-    return _entry_sum(*_tabulate(x.data, state, _clip(state.epsilon),
-                                 1.0 / state.temperature))
+    return _entry_sum(_tabulate(x.data, state, _clip(state.epsilon),
+                                1.0 / state.temperature))
 
 
 def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
@@ -234,8 +228,8 @@ def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
     "did not fire".  The update is the weighted fraction of non-firings
     among rows assigned to the pattern, which cannot decrease the
     tempered objective.  Rows enter by distinct assignment vector zu:
-    log_q is _log_q(zu, beta), and w0, w1 are the summed signal weights
-    of each one's entries with x = 0 and x = 1.
+    log_q is each one's log q at beta, and w0, w1 are the summed signal
+    weights of each one's entries with x = 0 and x = 1.
     """
     q = np.exp(np.minimum(log_q, 0.0))
     one_minus_q = np.maximum(1.0 - q, 1e-300)
@@ -267,7 +261,7 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
     chunk.  Returns the new z, the tempered log-likelihood at it (the sum
     of each row's score at its final z) and, if that first pass moved no
     row, the next step's E-step input: grouped, with its plan, and the
-    terms of each group's own vector.  Otherwise the third value is None.
+    log q and terms of each group's own vector, else None.
     """
     z = state.z.copy()
     n = z.shape[0]
@@ -289,7 +283,9 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
                 first, group = _group(_keys(z[rows]))
                 distinct, which, own = _plan(z[rows[first]], group)
                 xr = xf[rows]
-            f0, f1 = _terms(distinct @ log_beta, r, eps, inv_t)
+            log_q = distinct @ log_beta
+            f0, f1 = _terms(log_q, r, eps, inv_t)
+            log_q = log_q[own]      # a hand-off takes the groups' own rows
             score = (np.matmul((f1 - f0)[which],
                                xr.reshape(-1, d, 1))[..., 0]
                      + f0.sum(axis=-1)[which])
@@ -306,7 +302,7 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
     ll = float(row_ll.sum())
     if p == 0 and not search.size and n <= chunk:
         # no row moved, and the one chunk held the terms of every group
-        return z, ll, (grouped, f0[own], f1[own])
+        return z, ll, (grouped, log_q, f0[own], f1[own])
     return z, ll, None
 
 
@@ -320,12 +316,12 @@ def em_step(x: BinaryMatrix, state: FitState,
     on an entry only through its bit and its row's z, so the terms are
     computed once per distinct z and the rows enter through counts.  The
     step's log-likelihood is the flip search's score of the final z.
-    tabled is the E-step's input, _tabulate's (grouping, f0, f1) of x and
-    the state at its clipped epsilon and temperature, or None to work it
-    out, which checks the shapes.  The returned state's table is the next
-    step's input: the E-step's grouping, with its flip-search plan, and
-    the flip search's terms if no row moved, else a fresh _tabulate of the
-    new state.
+    tabled is the E-step's input, _tabulate's (grouping, log q, f0, f1) of
+    x and the state at its clipped epsilon and temperature, or None to work
+    it out, which checks the shapes.  The returned state's table is the
+    next step's input: the E-step's grouping, with its flip-search plan,
+    and the flip search's log q and terms if no row moved, else a fresh
+    _tabulate of the new state.
     """
     xd = x.data
     if xd.size == 0:
@@ -334,8 +330,7 @@ def em_step(x: BinaryMatrix, state: FitState,
         raise DimensionError("the state has no patterns")
 
     eps, inv_t = _clip(state.epsilon), 1.0 / state.temperature
-    rows, f0, f1 = tabled or _tabulate(xd, state, eps, inv_t)
-    log_q = _log_q(rows.vectors, state.beta)
+    rows, log_q, f0, f1 = tabled or _tabulate(xd, state, eps, inv_t)
     n0, n1 = rows.n0, rows.n1
     a0, a1 = _noise_terms(state.r, eps, inv_t)
     # tempered noise responsibilities of an x = 0 and an x = 1 entry
@@ -370,14 +365,14 @@ def _converge(x: BinaryMatrix, state: FitState, temperature: float,
     """EM steps at a fixed temperature until the tempered log-likelihood
     changes by at most the relative tolerance, or the step budget ends.
 
-    The level tabulates the state once, on the grouping handed off by the
-    step that made it, if any; each step then gets the table that the step
-    before it handed off."""
+    The level turns the log q of the table that the state carries, or of a
+    fresh tabulation if it carries none, into terms at its temperature;
+    each step then gets the table that the step before it handed off."""
     state.temperature = temperature
-    rows = None if state.table is None else state.table[0]
-    tabled = _tabulate(x.data, state, _clip(state.epsilon), 1.0 / temperature,
-                       rows)
-    prev = _entry_sum(*tabled)
+    eps, inv_t = _clip(state.epsilon), 1.0 / temperature
+    rows, log_q, *_ = state.table or _tabulate(x.data, state, eps, inv_t)
+    tabled = rows, log_q, *_terms(log_q, state.r, eps, inv_t)
+    prev = _entry_sum(tabled)
     for _ in range(config.max_inner_iterations):
         state = em_step(x, state, tabled)
         tabled = state.table

@@ -30,7 +30,7 @@ class ErrorRates:
 def _cumulative_gt(counts: np.ndarray) -> np.ndarray:
     n = counts.shape[0]
     top = int(counts.max()) if n else 0
-    return np.array([(counts > t).sum() / n for t in range(top + 1)])
+    return (n - np.cumsum(np.bincount(counts, minlength=top + 1))) / n
 
 
 def error_rates(x: BinaryMatrix, z: BinaryMatrix, u: BinaryMatrix) -> ErrorRates:

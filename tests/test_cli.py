@@ -3,12 +3,17 @@ import csv
 import json
 import math
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+import permpatterns
 from permpatterns import ConfigError, cli, selection
 from permpatterns.cli import main
 from permpatterns.dataset import load_dataset
@@ -144,6 +149,41 @@ class TestStats:
                                       "--column-map", str(mapping)])
         assert result.exit_code == 2
         assert "error: bad column map" in result.output
+
+    def test_column_map_with_byte_order_mark(self, runner, tmp_path):
+        data = tmp_path / "apps.csv"
+        data.write_text(CSV_HEADER.replace("name", "title")
+                        + "a0,A,Tools,0,4.5,500,p0;p1\n")
+        mapping = tmp_path / "map.json"
+        mapping.write_text('{"name": "title"}', encoding="utf-8-sig")
+        out = tmp_path / "out"
+        args = ["stats", "--input", str(data), "--out-dir", str(out)]
+        # without the map the file lacks a name column
+        assert runner.invoke(main, args).exit_code == 2
+        result = runner.invoke(main, [*args, "--column-map", str(mapping)])
+        assert result.exit_code == 0, result.output
+        assert (out / "permission_frequencies.csv").exists()
+
+    def test_utf8_column_map_under_ascii_locale(self, tmp_path):
+        data = tmp_path / "apps.csv"
+        data.write_text(CSV_HEADER.replace("name", "n\u00e4me")
+                        + "a0,A,Tools,0,4.5,500,p0;p1\n", encoding="utf-8")
+        mapping = tmp_path / "map.json"
+        mapping.write_text('{"name": "n\u00e4me"}', encoding="utf-8")
+        src = str(Path(permpatterns.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0", LC_ALL="C")
+        code = "import locale; print(locale.getpreferredencoding(False))"
+        encoding = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, check=True,
+                                  timeout=60).stdout.strip()
+        assert encoding.lower() not in ("utf-8", "utf8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "permpatterns.cli", "stats",
+             "--input", str(data), "--out-dir", str(tmp_path / "out"),
+             "--column-map", str(mapping)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_negative_top_n_exits_2(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=30, d=4)
@@ -603,6 +643,19 @@ class TestMine:
         assert_input_error(result,
                            "K=4 exceeds the number of permissions D=3")
 
+    def test_reputation_config_with_byte_order_mark(self, runner, tmp_path):
+        data = planted_csv(tmp_path / "apps.csv", n=60, d=6, k=2)
+        config = tmp_path / "reputation.json"
+        config.write_text('{"test_size": 20}', encoding="utf-8-sig")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["mine", "--input", str(data),
+                                      "--out-dir", str(out), "-k", "2",
+                                      "--reputation-config", str(config)])
+        assert result.exit_code == 0, result.output
+        residuals = json.loads((out / "residuals.json").read_text())
+        assert (residuals["train"]["n"], residuals["test_high"]["n"]) == (
+            40, 20)
+
     @pytest.mark.parametrize("option,message", [
         ("--column-map", "bad column map"),
         ("--reputation-config", "bad reputation config")])
@@ -706,6 +759,26 @@ class TestSimulate:
                                       "--sim-n", str(10 ** 17)])
         assert result.exit_code == 2, result.output
         assert "--sim-n" in result.output and "memory" in result.output
+        assert not out.exists()
+
+    # 2^62 simulated apps of 2 permissions, or 2^62 float64 bin edges, pass
+    # numpy's largest array size, which it refuses with ValueError; 2^55
+    # bin edges take 2^58 bytes, more than a 2^57-byte user address space,
+    # so the allocation fails at once with MemoryError
+    @pytest.mark.parametrize("option,value", [
+        ("--sim-n", 2 ** 62), ("--bins", 2 ** 62), ("--bins", 2 ** 55)])
+    def test_size_beyond_numpy_exits_2(self, runner, tmp_path, option, value):
+        data = tmp_path / "apps.csv"
+        data.write_text(CSV_HEADER + "a0,A,Tools,0,4.5,500,p0;p1\n"
+                        "a1,B,Games,0,4.5,500,p1\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--input", str(data),
+                                      "--out-dir", str(out),
+                                      option, str(value)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.output == (f"error: {option} {value}: " + (
+            f"{value} simulated apps of 2 permissions" if option == "--sim-n"
+            else f"{value} bins") + " do not fit in memory\n")
         assert not out.exists()
 
     def test_fixed_seed_byte_identical(self, runner, tmp_path):

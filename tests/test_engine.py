@@ -298,14 +298,14 @@ class TestEmStep:
 
 def assert_hand_off(x, state, hand_off):
     """hand_off is the E-step input of x and the state: the grouping of the
-    state's rows and each group's terms at its parameters."""
-    rows, f0, f1 = hand_off
-    want = engine._Rows.of(x.data, state.z)
+    state's rows and each group's log q and terms at its parameters."""
+    rows, log_q, f0, f1 = hand_off
+    want_rows, want_log_q, *terms = engine._tabulate(
+        x.data, state, engine._clip(state.epsilon), 1.0 / state.temperature)
     for name in ("group", "vectors", "n0", "n1"):
-        assert np.array_equal(getattr(rows, name), getattr(want, name)), name
-    terms = engine._terms(engine._log_q(rows.vectors, state.beta),
-                          state.r, engine._clip(state.epsilon),
-                          1.0 / state.temperature)
+        assert np.array_equal(getattr(rows, name),
+                              getattr(want_rows, name)), name
+    np.testing.assert_allclose(log_q, want_log_q, rtol=1e-12, atol=0)
     np.testing.assert_allclose((f0, f1), terms, rtol=1e-12, atol=0)
 
 
@@ -454,8 +454,8 @@ class TestEmStepOracle:
                 break
         else:
             pytest.fail("no step moved a row")
-        rows, f0, f1 = new.table
-        want_rows, want_f0, want_f1 = engine._tabulate(
+        rows, _, f0, f1 = new.table
+        want_rows, _, want_f0, want_f1 = engine._tabulate(
             x.data, new, new.epsilon, 1.0 / temperature)
         for name in ("group", "vectors", "n0", "n1"):
             assert np.array_equal(getattr(rows, name),
@@ -463,6 +463,57 @@ class TestEmStepOracle:
         # bit for bit, not within a tolerance
         assert f0.tobytes() == want_f0.tobytes()
         assert f1.tobytes() == want_f1.tobytes()
+
+    @staticmethod
+    def moved_and_still_steps(x, state):
+        """Steps from the state, each on the table the step before handed
+        on, until one moves no row: a (step's state, new state) pair of a
+        step that moved a row and one of a step that moved none."""
+        moved = still = None
+        for _ in range(50):
+            new = em_step(x, state, state.table)
+            if np.array_equal(new.z, state.z):
+                still = state, new
+                if moved:
+                    return moved, still
+            else:
+                moved = state, new
+            state = new
+        pytest.fail("no step moved a row, or every step did")
+
+    def test_handed_log_q_is_a_fresh_tabulation(self):
+        rng = np.random.default_rng(22)
+        x, state = shared_rows_state(rng, 30, 9, 14, 1.0)
+        for old, new in self.moved_and_still_steps(x, state):
+            # a step that moved no row hands on its grouping, whose log q
+            # comes from the flip search's candidate product
+            assert (new.table[0] is old.table[0]) == np.array_equal(new.z,
+                                                                    old.z)
+            _, want_log_q, *_ = engine._tabulate(
+                x.data, new, engine._clip(new.epsilon), 1.0 / new.temperature)
+            # bit for bit, not within a tolerance
+            assert new.table[1].tobytes() == want_log_q.tobytes()
+
+    def test_level_on_carried_table_equals_level_on_fresh_one(self):
+        """A level started from the log q a state carries equals, bit for
+        bit, one started from a fresh tabulation, at another temperature
+        than the carried terms'."""
+        x, _, _ = plant_factorization(120, 30, 5, 0.2, 0.3, 0.05, 0.5,
+                                      seed=23)
+        rng = np.random.default_rng(5)
+        state = FitState(beta=rng.uniform(0.4, 0.6, (5, 30)),
+                         z=(rng.random((120, 5)) < 0.4).astype(np.uint8),
+                         r=0.5, epsilon=0.5, temperature=1.0)
+        config = FitConfig(seed=0)
+        for _, carried in self.moved_and_still_steps(x, state):
+            assert carried.table is not None
+            ends = [engine._converge(x, replace(carried, table=table), 0.7,
+                                     config)
+                    for table in (carried.table, None)]
+            assert np.array_equal(ends[0].z, ends[1].z)
+            assert ends[0].beta.tobytes() == ends[1].beta.tobytes()
+            assert (ends[0].r, ends[0].epsilon, ends[0].log_likelihood) == (
+                ends[1].r, ends[1].epsilon, ends[1].log_likelihood)
 
     def test_fit_equals_fit_without_carried_tables(self, monkeypatch):
         x, _, _ = plant_factorization(150, 40, 5, 0.2, 0.3, 0.02, 0.5, seed=16)

@@ -92,6 +92,19 @@ class TestErrorRates:
         assert rates.cumulative_fn[1] == pytest.approx(1 / 3)
         assert rates.cumulative_fn[3] == 0.0
 
+    def test_cumulative_equals_per_threshold_definition(self):
+        rng = np.random.default_rng(8)
+        for trial in range(300):
+            n = int(rng.integers(1, 60))
+            counts = rng.integers(0, rng.integers(1, 40), n)
+            if trial % 3 == 0:      # most apps at 0, as residual counts are
+                counts[rng.random(n) < 0.7] = 0
+            want = np.array([(counts > t).sum() / n
+                             for t in range(int(counts.max()) + 1)])
+            got = evaluation._cumulative_gt(counts)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
 
 class TestPcp:
     def test_perfect_co_occurrence(self):

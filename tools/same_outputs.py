@@ -28,6 +28,14 @@ For each fit that differs, the script says whether z and u (beta
 binarized) are equal and prints the largest relative difference of beta,
 r, epsilon and the log-likelihood.
 
+The fits above are Facebook-shaped (K <= 6, D = 40), so EM steps are also
+compared at the Android shape, K=30 and D=130: on the distinct rows of
+the first 10,000 Android apps, from z assigned by ``assign_matrix``
+against the planted patterns, beta 0.05 on the patterns and 0.95
+elsewhere, the planted r and epsilon and T = 1, each tree runs 12 steps,
+each on the table the step before handed on, and the z, beta, r,
+epsilon and log-likelihood after every step must be equal bit for bit.
+
 Scoring is compared on held-out apps: those of the Android corpus against
 its planted K=30 model, and those of each Facebook corpus against the
 model its ``mine`` run fitted (this checkout's ``factorization.json``).
@@ -37,7 +45,8 @@ apps, 100 Facebook apps) and with ``assign_patterns`` one app at a time,
 and every assignment must be equal.  The Facebook apps are then scored
 once more with the two models' calls alternating, app by app and slice
 by slice, and these assignments must equal the per-model ones as well.
-Prints each file, fit and scoring that differs and exits 1 if any does.
+Prints each file, fit, step and scoring that differs and exits 1 if any
+does.
 """
 from __future__ import annotations
 
@@ -59,6 +68,8 @@ FACEBOOK_APPS = 400
 ANDROID_SEED = 7
 ANDROID_APPS = 30_000
 SCORED_APPS = 2_000
+# the K=30 EM steps: how many, on the distinct rows of how many apps
+STEPS, STEP_APPS = 12, 10_000
 # the apps of one assign_matrix batch in perfbench/run.py
 ANDROID_SLICE, FACEBOOK_SLICE = 22, 100
 SELECT_KS, SELECT_REPETITIONS = (4, 5, 6), 2
@@ -83,10 +94,11 @@ def _corpus_module():
 
 
 def write_inputs(work: Path, out_root: Path):
-    """Write the corpora and the held-out apps under work.  Returns the
-    (name, command, input, seed) of each command run and the (name, apps,
-    model, slice size) of each scoring; a Facebook model is the
-    factorization.json that the corpus's mine run writes under out_root."""
+    """Write the corpora, the held-out apps and the rows of the K=30 steps
+    under work.  Returns the (name, command, input, seed) of each command
+    run, the (name, apps, model, slice size) of each scoring, a Facebook
+    model being the factorization.json that the corpus's mine run writes
+    under out_root, and the (rows, model) of the K=30 steps."""
     corpus = _corpus_module()
     runs, scorings = [], []
     for seed in FACEBOOK_SEEDS:
@@ -116,7 +128,9 @@ def write_inputs(work: Path, out_root: Path):
                                  "epsilon": data.epsilon}))
     scorings.append(("android planted K=30", str(apps), str(model),
                      ANDROID_SLICE))
-    return runs, scorings
+    rows = work / "android-step-rows.npy"
+    np.save(rows, np.unique(data.x[:STEP_APPS], axis=0))
+    return runs, scorings, (str(rows), str(model))
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -255,6 +269,34 @@ def score_digests(scorings) -> dict[str, str]:
     return digests
 
 
+def step_digests(arg) -> dict[str, str]:
+    """The SHA-256 of the exact z, beta, r, epsilon and log-likelihood
+    after each of STEPS EM steps on the rows (an .npy file) from the start
+    the model (a JSON file with u, r and epsilon) gives: z assigned by
+    assign_matrix, beta 0.05 on the patterns and 0.95 elsewhere, the
+    model's r and epsilon and T = 1.  Each step runs on the table the step
+    before handed on.  Runs with the package that is on the path."""
+    from permpatterns import BinaryMatrix, assign_matrix
+    from permpatterns.engine import FitState, em_step
+
+    rows, model = arg
+    x = BinaryMatrix(np.load(rows))
+    fact = json.loads(Path(model).read_text())
+    u = BinaryMatrix(np.array(fact["u"], dtype=np.uint8))
+    r, eps = fact["r"], fact["epsilon"]
+    state = FitState(beta=np.where(u.data == 1, 0.05, 0.95),
+                     z=assign_matrix(x, u, r, eps).data, r=r, epsilon=eps,
+                     temperature=1.0)
+    digests = {}
+    for step in range(STEPS):
+        state = em_step(x, state, state.table)
+        values = (state.r, state.epsilon, state.log_likelihood)
+        digests[f"android K=30 step {step + 1}"] = hashlib.sha256(
+            state.z.tobytes() + state.beta.tobytes()
+            + repr(values).encode()).hexdigest()
+    return digests
+
+
 def run_child(src: Path, function: str, arg) -> dict[str, str]:
     """function(arg), one of this module's digest functions, run with the
     package in src."""
@@ -294,7 +336,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         sides = (work / "this", work / "other")
-        runs, scorings = write_inputs(work, sides[0])
+        runs, scorings, steps = write_inputs(work, sides[0])
         for src, out_root in zip((ROOT / "src", other), sides):
             run_all(src, out_root, runs)
         files = sorted({p.relative_to(side) for side in sides
@@ -306,6 +348,7 @@ def main() -> int:
                    if command[0] == "mine"]
         compared = []
         for what, function, arg in (("fit", "fit_digests", corpora),
+                                    ("step", "step_digests", steps),
                                     ("scoring", "score_digests", scorings)):
             ours, theirs = (run_child(src, function, arg)
                             for src in (ROOT / "src", other))
