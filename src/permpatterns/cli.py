@@ -41,7 +41,8 @@ from .evaluation import (
 # _instability_job is bound here too: perfbench/tracer.py traces the
 # select-k pool job as cli._instability_job
 from .selection import _instability_job, select_k  # noqa: F401
-from .simulate import marginal_probs, pcp_histogram, simulate_independent
+from .simulate import (marginal_probs, pcp_bin_edges, pcp_histogram,
+                       simulate_independent)
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -303,12 +304,16 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
              bins, sim_n):
     """Independent-request null model versus the real PCP distribution."""
     started, out = time.monotonic(), Path(out_dir)
+    # numpy refuses an array larger than its index range with ValueError
+    try:
+        edges = pcp_bin_edges(bins)
+    except (MemoryError, ValueError):
+        _fail(f"--bins {bins}: {bins} bins do not fit in memory")
     x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
     if x.rows < 1:
         _fail("simulate needs at least one app")
     sim_n = x.rows if sim_n is None else sim_n
     probs = marginal_probs(x)
-    # numpy refuses an array larger than its index range with ValueError
     try:
         sim = simulate_independent(probs, sim_n, seed)
     except (MemoryError, ValueError):
@@ -316,10 +321,7 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
               "permissions do not fit in memory")
     pcp_real, undef_real = pcp_matrix(x)
     pcp_sim, undef_sim = pcp_matrix(sim)
-    try:
-        hist = pcp_histogram(pcp_real, pcp_sim, bins=bins)
-    except (MemoryError, ValueError):
-        _fail(f"--bins {bins}: {bins} bins do not fit in memory")
+    hist = pcp_histogram(pcp_real, pcp_sim, bins=edges)
     avg_real, flag_real = average_pcp(pcp_real, undef_real)
     avg_sim, flag_sim = average_pcp(pcp_sim, undef_sim)
     outputs = [

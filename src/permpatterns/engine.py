@@ -485,13 +485,15 @@ def _greedy_assign(x: np.ndarray, model) -> np.ndarray:
     """assign_patterns' search for every row of the bool (N, D) array x at
     once against _model(u, r, epsilon); a batch shares the call's costs.
 
-    Only the pairs of a row and a start that assign_patterns searches hold
+    Only the pairs of a row and a start that can change the result hold
     state: the selected patterns, how many of them cover each entry, and
-    the integer counts n11 and n10 with their log-likelihood.  Each step
-    scores the candidates of every pair still moving from two float32
-    count products (exact below 2^24 columns); a pair that moves adds the
-    chosen candidate's counts and takes its value, the float _set_ll gives
-    a recount.
+    the integer counts n11 and n10 with their log-likelihood.  The starts
+    are assign_patterns' but for its merge rule, which needs the add paths
+    one after another.  Each step scores the candidates of every pair still
+    moving from two float32 count products (exact below 2^24 columns); a
+    pair that moves adds the chosen candidate's counts and takes its value,
+    the float _set_ll gives a recount.  Once a pair reaches a perfect cover,
+    it and the row's later pairs stop, as assign_patterns' scan would.
     """
     logs, _, ut = model
     (n, d), k = x.shape, ut.shape[1]
@@ -509,9 +511,16 @@ def _greedy_assign(x: np.ndarray, model) -> np.ndarray:
     n10 = cover.sum(axis=1, dtype=float) - n11
     ones = xs.sum(axis=1)
     ll = _set_ll(n11, n10, ones, d, logs)
+    # cut[row]: the row's first pair at a perfect cover; its set is final,
+    # and the pairs after it cannot win, so neither moves again
+    cut = np.full(n, pairs.size)
     for adding, signed in ((True, ut), (False, -ut)):
-        live = np.arange(pairs.size)
+        live = np.flatnonzero(np.arange(pairs.size) < cut[row])
         while live.size:
+            at = live[(n11[live] == ones[live]) & (n10[live] == 0)]
+            if at.size:
+                np.minimum.at(cut, row[at], at)
+                live = live[live < cut[row[live]]]
             # adding covers uncovered entries, removing uncovers once-covered
             flips = cover[live] == (0 if adding else 1)
             m1 = (flips & xs[live]).astype(np.float32) @ signed
@@ -542,18 +551,22 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     the singleton of a pattern that shares no entry with the row or with
     any pattern that touches the row is not searched: it would end at the
     empty start's set with the same log-likelihood, and that start comes
-    first.  Deterministic; ties go to the earliest start and lowest
-    pattern index: a greedy step scans the candidates by index and keeps
-    one only when it beats the best so far by more than 1e-12, and the
-    starts are scanned the same way.
+    first.  Nor are the starts searched that come after the first kept
+    perfect cover, a set that covers every requested entry and no other,
+    and a start is dropped as soon as its add phase reaches a set that an
+    earlier start's add phase held.  Deterministic; ties go to the
+    earliest start and lowest pattern index: a greedy step scans the
+    candidates by index and keeps one only when it beats the best so far
+    by more than 1e-12, and the starts are scanned the same way.
 
     The row and each pattern are held as Python ints used as bit sets (the
     patterns' come from _model, packed once per model), and every count is
     a popcount, so one row costs a few hundred integer operations rather
-    than the vectorised search's fixed numpy overhead.  The search, its
-    starts, its tie rule and its arithmetic are _greedy_assign's: a start
-    carries its integer counts n11 and n10 and takes the kept candidate's
-    _set_ll value, so the result equals the row's assign_matrix result.
+    than the vectorised search's fixed numpy overhead.  The search, its tie
+    rule and its arithmetic are _greedy_assign's, which also searches some
+    of the starts skipped here: a start carries its integer counts n11 and
+    n10 and takes the kept candidate's _set_ll value, so the result equals
+    the row's assign_matrix result.
     """
     x_row = np.asarray(x_row)
     if x_row.shape != (u.cols,):
@@ -591,15 +604,23 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     reach = x
     for _, p in touching:
         reach |= p
-    best, chosen = -np.inf, []
+    # held: every set of patterns, as a bit mask over their indices, that an
+    # add phase has held.  Both phases depend only on the set, through its
+    # cover and integer counts, so a start that reaches one of them would
+    # end at an earlier start's set and value, which the scan has seen.
+    best, chosen, held = -np.inf, [], set()
     for start in [-1] + [j for j, p in enumerate(pats) if p & reach]:
         sel = [start] if start >= 0 else []
+        key = 1 << start if start >= 0 else 0
         covered = pats[start] if start >= 0 else 0
         n11 = (covered & x).bit_count()
         n10 = covered.bit_count() - n11
         ll = _set_ll(n11, n10, ones, d, logs)
-        while True:                 # add
+        while key not in held:      # add
+            held.add(key)
             need, free = x & ~covered, ~(x | covered)
+            if not need:            # no candidate has m1 > 0
+                break
             pick, top = -1, ll
             for j, p in touching:
                 m1 = (p & need).bit_count()
@@ -611,10 +632,15 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
             if pick < 0:
                 break
             sel.append(pick)
+            key |= 1 << pick
             covered |= pats[pick]
             n11, n10, ll = n11 + g1, n10 + g0, top
+        else:
+            continue                # rejoined an earlier start's add path
         sel.sort()
-        while sel:                  # prune, candidates in index order
+        # With n10 = 0 a removal uncovers only requested entries, m0 = 0, and
+        # scores the same counts or loses m1 * (match1 - miss1): never kept
+        while n10:                  # prune, candidates in index order
             seen = twice = 0
             for j in sel:
                 twice |= seen & pats[j]
@@ -634,6 +660,12 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
             n11, n10, ll = n11 - g1, n10 - g0, top
         if ll > best + 1e-12:
             best, chosen = ll, sel
+            # A perfect cover scores ones * match1 + (d - ones) * match0, and
+            # any other counts at least min(match1 - miss1, match0 - miss0),
+            # about 1e-6 or more, lower: no later start is kept.  The margin
+            # is the add filter's, above the rounding of |ll| below about 1e8.
+            if n11 == ones and not n10:
+                break
     out = np.zeros(len(pats), dtype=np.uint8)
     out[chosen] = 1
     return out

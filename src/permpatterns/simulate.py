@@ -77,16 +77,23 @@ def _bin_counts(pcp: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return counts
 
 
+def pcp_bin_edges(bins: int) -> np.ndarray:
+    """The edges of `bins` log-spaced bins on [0.001, 1]; a count too large
+    for an array raises MemoryError or ValueError."""
+    return np.logspace(np.log10(UNDERFLOW_THRESHOLD), 0.0, bins + 1)
+
+
 def pcp_histogram(pcp_real: np.ndarray, pcp_sim: np.ndarray,
-                  bins: int = DEFAULT_BINS) -> PcpHistogram:
+                  bins: int | np.ndarray = DEFAULT_BINS) -> PcpHistogram:
     """Histogram both PCP matrices over log-spaced bins on [0.001, 1];
-    pairs below 0.001 accumulate in the lowest bin."""
+    pairs below 0.001 accumulate in the lowest bin.  bins is a bin count
+    or the edges pcp_bin_edges gives for one."""
     pcp_real = np.asarray(pcp_real, dtype=float)
     pcp_sim = np.asarray(pcp_sim, dtype=float)
     if pcp_real.shape != pcp_sim.shape:
         raise DimensionError(
             f"shape mismatch: {pcp_real.shape} vs {pcp_sim.shape}")
-    edges = np.logspace(np.log10(UNDERFLOW_THRESHOLD), 0.0, bins + 1)
+    edges = bins if isinstance(bins, np.ndarray) else pcp_bin_edges(bins)
     centers = np.sqrt(edges[:-1] * edges[1:])
     return PcpHistogram(
         bin_centers=centers,

@@ -781,6 +781,24 @@ class TestSimulate:
             else f"{value} bins") + " do not fit in memory\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [2 ** 62, 2 ** 55])
+    def test_bins_checked_before_simulating(self, runner, tmp_path,
+                                            monkeypatch, value):
+        def simulated(*args):
+            raise AssertionError("simulated before --bins was checked")
+
+        monkeypatch.setattr(cli, "simulate_independent", simulated)
+        data = tmp_path / "apps.csv"
+        data.write_text(CSV_HEADER + "a0,A,Tools,0,4.5,500,p0;p1\n")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--input", str(data),
+                                      "--out-dir", str(out),
+                                      "--bins", str(value)])
+        assert result.exit_code == 2, (result.output, result.exception)
+        assert result.output == (f"error: --bins {value}: {value} bins do "
+                                 "not fit in memory\n")
+        assert not out.exists()
+
     def test_fixed_seed_byte_identical(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=200, d=10, k=2)
         outputs = []

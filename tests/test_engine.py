@@ -1001,7 +1001,64 @@ SET_CASES = {
         (11, [1, 3, 5, 9, 10]),
         [{2, 6}, {6}, {0, 5, 6}, {0, 5, 8}, {0, 1, 6, 10}],
         0.5, 0.1, [0, 0, 1, 0, 1]),
+    # The empty start adds 0, then 1, then 2 (which ties 4 and comes first)
+    # and covers the row exactly after three adds.  The starts from 3 and 4
+    # cover it with 3 and 4 after one add, but they come later: the empty
+    # start's cover wins, though in the batch theirs is found first.
+    "two perfect covers": (
+        (12, range(10)),
+        [cols(0, 5), cols(5, 9), {9}, cols(2, 7), {0, 1, 7, 8, 9}],
+        0.5, 0.1, [1, 1, 1, 0, 0]),
+    # The empty start adds 0, which holds the unrequested entry 6, then 3,
+    # and misses the row's exact cover.  The start from 2 adds 3 and covers
+    # the row exactly, and the search ends there; the start from 4 would
+    # cover it too, with 3 and 4.
+    "perfect cover after a miss": (
+        (8, range(6)), [{0, 1, 2, 3, 4, 6}, {5, 7}, {0, 1, 2}, {3, 4, 5},
+                        {0, 1, 2}], 0.5, 0.1, [0, 0, 1, 1, 0]),
+    # The empty start adds 0, then 1.  The start from 1 adds 0 and so holds
+    # the set the empty start held, in the other order: it is dropped there
+    "rejoined add path": (WIDE, [cols(0, 10), cols(10, 15, 900)],
+                          1e-6, 1e-6, [1, 1]),
 }
+
+
+def set_case(name):
+    """SET_CASES[name] as (x, u, r, epsilon), x holding the one row."""
+    (d, requested), patterns, r, eps, _ = SET_CASES[name]
+    x = np.zeros((1, d), dtype=np.uint8)
+    x[0, list(requested)] = 1
+    u = np.zeros((len(patterns), d), dtype=np.uint8)
+    for j, entries in enumerate(patterns):
+        u[j, list(entries)] = 1
+    return x, BinaryMatrix(u), r, eps
+
+
+def spied_first_better(monkeypatch):
+    """Record each _first_better call's row count and how many rows moved."""
+    calls = []
+    first_better = engine._first_better
+
+    def spy(scores, base):
+        best = first_better(scores, base)
+        calls.append((len(scores), int((best >= 0).sum())))
+        return best
+
+    monkeypatch.setattr(engine, "_first_better", spy)
+    return calls
+
+
+def spied_set_ll(monkeypatch):
+    """Record the counts (n11, n10) of each _set_ll call."""
+    calls = []
+    set_ll = engine._set_ll
+
+    def spy(n11, n10, ones, d, logs):
+        calls.append((n11, n10))
+        return set_ll(n11, n10, ones, d, logs)
+
+    monkeypatch.setattr(engine, "_set_ll", spy)
+    return calls
 
 
 class TestAssignOracle:
@@ -1036,25 +1093,71 @@ class TestAssignOracle:
                                       seed=28)
         rows = x.data == 1
         pats = [set(np.flatnonzero(p)) for p in u.data]
-        searched = 0
+        searched = scored = 0
         for row in rows:
-            reach = set(np.flatnonzero(row))
-            reach |= set().union(*(p for p in pats if p & reach))
-            searched += 1 + sum(1 for p in pats if p & reach)
-        assert searched < len(rows) * (u.rows + 1)
-        calls = []
-        first_better = engine._first_better
-
-        def spy(scores, base):
-            calls.append(len(scores))
-            return first_better(scores, base)
-
-        monkeypatch.setattr(engine, "_first_better", spy)
+            want = set(np.flatnonzero(row))
+            reach = want | set().union(*(p for p in pats if p & want))
+            starts = [set()] + [p for p in pats if p & reach]
+            searched += len(starts)
+            # a start that covers the row exactly stops, and so do the
+            # row's later starts
+            scored += next((i for i, p in enumerate(starts) if p == want),
+                           len(starts))
+        assert scored < searched < len(rows) * (u.rows + 1)
+        calls = spied_first_better(monkeypatch)
         got = engine._greedy_assign(rows, engine._model(u, 0.5, 0.02))
-        # the first call scores the add candidates of every searched pair
-        assert calls[0] == searched
+        # the first call scores the add candidates of every such pair
+        assert calls[0][0] == scored
         want = [reference_assign(row, u, 0.5, 0.02) for row in x.data]
         assert got.tolist() == np.array(want).tolist()
+
+    def test_batch_stops_at_perfect_covers(self, monkeypatch):
+        x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
+                                      seed=28)
+        calls = spied_first_better(monkeypatch)
+        got = engine._greedy_assign(x.data == 1, engine._model(u, 0.5, 0.02))
+        # of the pairs that moved in the first step, those that reached a
+        # perfect cover and the later pairs of their rows step no more
+        assert calls[1][0] < calls[0][1]
+        want = [reference_assign(row, u, 0.5, 0.02) for row in x.data]
+        assert got.tolist() == np.array(want).tolist()
+        calls.clear()
+        x, u, r, eps = set_case("two perfect covers")
+        got = engine._greedy_assign(x == 1, engine._model(u, r, eps))
+        assert got.tolist() == [[1, 1, 1, 0, 0]]
+        # all 6 starts move; those from 3 and 4 then cover the row exactly
+        assert calls[:2] == [(6, 6), (4, 4)]
+
+    def test_search_ends_at_kept_perfect_cover(self, monkeypatch):
+        x, u, r, eps = set_case("two perfect covers")
+        calls = spied_set_ll(monkeypatch)
+        assert engine.assign_patterns(x[0], u, r, eps).tolist() == [1, 1, 1,
+                                                                    0, 0]
+        # the empty start's value, then its 5, 4 and 2 add candidates; it
+        # covers the row exactly, so no other start is searched
+        assert len(calls) == 1 + 5 + 4 + 2
+        calls.clear()
+        x, u, r, eps = set_case("perfect cover after a miss")
+        assert engine.assign_patterns(x[0], u, r, eps).tolist() == [0, 0, 1,
+                                                                    1, 0]
+        # each start's own value and its candidates: the empty start 1 + 5
+        # + 2 and 2 in the prune; the start from 0 holds a set the empty
+        # start held; from 1, 1 + 4 and 2 in the prune; from 2, 1 + 3, and
+        # its exact cover ends the search before the starts from 3 and 4
+        assert len(calls) == 10 + 1 + 7 + 4
+        assert calls[-1] == (6, 0)
+
+    def test_start_dropped_where_it_rejoins_a_searched_path(self,
+                                                           monkeypatch):
+        x, u, r, eps = set_case("rejoined add path")
+        calls = spied_set_ll(monkeypatch)
+        assert engine.assign_patterns(x[0], u, r, eps).tolist() == [1, 1]
+        # (n11, n10) of each set scored
+        assert calls == [
+            (0, 0), (10, 0), (5, 1), (15, 1),   # empty start: add 0, add 1
+            (5, 1), (10, 0),                    # its prune keeps both
+            (10, 0),                            # start from 0: held
+            (5, 1), (15, 1)]                    # start from 1 adds 0: held
 
     @given(assignment_inputs())
     @settings(max_examples=60, deadline=None)
@@ -1066,15 +1169,10 @@ class TestAssignOracle:
 
     @pytest.mark.parametrize("case", sorted(SET_CASES))
     def test_constructed_cases(self, case):
-        (d, requested), patterns, r, eps, want = SET_CASES[case]
-        x = np.zeros((1, d), dtype=np.uint8)
-        x[0, list(requested)] = 1
-        u = np.zeros((len(patterns), d), dtype=np.uint8)
-        for j, entries in enumerate(patterns):
-            u[j, list(entries)] = 1
-        u = BinaryMatrix(u)
+        x, u, r, eps = set_case(case)
+        want = SET_CASES[case][-1]
         assert reference_assign(x[0], u, r, eps).tolist() == want
-        if d == WIDE[0]:
+        if x.shape[1] == WIDE[0]:
             assert assignment_ll(x[0], u, want, r, eps) < -16384
         assert_all_paths_equal(x, u, r, eps)
 

@@ -45,6 +45,11 @@ apps, 100 Facebook apps) and with ``assign_patterns`` one app at a time,
 and every assignment must be equal.  The Facebook apps are then scored
 once more with the two models' calls alternating, app by app and slice
 by slice, and these assignments must equal the per-model ones as well.
+On those apps no greedy start but the empty one changes an assignment, so
+a scoring set built to tie is compared too, on the same three paths: small
+K and D, duplicate and empty patterns and unions of patterns, rows that
+are unions of patterns with and without a few entries flipped, at r and
+epsilon 0.5 and at the clip bounds 1e-6 and 1 - 1e-6.
 Prints each file, fit, step and scoring that differs and exits 1 if any
 does.
 """
@@ -73,6 +78,12 @@ STEPS, STEP_APPS = 12, 10_000
 # the apps of one assign_matrix batch in perfbench/run.py
 ANDROID_SLICE, FACEBOOK_SLICE = 22, 100
 SELECT_KS, SELECT_REPETITIONS = (4, 5, 6), 2
+# the scoring set built to tie: its seed, its cases and their rows, the
+# slice size of its sliced scoring, and the r and epsilon it is scored at
+# (each pair of them): 0.5, where different count pairs tie exactly, and
+# the clip bounds, where a tie breaks by the least
+TIE_SEED, TIE_CASES, TIE_ROWS, TIE_SLICE = 25, 400, 6, 4
+TIE_PROBABILITIES = (0.5, 1e-6, 1 - 1e-6)
 SELECT_K = ("select-k", "--k-min", str(SELECT_KS[0]),
             "--k-max", str(SELECT_KS[-1]),
             "--repetitions", str(SELECT_REPETITIONS), "--threads", "2")
@@ -233,22 +244,29 @@ def score_digests(scorings) -> dict[str, str]:
     def digest(z) -> str:
         return hashlib.sha256(z.astype(np.uint8).tobytes()).hexdigest()
 
+    def paths(x, u, r, eps, size) -> dict:
+        """The assignments of the rows x by assign_matrix in one batch and
+        in slices of size, and by assign_patterns one row at a time."""
+        return {
+            "assign_matrix": assign_matrix(BinaryMatrix(x), u, r, eps).data,
+            f"assign_matrix in slices of {size}": np.vstack([
+                assign_matrix(BinaryMatrix(x[lo:lo + size]), u, r, eps).data
+                for lo in range(0, len(x), size)]),
+            "assign_patterns": np.array([assign_patterns(row, u, r, eps)
+                                         for row in x])}
+
     digests, facebook = {}, []
     for name, apps, model, size in scorings:
         x = np.load(apps)
         fact = json.loads(Path(model).read_text())
         u = BinaryMatrix(np.array(fact["u"], dtype=np.uint8))
         r, eps = fact["r"], fact["epsilon"]
-        batch = assign_matrix(BinaryMatrix(x), u, r, eps).data
-        sliced = np.vstack([
-            assign_matrix(BinaryMatrix(x[lo:lo + size]), u, r, eps).data
-            for lo in range(0, len(x), size)])
-        single = np.array([assign_patterns(row, u, r, eps) for row in x])
-        for entry, z in (("assign_matrix", batch),
-                         (f"assign_matrix in slices of {size}", sliced),
-                         ("assign_patterns", single)):
+        found = paths(x, u, r, eps, size)
+        for entry, z in found.items():
             digests[f"{name} {entry}"] = digest(z)
         if name.startswith("facebook"):
+            single, sliced = (found["assign_patterns"],
+                              found[f"assign_matrix in slices of {size}"])
             facebook.append((x, (u, r, eps), single, sliced))
     # each Facebook model's single and sliced assignments once more, with
     # the calls alternating between the models
@@ -266,7 +284,51 @@ def score_digests(scorings) -> dict[str, str]:
         sys.exit("the Facebook models' assignments differ when their calls "
                  "alternate")
     digests["facebook models alternating"] = digest(np.vstack(again))
+    # the scoring set built to tie, every case at every (r, epsilon)
+    cases = tie_cases()
+    for r in TIE_PROBABILITIES:
+        for eps in TIE_PROBABILITIES:
+            found = [paths(x, u, r, eps, TIE_SLICE) for x, u in cases]
+            for entry in found[0]:
+                digests[f"tie set r={r} epsilon={eps} {entry}"] = digest(
+                    np.concatenate([z[entry].ravel() for z in found]))
     return digests
+
+
+def tie_cases():
+    """Seeded (x, u) cases built to tie: K 1-9 and D 2-23; a pattern
+    empty, a copy of an earlier one, the union of two earlier ones or
+    random; a row random, the union of 1-3 patterns, or such a union with
+    about a tenth of its entries flipped."""
+    from permpatterns import BinaryMatrix
+
+    rng = np.random.default_rng(TIE_SEED)
+    cases = []
+    for _ in range(TIE_CASES):
+        k, d = int(rng.integers(1, 10)), int(rng.integers(2, 24))
+        u = np.zeros((k, d), dtype=np.uint8)
+        for j in range(k):
+            kind = rng.integers(0, 4)
+            if kind == 0 and j:
+                u[j] = u[rng.integers(0, j)]
+            elif kind == 1 and j > 1:
+                u[j] = u[rng.choice(j, 2, replace=False)].max(axis=0)
+            elif kind == 2:
+                u[j] = 0
+            else:
+                u[j] = rng.random(d) < rng.uniform(0.1, 0.5)
+        x = np.zeros((TIE_ROWS, d), dtype=np.uint8)
+        for row in x:
+            kind = rng.integers(0, 3)
+            if kind == 0:
+                row[:] = rng.random(d) < rng.uniform(0.0, 1.0)
+            else:
+                picks = rng.integers(0, k, size=rng.integers(1, 4))
+                row[:] = u[picks].max(axis=0)
+                if kind == 2:
+                    row ^= rng.random(d) < 0.1
+        cases.append((x, BinaryMatrix(u)))
+    return cases
 
 
 def step_digests(arg) -> dict[str, str]:
