@@ -50,10 +50,6 @@ END_TEMPERATURE = 0.05
 # perm) cells so it never materializes huge 3-d temporaries.
 _CHUNK_CELLS = 20_000_000
 
-# Bounds the (row, start, candidate, permission) cells of one assign_matrix
-# chunk: the multiply-adds of one greedy step's candidate products.
-_ASSIGN_CELLS = 4_000_000
-
 
 @dataclass
 class FitState:
@@ -422,45 +418,15 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
                          seed=config.seed)
 
 
-def _scan(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """Left-to-right scan of each row of scores: a score replaces the best so
-    far (initially base) only if it beats it by more than 1e-12, so scores
-    tied up to rounding keep the first.  The kept index, or -1 if base
-    stands."""
-    best_i, best = np.full(base.shape, -1), base
-    for i in range(scores.shape[1]):
-        better = scores[:, i] > best + 1e-12
-        best_i[better] = i
-        best = np.where(better, scores[:, i], best)
-    return best_i
-
-
-def _first_better(scores: np.ndarray, base: np.ndarray) -> np.ndarray:
-    """_scan's result for every row of scores, with only the rows that
-    hold a near-tie scanned.
-
-    Where no entry of [base, scores] falls short of the row's maximum by
-    1e-12 or less, the row's first maximum beats every entry before it by
-    more than 1e-12 and no entry after it beats it, so the scan keeps it.
-    """
-    every = np.concatenate([base[:, None], scores], axis=1)
-    top = every.max(axis=1, keepdims=True)
-    best_i = np.argmax(every, axis=1) - 1
-    near = np.flatnonzero(((every < top) & (every + 1e-12 >= top)).any(axis=1))
-    if near.size:
-        best_i[near] = _scan(scores[near], base[near])
-    return best_i
-
-
 @lru_cache(maxsize=1)
 def _model(u: BinaryMatrix, r: float, epsilon: float):
     """What scoring against patterns u at r and epsilon in [0, 1] (else
     ValueError) needs, built once per (u, r, epsilon), u being cached by
     identity with read-only data: the log-probabilities of an entry at r
     and epsilon clipped, covered with x = 1, uncovered with x = 0,
-    uncovered with x = 1 and covered with x = 0; each pattern as a Python
-    int bit set read big-endian, column 0 the top bit of the first byte;
-    and u's transpose as a contiguous float32 array."""
+    uncovered with x = 1 and covered with x = 0; and each pattern as a
+    Python int bit set read big-endian, column 0 the top bit of the first
+    byte."""
     if not (0.0 <= r <= 1.0 and 0.0 <= epsilon <= 1.0):     # rejects NaN
         raise ValueError(f"r and epsilon must lie in [0, 1]: {r}, {epsilon}")
     r, eps = _clip(r), _clip(epsilon)
@@ -468,112 +434,24 @@ def _model(u: BinaryMatrix, r: float, epsilon: float):
     logs = tuple(float(np.log(p)) for p in (eps * r + (1 - eps),
                  eps * (1 - r) + (1 - eps), eps * r, eps * (1 - r)))
     pats = tuple(int.from_bytes(b, "big") for b in np.packbits(u.data, axis=1))
-    return logs, pats, np.ascontiguousarray(u.data.T, dtype=np.float32)
+    return logs, pats
 
 
 def _set_ll(n11, n10, ones, d: int, logs):
-    """Log-likelihood of rows with `ones` of d entries requested when the
+    """Log-likelihood of a row with `ones` of d entries requested when the
     assigned patterns cover n11 requested and n10 unrequested entries;
-    logs is _model's first item.  Integer counts, as Python ints or in
-    arrays, give the same floats either way."""
+    logs is _model's first item."""
     match1, match0, miss1, miss0 = logs
     return (n11 * match1 + (d - ones - n10) * match0
             + (ones - n11) * miss1 + n10 * miss0)
 
 
-def _greedy_assign(x: np.ndarray, model) -> np.ndarray:
-    """assign_patterns' search for every row of the bool (N, D) array x at
-    once against _model(u, r, epsilon); a batch shares the call's costs.
-
-    Only the pairs of a row and a start that can change the result hold
-    state: the selected patterns, how many of them cover each entry, and
-    the integer counts n11 and n10 with their log-likelihood.  The starts
-    are assign_patterns' but for its merge rule, which needs the add paths
-    one after another.  Each step scores the candidates of every pair still
-    moving from two float32 count products (exact below 2^24 columns); a
-    pair that moves adds the chosen candidate's counts and takes its value,
-    the float _set_ll gives a recount.  Once a pair reaches a perfect cover,
-    it and the row's later pairs stop, as assign_patterns' scan would.
-    """
-    logs, _, ut = model
-    (n, d), k = x.shape, ut.shape[1]
-    # pair p is row p // (K+1) from start s = p % (K+1), pads[s]: the empty
-    # set or pattern s - 1, which covers hits[row, s] requested entries
-    pads = np.vstack([np.zeros(d, np.float32), ut.T])
-    hits = x @ pads.T
-    starts = (x | ((hits > 0) @ pads > 0)) @ pads.T > 0
-    starts[:, 0] = True
-    pairs = np.flatnonzero(starts)
-    row, start = np.divmod(pairs, k + 1)
-    selected = np.eye(k + 1, k, -1, dtype=bool)[start]
-    cover, xs = pads[start], x[row]
-    n11 = hits.ravel()[pairs].astype(float)
-    n10 = cover.sum(axis=1, dtype=float) - n11
-    ones = xs.sum(axis=1)
-    ll = _set_ll(n11, n10, ones, d, logs)
-    # cut[row]: the row's first pair at a perfect cover; its set is final,
-    # and the pairs after it cannot win, so neither moves again
-    cut = np.full(n, pairs.size)
-    for adding, signed in ((True, ut), (False, -ut)):
-        live = np.flatnonzero(np.arange(pairs.size) < cut[row])
-        while live.size:
-            at = live[(n11[live] == ones[live]) & (n10[live] == 0)]
-            if at.size:
-                np.minimum.at(cut, row[at], at)
-                live = live[live < cut[row[live]]]
-            # adding covers uncovered entries, removing uncovers once-covered
-            flips = cover[live] == (0 if adding else 1)
-            m1 = (flips & xs[live]).astype(np.float32) @ signed
-            c11 = n11[live, None] + m1
-            c10 = n10[live, None] + (flips.astype(np.float32) @ signed - m1)
-            cand = _set_ll(c11, c10, ones[live, None], d, logs)
-            if not adding:  # adding a selected pattern ties ll: never kept
-                cand[~selected[live]] = -np.inf
-            j = _first_better(cand, ll[live])
-            i = np.flatnonzero(j >= 0)
-            live, j = live[i], j[i]
-            n11[live], n10[live], ll[live] = c11[i, j], c10[i, j], cand[i, j]
-            selected[live, j] = adding
-            cover[live] += signed.T[j]
-    lls = np.full(starts.shape, -np.inf)
-    lls[starts] = ll
-    won = np.arange(n) * (k + 1) + _first_better(lls, np.full(n, -np.inf))
-    return selected[np.searchsorted(pairs, won)].astype(np.uint8)
-
-
-def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
-                    r: float, epsilon: float) -> np.ndarray:
-    """Greedy maximum-likelihood pattern assignment for a single row.
-
-    Runs the add-then-prune greedy from the empty set and, to escape
-    single-pattern traps, from the singletons of the patterns that can
-    change the result; the highest-likelihood result wins.  A start from
-    the singleton of a pattern that shares no entry with the row or with
-    any pattern that touches the row is not searched: it would end at the
-    empty start's set with the same log-likelihood, and that start comes
-    first.  Nor are the starts searched that come after the first kept
-    perfect cover, a set that covers every requested entry and no other,
-    and a start is dropped as soon as its add phase reaches a set that an
-    earlier start's add phase held.  Deterministic; ties go to the
-    earliest start and lowest pattern index: a greedy step scans the
-    candidates by index and keeps one only when it beats the best so far
-    by more than 1e-12, and the starts are scanned the same way.
-
-    The row and each pattern are held as Python ints used as bit sets (the
-    patterns' come from _model, packed once per model), and every count is
-    a popcount, so one row costs a few hundred integer operations rather
-    than the vectorised search's fixed numpy overhead.  The search, its tie
-    rule and its arithmetic are _greedy_assign's, which also searches some
-    of the starts skipped here: a start carries its integer counts n11 and
-    n10 and takes the kept candidate's _set_ll value, so the result equals
-    the row's assign_matrix result.
-    """
-    x_row = np.asarray(x_row)
-    if x_row.shape != (u.cols,):
-        raise DimensionError(f"row length {x_row.shape} != D={u.cols}")
-    check_binary(x_row)
-    (logs, pats, _), d = _model(u, r, epsilon), u.cols
-    x = int.from_bytes(np.packbits(x_row == 1).tobytes(), "big")
+def _search(x: int, pats: tuple, d: int, logs) -> list:
+    """assign_patterns' search for the row whose d entries are the bit set
+    x, against the patterns pats and the entry logs of _model: the indices
+    of the chosen patterns, ascending.  Every count is a popcount of Python
+    ints, so a row costs a few hundred integer operations, and a set's
+    value is _set_ll of its integer counts n11 and n10."""
     ones = x.bit_count()
     # An add candidate that covers no still-uncovered requested entry (m1 =
     # 0) cannot be kept, so only patterns that touch x are scanned.  It
@@ -666,22 +544,51 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
             # is the add filter's, above the rounding of |ll| below about 1e8.
             if n11 == ones and not n10:
                 break
+    return chosen
+
+
+def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
+                    r: float, epsilon: float) -> np.ndarray:
+    """Greedy maximum-likelihood pattern assignment for a single row.
+
+    Runs the add-then-prune greedy from the empty set and, to escape
+    single-pattern traps, from the singletons of the patterns that can
+    change the result; the highest-likelihood result wins.  A start from
+    the singleton of a pattern that shares no entry with the row or with
+    any pattern that touches the row is not searched: it would end at the
+    empty start's set with the same log-likelihood, and that start comes
+    first.  Nor are the starts searched that come after the first kept
+    perfect cover, a set that covers every requested entry and no other,
+    and a start is dropped as soon as its add phase reaches a set that an
+    earlier start's add phase held.  Deterministic; ties go to the
+    earliest start and lowest pattern index: a greedy step scans the
+    candidates by index and keeps one only when it beats the best so far
+    by more than 1e-12, and the starts are scanned the same way.
+
+    The row is packed into a Python int bit set and searched by _search
+    against the patterns' bit sets, which _model packs once per model;
+    assign_matrix runs the same search on each distinct row.
+    """
+    x_row = np.asarray(x_row)
+    if x_row.shape != (u.cols,):
+        raise DimensionError(f"row length {x_row.shape} != D={u.cols}")
+    check_binary(x_row)
+    logs, pats = _model(u, r, epsilon)
+    x = int.from_bytes(np.packbits(x_row == 1).tobytes(), "big")
     out = np.zeros(len(pats), dtype=np.uint8)
-    out[chosen] = 1
+    out[_search(x, pats, u.cols, logs)] = 1
     return out
 
 
 def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
                   r: float, epsilon: float) -> BinaryMatrix:
-    """assign_patterns applied to every row of x; each distinct row is
-    scored once."""
+    """assign_patterns applied to every row of x: the distinct rows are
+    packed into bit sets together, and _search runs once on each."""
     if x.cols != u.cols:
         raise DimensionError(f"row length {x.cols} != D={u.cols}")
     first, group = _group(_keys(x.data))
-    rows = x.data[first] == 1
-    chunk = max(1, _ASSIGN_CELLS // max(1, (u.rows + 1) * u.rows * u.cols))
-    model = _model(u, r, epsilon)
+    logs, pats = _model(u, r, epsilon)
     out = np.zeros((first.size, u.rows), dtype=np.uint8)
-    for lo in range(0, first.size, chunk):
-        out[lo:lo + chunk] = _greedy_assign(rows[lo:lo + chunk], model)
+    for i, row in enumerate(np.packbits(x.data[first], axis=1)):
+        out[i, _search(int.from_bytes(row, "big"), pats, u.cols, logs)] = 1
     return BinaryMatrix(out[group])

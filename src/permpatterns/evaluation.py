@@ -97,7 +97,8 @@ def category_divergence(z: BinaryMatrix, categories: Sequence[str],
 
     Both empirical distributions get add-``smoothing`` counts before
     normalization; without it the divergence is infinite whenever the
-    pattern misses a category.
+    pattern misses a category.  Counts and smoothing are divided by the
+    larger of the smoothing and 1 first, so that their sums cannot overflow.
     """
     if len(categories) != z.rows:
         raise DimensionError(f"{len(categories)} categories for {z.rows} rows")
@@ -105,8 +106,10 @@ def category_divergence(z: BinaryMatrix, categories: Sequence[str],
     idx = {c: i for i, c in enumerate(cats)}
     one_hot = np.zeros((z.rows, len(cats)))
     one_hot[np.arange(z.rows), [idx[c] for c in categories]] = 1.0
-    global_counts = one_hot.sum(axis=0)
-    pattern_counts = z.data.T.astype(float) @ one_hot     # (K, categories)
+    scale = max(smoothing, 1.0)
+    global_counts = one_hot.sum(axis=0) / scale
+    pattern_counts = z.data.T.astype(float) @ one_hot / scale    # (K, cats)
+    smoothing /= scale
     p_g = (global_counts + smoothing) / (global_counts + smoothing).sum()
     nonempty = pattern_counts.sum(axis=1) > 0
     p_k = pattern_counts[nonempty] + smoothing

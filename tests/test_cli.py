@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +690,24 @@ class TestMine:
                   if line.startswith("error:")]
         assert len(errors) == 1 and "--kl-smoothing" in errors[0]
         assert "Traceback" not in result.output
+
+    def test_huge_kl_smoothing_gives_finite_divergences(self, runner,
+                                                         tmp_path):
+        categories = tuple(f"C{i}" for i in range(8))
+        data = planted_csv(tmp_path / "apps.csv", n=120, d=8, k=2, seed=5,
+                           categories=categories)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["mine", "--input", str(data),
+                                          "--out-dir", str(out), "-k", "2",
+                                          "--kl-smoothing", "1e308"])
+        assert result.exit_code == 0, result.output
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        _, rows = read_table(out / "pattern_summary.csv")
+        kl = [float(row[2]) for row in rows if float(row[1]) > 0]
+        assert kl and all(math.isfinite(v) for v in kl)
 
     def test_empty_train_set_exits_2(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=30, d=5, rating=2.0,

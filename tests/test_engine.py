@@ -27,7 +27,6 @@ from helpers import (
     reference_assign,
     reference_em_step,
     reference_tempered_log_likelihood,
-    scan_first_better,
     signal_bernoulli_param,
 )
 
@@ -809,25 +808,6 @@ class TestAssignPatterns:
                 hits += 1
         assert hits >= 0.95 * trials
 
-    def test_matrix_chunks_equal_single_rows(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        u = random_binary(rng, (6, 15), 0.3)
-        x = random_binary(rng, (23, 15), 0.35)
-        # 7 starts x 6 candidates x 15 permissions: 4 rows a chunk
-        monkeypatch.setattr(engine, "_ASSIGN_CELLS", 4 * 7 * 6 * 15)
-        chunks = []
-        greedy = engine._greedy_assign
-
-        def counted(rows, *args):
-            chunks.append(len(rows))
-            return greedy(rows, *args)
-
-        monkeypatch.setattr(engine, "_greedy_assign", counted)
-        got = assign_matrix(x, u, 0.3, 0.1).data
-        assert chunks == [4, 4, 4, 4, 4, 3]
-        rows = [assign_patterns(x[i], u, 0.3, 0.1) for i in range(x.rows)]
-        assert got.tolist() == np.array(rows).tolist()
-
     def test_no_single_move_beats_result(self):
         rng = np.random.default_rng(14)
         for _ in range(60):
@@ -1034,20 +1014,6 @@ def set_case(name):
     return x, BinaryMatrix(u), r, eps
 
 
-def spied_first_better(monkeypatch):
-    """Record each _first_better call's row count and how many rows moved."""
-    calls = []
-    first_better = engine._first_better
-
-    def spy(scores, base):
-        best = first_better(scores, base)
-        calls.append((len(scores), int((best >= 0).sum())))
-        return best
-
-    monkeypatch.setattr(engine, "_first_better", spy)
-    return calls
-
-
 def spied_set_ll(monkeypatch):
     """Record the counts (n11, n10) of each _set_ll call."""
     calls = []
@@ -1087,46 +1053,6 @@ class TestAssignOracle:
         x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
                                       seed=33)
         assert_all_paths_equal(x.data, u, r, eps)
-
-    def test_batch_searches_only_starts_that_can_win(self, monkeypatch):
-        x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
-                                      seed=28)
-        rows = x.data == 1
-        pats = [set(np.flatnonzero(p)) for p in u.data]
-        searched = scored = 0
-        for row in rows:
-            want = set(np.flatnonzero(row))
-            reach = want | set().union(*(p for p in pats if p & want))
-            starts = [set()] + [p for p in pats if p & reach]
-            searched += len(starts)
-            # a start that covers the row exactly stops, and so do the
-            # row's later starts
-            scored += next((i for i, p in enumerate(starts) if p == want),
-                           len(starts))
-        assert scored < searched < len(rows) * (u.rows + 1)
-        calls = spied_first_better(monkeypatch)
-        got = engine._greedy_assign(rows, engine._model(u, 0.5, 0.02))
-        # the first call scores the add candidates of every such pair
-        assert calls[0][0] == scored
-        want = [reference_assign(row, u, 0.5, 0.02) for row in x.data]
-        assert got.tolist() == np.array(want).tolist()
-
-    def test_batch_stops_at_perfect_covers(self, monkeypatch):
-        x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
-                                      seed=28)
-        calls = spied_first_better(monkeypatch)
-        got = engine._greedy_assign(x.data == 1, engine._model(u, 0.5, 0.02))
-        # of the pairs that moved in the first step, those that reached a
-        # perfect cover and the later pairs of their rows step no more
-        assert calls[1][0] < calls[0][1]
-        want = [reference_assign(row, u, 0.5, 0.02) for row in x.data]
-        assert got.tolist() == np.array(want).tolist()
-        calls.clear()
-        x, u, r, eps = set_case("two perfect covers")
-        got = engine._greedy_assign(x == 1, engine._model(u, r, eps))
-        assert got.tolist() == [[1, 1, 1, 0, 0]]
-        # all 6 starts move; those from 3 and 4 then cover the row exactly
-        assert calls[:2] == [(6, 6), (4, 4)]
 
     def test_search_ends_at_kept_perfect_cover(self, monkeypatch):
         x, u, r, eps = set_case("two perfect covers")
@@ -1199,12 +1125,7 @@ class TestAssignOracle:
             got = assign_patterns(convert(row), u, 0.3, 0.1)
             assert got.tolist() == z.tolist()
 
-    @pytest.mark.parametrize("cells", [None, 1])
-    def test_matrix_equals_oracle(self, monkeypatch, cells):
-        # cells=1 gives one row a chunk, so repeats of a row fall in
-        # other chunks than the row they copy
-        if cells:
-            monkeypatch.setattr(engine, "_ASSIGN_CELLS", cells)
+    def test_matrix_equals_oracle(self):
         for x, u, r, eps in oracle_cases(22, 60, 6):
             got = assign_matrix(BinaryMatrix(x), u, r, eps).data
             want = [reference_assign(row, u, r, eps) for row in x]
@@ -1215,19 +1136,23 @@ class TestAssignOracle:
         u = random_binary(rng, (5, 9), 0.3)
         distinct = np.unique(random_binary(rng, (6, 9), 0.4).data, axis=0)
         x = distinct[rng.integers(0, len(distinct), size=40)]
-        # 6 starts x 5 candidates x 9 permissions: 2 rows a chunk
-        monkeypatch.setattr(engine, "_ASSIGN_CELLS", 2 * 6 * 5 * 9)
-        chunks = []
-        greedy = engine._greedy_assign
+        rows = []
+        search = engine._search
 
-        def counted(rows, *args):
-            chunks.append(len(rows))
-            return greedy(rows, *args)
+        def counted(row, *args):
+            rows.append(row)
+            return search(row, *args)
 
-        monkeypatch.setattr(engine, "_greedy_assign", counted)
+        def single(*args):
+            raise AssertionError("assign_matrix called assign_patterns")
+
+        monkeypatch.setattr(engine, "_search", counted)
+        monkeypatch.setattr(engine, "assign_patterns", single)
         got = assign_matrix(BinaryMatrix(x), u, 0.4, 0.1).data
-        assert sum(chunks) == len(np.unique(x, axis=0))
-        assert max(chunks) == 2
+        # one search for each distinct row, its bits read big-endian and
+        # its 9 columns padded to two bytes
+        packed = {int("".join(map(str, row)).ljust(16, "0"), 2) for row in x}
+        assert sorted(rows) == sorted(packed)
         want = [reference_assign(row, u, 0.4, 0.1) for row in x]
         assert got.tolist() == np.array(want).tolist()
 
@@ -1256,16 +1181,14 @@ class TestAssignOracle:
 
 
 class TestModel:
-    def test_bit_sets_and_transpose(self):
+    def test_bit_sets_and_logs(self):
         # 9 columns pad to two bytes: column j is bit 15 - j
         u = matrix_from_rows([[1, 0, 0, 0, 0, 0, 0, 0, 1],
                               [0, 0, 0, 0, 0, 0, 0, 0, 0],
                               [0, 1, 1, 0, 0, 0, 0, 0, 0]])
         model = engine._model(u, 0.2, 0.1)
-        logs, pats, ut = model
+        logs, pats = model
         assert pats == (2 ** 15 + 2 ** 7, 0, 2 ** 14 + 2 ** 13)
-        assert ut.dtype == np.float32 and ut.flags.c_contiguous
-        assert ut.tolist() == u.data.T.tolist()
         # covered with x = 1, uncovered with x = 0, uncovered with x = 1,
         # covered with x = 0
         assert logs == pytest.approx(np.log([0.92, 0.98, 0.02, 0.08]))
@@ -1292,78 +1215,3 @@ class TestModel:
             for m, model in enumerate(models):
                 assert (assign_matrix(BinaryMatrix(x), *model).data.tolist()
                         == want[m])
-
-
-def spied_scan(monkeypatch):
-    """Patch engine._scan to record the number of rows of each call."""
-    calls = []
-    scan = engine._scan
-
-    def spy(scores, base):
-        calls.append(len(scores))
-        return scan(scores, base)
-
-    monkeypatch.setattr(engine, "_scan", spy)
-    return calls
-
-
-def python_scan(scores, base):
-    return [scan_first_better(row, b)
-            for row, b in zip(scores.tolist(), base.tolist())]
-
-
-class TestFirstBetter:
-    def test_exact_ties_keep_first(self, monkeypatch):
-        calls = spied_scan(monkeypatch)
-        scores = np.array([[1.0, 3.0, 3.0, 2.0],
-                           [5.0, 5.0, 5.0, 5.0],
-                           [0.0, -1.0, 2.0, 2.0]])
-        base = np.array([0.0, 5.0, 2.0])
-        # the base ties the maximum of rows 1 and 2 and stands
-        assert engine._first_better(scores, base).tolist() == [1, -1, -1]
-        assert calls == []
-
-    def test_near_ties_take_the_scan(self, monkeypatch):
-        calls = spied_scan(monkeypatch)
-        rng = np.random.default_rng(31)
-        steps = rng.uniform(0.4e-12, 0.9e-12, (50, 8))
-        # rising chains of near-ties: two steps together beat 1e-12
-        scores = 7.0 + np.cumsum(steps, axis=1)
-        scores[::3] = scores[::3, ::-1]
-        base = np.where(np.arange(50) % 2 == 0, 7.0, -np.inf)
-        got = engine._first_better(scores, base)
-        assert calls == [50]
-        assert got.tolist() == python_scan(scores, base)
-        assert got.tolist() != np.argmax(scores, axis=1).tolist()
-
-    def test_only_near_tie_rows_scanned(self, monkeypatch):
-        calls = spied_scan(monkeypatch)
-        scores = np.array([[1.0, 2.0, 2.0 - 0.5e-12],
-                           [1.0, 2.0, 3.0],
-                           [2.0 - 0.5e-12, 2.0, 1.0]])
-        base = np.zeros(3)
-        got = engine._first_better(scores, base)
-        assert calls == [2]
-        assert got.tolist() == python_scan(scores, base) == [1, 2, 0]
-
-    def test_minus_infinity(self, monkeypatch):
-        calls = spied_scan(monkeypatch)
-        inf = np.inf
-        scores = np.array([[-inf, -inf, -inf],
-                           [-inf, 2.0, 2.0],
-                           [-inf, -inf, -inf]])
-        # a -inf base as in the choice of the start
-        base = np.array([-inf, -inf, 0.0])
-        got = engine._first_better(scores, base)
-        assert got.tolist() == python_scan(scores, base) == [-1, 1, -1]
-        assert calls == []
-
-    def test_random_rows_equal_scan(self):
-        rng = np.random.default_rng(32)
-        for cols in (1, 2, 5, 31):
-            grid = rng.integers(0, 4, (200, cols)) * 1e-12 / 3
-            scores = np.where(rng.random((200, cols)) < 0.1, -np.inf,
-                              1.0 + grid)
-            base = 1.0 + rng.integers(0, 4, 200) * 1e-12 / 3
-            assert (engine._first_better(scores, base).tolist()
-                    == python_scan(scores, base))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,21 +196,32 @@ class TestCategoryDivergence:
         assert kl.shape == (1,)
         assert kl[0] == pytest.approx(0.0, abs=0.05)
 
-    def test_concentrated_pattern_matches_summation_oracle(self):
+    @pytest.mark.parametrize("smoothing", [0.5, 3.0, 1e3])
+    def test_concentrated_pattern_matches_summation_oracle(self, smoothing):
         # pattern members all in category 0 of 4 equal categories
         per_cat = 50
         categories = [f"c{j}" for j in range(4) for _ in range(per_cat)]
         members = np.zeros((4 * per_cat, 1), dtype=np.uint8)
         members[:per_cat] = 1
         z = BinaryMatrix(members)
-        smoothing = 0.5
         kl = category_divergence(z, categories, smoothing=smoothing)
-        p_g = [(per_cat + smoothing) / (200 + 2.0)] * 4
+        p_g = [(per_cat + smoothing) / (200 + 4 * smoothing)] * 4
         p_k_counts = [per_cat, 0, 0, 0]
         tot = per_cat + 4 * smoothing
         p_k = [(c + smoothing) / tot for c in p_k_counts]
         expected = sum(g * math.log2(g / k) for g, k in zip(p_g, p_k))
-        assert kl[0] == pytest.approx(expected, abs=1e-12)
+        assert kl[0] == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+    def test_huge_smoothing_does_not_overflow(self):
+        # 8 categories of smoothing 1e308 sum past the largest float; the
+        # smoothing swamps the counts, so both distributions are uniform
+        rng = np.random.default_rng(11)
+        categories = [f"c{i % 8}" for i in range(80)]
+        z = random_binary(rng, (80, 3), 0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kl = category_divergence(z, categories, smoothing=1e308)
+        assert kl.tolist() == pytest.approx([0.0] * 3, abs=1e-12)
 
     def test_each_pattern_as_if_alone(self):
         # the K values of one call equal K one-pattern calls

@@ -42,7 +42,10 @@ model its ``mine`` run fitted (this checkout's ``factorization.json``).
 Each tree scores them with ``assign_matrix`` as one batch, with
 ``assign_matrix`` in slices of the benchmark's batch size (22 Android
 apps, 100 Facebook apps) and with ``assign_patterns`` one app at a time,
-and every assignment must be equal.  The Facebook apps are then scored
+and every assignment must be equal.  The three paths run one search, but
+they call it with different rows and at different points of the model
+cache, so a model kept across calls that leaks into the wrong one shows
+as a difference between them.  The Facebook apps are then scored
 once more with the two models' calls alternating, app by app and slice
 by slice, and these assignments must equal the per-model ones as well.
 On those apps no greedy start but the empty one changes an assignment, so
