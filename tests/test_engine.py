@@ -808,6 +808,20 @@ class TestAssignPatterns:
                 hits += 1
         assert hits >= 0.95 * trials
 
+    def test_matrix_chunks_equal_single_rows(self):
+        rng = np.random.default_rng(13)
+        u = random_binary(rng, (6, 15), 0.3)
+        x = random_binary(rng, (23, 15), 0.35)
+        rows = [assign_patterns(x.data[i], u, 0.3, 0.1)
+                for i in range(x.rows)]
+        # slices of the batch, as a caller scoring in chunks makes them
+        for size in (1, 4, 23):
+            got = np.concatenate([
+                assign_matrix(BinaryMatrix(x.data[i:i + size]), u, 0.3,
+                              0.1).data
+                for i in range(0, x.rows, size)])
+            assert got.tolist() == np.array(rows).tolist()
+
     def test_no_single_move_beats_result(self):
         rng = np.random.default_rng(14)
         for _ in range(60):
@@ -1054,6 +1068,44 @@ class TestAssignOracle:
                                       seed=33)
         assert_all_paths_equal(x.data, u, r, eps)
 
+    def test_batch_searches_only_starts_that_can_win(self, monkeypatch):
+        x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
+                                      seed=28)
+        # 10 more patterns over 10 new columns that no row requests: each
+        # shares no entry with any row or any pattern that touches one
+        rng = np.random.default_rng(28)
+        extra = random_binary(rng, (10, 10), 0.5).data.copy()
+        extra[:, 0] = 1
+        wide_x = np.hstack([x.data, np.zeros((x.rows, 10), dtype=np.uint8)])
+        wide_u = np.block([[u.data, np.zeros((u.rows, 10), dtype=np.uint8)],
+                           [np.zeros((10, u.cols), dtype=np.uint8), extra]])
+        calls = spied_set_ll(monkeypatch)
+        want = assign_matrix(x, u, 0.5, 0.02).data
+        scored = list(calls)
+        calls.clear()
+        got = assign_matrix(BinaryMatrix(wide_x), BinaryMatrix(wide_u), 0.5,
+                            0.02).data
+        # no start from, and no candidate of, the new patterns is scored
+        assert calls == scored
+        assert got.tolist() == np.hstack(
+            [want, np.zeros((x.rows, 10), dtype=np.uint8)]).tolist()
+        assert want.tolist() == [reference_assign(row, u, 0.5, 0.02).tolist()
+                                 for row in x.data]
+
+    def test_batch_stops_at_perfect_covers(self, monkeypatch):
+        calls = spied_set_ll(monkeypatch)
+        for case, scored in (("two perfect covers", 1 + 5 + 4 + 2),
+                             ("perfect cover after a miss", 10 + 1 + 7 + 4)):
+            x, u, r, eps = set_case(case)
+            calls.clear()
+            got = assign_matrix(BinaryMatrix(np.repeat(x, 3, axis=0)), u, r,
+                                eps).data
+            assert got.tolist() == [SET_CASES[case][-1]] * 3
+            # one search of the repeated row, which ends at its first kept
+            # perfect cover as assign_patterns' does
+            assert len(calls) == scored
+            assert (int(x.sum()), 0) in calls
+
     def test_search_ends_at_kept_perfect_cover(self, monkeypatch):
         x, u, r, eps = set_case("two perfect covers")
         calls = spied_set_ll(monkeypatch)
@@ -1215,3 +1267,41 @@ class TestModel:
             for m, model in enumerate(models):
                 assert (assign_matrix(BinaryMatrix(x), *model).data.tolist()
                         == want[m])
+
+
+def packed(row):
+    """A 0/1 row as _search's bit set: column 0 the top bit of the first
+    byte, as _model packs the patterns."""
+    return int.from_bytes(np.packbits(np.asarray(row) == 1).tobytes(), "big")
+
+
+class TestSearch:
+    def test_packed_rows_equal_assign_patterns(self):
+        rng = np.random.default_rng(35)
+        u = random_binary(rng, (7, 21), 0.3)
+        logs, pats = engine._model(u, 0.4, 0.1)
+        for row in random_binary(rng, (30, 21), 0.35).data:
+            got = engine._search(packed(row), pats, u.cols, logs)
+            # the chosen indices, ascending
+            assert got == sorted(got)
+            assert got == np.flatnonzero(
+                assign_patterns(row, u, 0.4, 0.1)).tolist()
+            assert got == np.flatnonzero(
+                reference_assign(row, u, 0.4, 0.1)).tolist()
+
+    @pytest.mark.parametrize("row", [[0, 0, 0, 0, 0], [0, 0, 0, 1, 1]],
+                             ids=["empty", "untouched"])
+    def test_untouched_row_scores_only_the_empty_set(self, monkeypatch, row):
+        # no pattern shares an entry with the row: no start other than the
+        # empty one, and no add candidate, is scored
+        u = matrix_from_rows([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0]])
+        logs, pats = engine._model(u, 0.3, 0.1)
+        calls = spied_set_ll(monkeypatch)
+        assert engine._search(packed(row), pats, 5, logs) == []
+        assert calls == [(0, 0)]
+
+    def test_equal_patterns_keep_the_lowest_index(self):
+        u = matrix_from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
+        logs, pats = engine._model(u, 0.5, 0.05)
+        assert engine._search(packed([0, 0, 1, 1]), pats, 4, logs) == [1]
+        assert engine._search(packed([1, 1, 1, 1]), pats, 4, logs) == [0, 1]
