@@ -446,6 +446,37 @@ def _set_ll(n11, n10, ones, d: int, logs):
             + (ones - n11) * miss1 + n10 * miss0)
 
 
+def _bound(x: int, touching: list, ones: int, d: int, logs) -> float:
+    """An upper bound on the log-likelihood of any set of patterns for the
+    row x, whose touching patterns, as (index, bit set) pairs, are
+    touching.  A clean pattern holds no unrequested entry; c counts the
+    requested entries the clean patterns cover.  A dirty entry is a
+    requested one that a touching pattern covers and no clean one does;
+    its mu is the fewest unrequested entries of a touching pattern that
+    covers it, at least 1.  A set whose largest mu among the dirty entries
+    it covers is t (0 if none) holds a pattern with at least t unrequested
+    entries, so n10 >= t, and covers at most c requested entries plus the
+    dirty ones of mu <= t; patterns that touch no requested entry only add
+    to n10.  _set_ll rises with n11 and falls with n10, so the bound is
+    its largest value at those counts over t in 0 and the mu values."""
+    clean, by_extra = 0, {}
+    for _, p in touching:
+        extra = (p & ~x).bit_count()
+        if extra:
+            by_extra[extra] = by_extra.get(extra, 0) | (p & x)
+        else:
+            clean |= p
+    bound = _set_ll(clean.bit_count(), 0, ones, d, logs)
+    reached = clean
+    for t in sorted(by_extra):
+        # the dirty entries of mu t are those t's patterns add to reached
+        grown = reached | by_extra[t]
+        if grown != reached:
+            reached = grown
+            bound = max(bound, _set_ll(reached.bit_count(), t, ones, d, logs))
+    return bound
+
+
 def _search(x: int, pats: tuple, d: int, logs) -> list:
     """assign_patterns' search for the row whose d entries are the bit set
     x, against the patterns pats and the entry logs of _model: the indices
@@ -486,8 +517,9 @@ def _search(x: int, pats: tuple, d: int, logs) -> list:
     # add phase has held.  Both phases depend only on the set, through its
     # cover and integer counts, so a start that reaches one of them would
     # end at an earlier start's set and value, which the scan has seen.
-    best, chosen, held = -np.inf, [], set()
-    for start in [-1] + [j for j, p in enumerate(pats) if p & reach]:
+    best, chosen, held, bound = -np.inf, [], set(), None
+    starts = [-1] + [j for j, p in enumerate(pats) if p & reach]
+    for start in starts:
         sel = [start] if start >= 0 else []
         key = 1 << start if start >= 0 else 0
         covered = pats[start] if start >= 0 else 0
@@ -544,6 +576,21 @@ def _search(x: int, pats: tuple, d: int, logs) -> list:
             # is the add filter's, above the rounding of |ll| below about 1e8.
             if n11 == ones and not n10:
                 break
+            # Short of that, a kept value at _bound's upper bound ends the
+            # scan too.  A later start ends at some set, and against the
+            # bound's term at that set's t, the set has the same counts,
+            # and so the same value to the bit, or fewer in n11 or more in
+            # n10, and so a value at least about 1e-6 lower, as above.
+            # Either way it scores at most the bound and is not kept.  The
+            # margin is again 1e-6, not the 1e-12 of the start skip, so
+            # the exit is exact while |ll| is below about 1e8.  The bound
+            # costs a pass over the touching patterns, so it is worked out
+            # only here, at most once a row, and only when a start is left.
+            if start != starts[-1]:
+                if bound is None:
+                    bound = _bound(x, touching, ones, d, logs)
+                if ll >= bound:
+                    break
     return chosen
 
 
@@ -559,8 +606,12 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     empty start's set with the same log-likelihood, and that start comes
     first.  Nor are the starts searched that come after the first kept
     perfect cover, a set that covers every requested entry and no other,
-    and a start is dropped as soon as its add phase reaches a set that an
-    earlier start's add phase held.  Deterministic; ties go to the
+    or after a kept set that scores _bound's upper bound on the row's
+    log-likelihood, worked out at most once a row when a start is kept
+    short of a perfect cover with starts left; and a start is dropped as
+    soon as its add phase reaches a set that an earlier start's add phase
+    held.  Neither exit changes the result while the rounding of the
+    log-likelihood stays below about 1e-6.  Deterministic; ties go to the
     earliest start and lowest pattern index: a greedy step scans the
     candidates by index and keeps one only when it beats the best so far
     by more than 1e-12, and the starts are scanned the same way.

@@ -96,9 +96,10 @@ def category_divergence(z: BinaryMatrix, categories: Sequence[str],
     one value per pattern; NaN for a pattern with no assigned applications.
 
     Both empirical distributions get add-``smoothing`` counts before
-    normalization; without it the divergence is infinite whenever the
-    pattern misses a category.  Counts and smoothing are divided by the
-    larger of the smoothing and 1 first, so that their sums cannot overflow.
+    normalization; without it the divergence is +inf, with no warning,
+    whenever the pattern misses a category.  Counts and smoothing are
+    divided by the larger of the smoothing and 1 first, so that their sums
+    cannot overflow.
     """
     if len(categories) != z.rows:
         raise DimensionError(f"{len(categories)} categories for {z.rows} rows")
@@ -115,5 +116,7 @@ def category_divergence(z: BinaryMatrix, categories: Sequence[str],
     p_k = pattern_counts[nonempty] + smoothing
     p_k /= p_k.sum(axis=1, keepdims=True)
     kl = np.full(z.cols, np.nan)
-    kl[nonempty] = np.sum(p_g * np.log2(p_g / p_k), axis=1)
+    # every category has an app, so p_g > 0, and p_g / 0 = inf gives +inf
+    with np.errstate(divide="ignore"):
+        kl[nonempty] = np.sum(p_g * np.log2(p_g / p_k), axis=1)
     return kl

@@ -709,6 +709,24 @@ class TestMine:
         kl = [float(row[2]) for row in rows if float(row[1]) > 0]
         assert kl and all(math.isfinite(v) for v in kl)
 
+    def test_zero_kl_smoothing_writes_inf_without_warning(self, runner,
+                                                          tmp_path):
+        # 40 apps over 8 categories: some pattern misses a category, and
+        # its unsmoothed divergence is infinite
+        categories = tuple(f"C{i}" for i in range(8))
+        data = planted_csv(tmp_path / "apps.csv", n=40, d=8, k=2, seed=5,
+                           categories=categories)
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["mine", "--input", str(data),
+                                          "--out-dir", str(out), "-k", "2",
+                                          "--kl-smoothing", "0"])
+        assert result.exit_code == 0, result.output
+        assert not caught
+        _, rows = read_table(out / "pattern_summary.csv")
+        assert "inf" in [row[2] for row in rows]
+
     def test_empty_train_set_exits_2(self, runner, tmp_path):
         data = planted_csv(tmp_path / "apps.csv", n=30, d=5, rating=2.0,
                            num_ratings=3)

@@ -1095,7 +1095,8 @@ class TestAssignOracle:
     def test_batch_stops_at_perfect_covers(self, monkeypatch):
         calls = spied_set_ll(monkeypatch)
         for case, scored in (("two perfect covers", 1 + 5 + 4 + 2),
-                             ("perfect cover after a miss", 10 + 1 + 7 + 4)):
+                             ("perfect cover after a miss",
+                              10 + 1 + 1 + 7 + 4)):
             x, u, r, eps = set_case(case)
             calls.clear()
             got = assign_matrix(BinaryMatrix(np.repeat(x, 3, axis=0)), u, r,
@@ -1119,10 +1120,13 @@ class TestAssignOracle:
         assert engine.assign_patterns(x[0], u, r, eps).tolist() == [0, 0, 1,
                                                                     1, 0]
         # each start's own value and its candidates: the empty start 1 + 5
-        # + 2 and 2 in the prune; the start from 0 holds a set the empty
-        # start held; from 1, 1 + 4 and 2 in the prune; from 2, 1 + 3, and
-        # its exact cover ends the search before the starts from 3 and 4
-        assert len(calls) == 10 + 1 + 7 + 4
+        # + 2 and 2 in the prune, then the bound's one term, since the
+        # clean patterns 2 and 3 cover every requested entry; the start
+        # from 0 holds a set the empty start held; from 1, 1 + 4 and 2 in
+        # the prune; from 2, 1 + 3, and its exact cover ends the search
+        # before the starts from 3 and 4
+        assert len(calls) == 10 + 1 + 1 + 7 + 4
+        assert calls[10] == (6, 0)
         assert calls[-1] == (6, 0)
 
     def test_start_dropped_where_it_rejoins_a_searched_path(self,
@@ -1134,8 +1138,23 @@ class TestAssignOracle:
         assert calls == [
             (0, 0), (10, 0), (5, 1), (15, 1),   # empty start: add 0, add 1
             (5, 1), (10, 0),                    # its prune keeps both
-            (10, 0),                            # start from 0: held
-            (5, 1), (15, 1)]                    # start from 1 adds 0: held
+            # the bound's terms at t = 0 and 1: the kept value reaches the
+            # second, so the starts from 0 and 1, which would each reach a
+            # set the empty start held, are not searched
+            (10, 0), (15, 1)]
+        # Where the bound lies above the kept value the starts go on: in
+        # "perfect cover after a miss" the start from 0 scores its own set,
+        # which the empty start's add phase held, and is dropped there
+        x, u, r, eps = set_case("perfect cover after a miss")
+        calls.clear()
+        assert engine.assign_patterns(x[0], u, r, eps).tolist() == [0, 0, 1,
+                                                                    1, 0]
+        assert calls[:13] == [
+            (0, 0), (5, 1), (1, 1), (3, 0), (3, 0), (3, 0),  # empty start
+            (6, 2), (6, 1), (3, 0), (5, 1),
+            (6, 0),                             # the bound
+            (5, 1),                             # start from 0: held
+            (1, 1)]                             # start from 1
 
     @given(assignment_inputs())
     @settings(max_examples=60, deadline=None)
@@ -1300,8 +1319,75 @@ class TestSearch:
         assert engine._search(packed(row), pats, 5, logs) == []
         assert calls == [(0, 0)]
 
+    def test_one_dropped_entry_ends_after_the_empty_start(self,
+                                                         monkeypatch):
+        # the row is pattern 0 without its entry 3, plus pattern 1; pattern
+        # 2 lies apart from both and is no start
+        u = matrix_from_rows([[1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
+                              [0, 0, 0, 0, 1, 1, 1, 0, 0, 0],
+                              [0, 0, 0, 0, 0, 0, 0, 1, 1, 0]])
+        logs, pats = engine._model(u, 0.5, 0.1)
+        calls = spied_set_ll(monkeypatch)
+        row = packed([1, 1, 1, 0, 1, 1, 1, 0, 0, 0])
+        assert engine._search(row, pats, 10, logs) == [0, 1]
+        assert calls == [
+            (0, 0), (3, 1), (3, 0), (6, 1),     # empty start: add 1, add 0
+            (3, 0), (3, 1),                     # its prune keeps both
+            # the bound: clean pattern 1 alone, or with pattern 0's three
+            # requested entries at its one unrequested entry; the kept
+            # value is the second, so the starts from 0 and 1 are not run
+            (3, 0), (6, 1)]
+
     def test_equal_patterns_keep_the_lowest_index(self):
         u = matrix_from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
         logs, pats = engine._model(u, 0.5, 0.05)
         assert engine._search(packed([0, 0, 1, 1]), pats, 4, logs) == [1]
         assert engine._search(packed([1, 1, 1, 1]), pats, 4, logs) == [0, 1]
+
+
+@st.composite
+def bound_inputs(draw):
+    """(row, u, r, epsilon) with K 1-10 and D 1-24; a pattern is random or
+    a copy of an earlier one, and the row is random or the union of 1-3
+    patterns with a few entries flipped, so that many rows fall just short
+    of a perfect cover.  r and epsilon come from CLIP_VALUES, 0.5 or a
+    uniform draw."""
+    k, d = draw(st.integers(1, 10)), draw(st.integers(1, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = (rng.random((k, d)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
+    for j in range(1, k):
+        if draw(st.booleans()):
+            u[j] = u[rng.integers(0, j)]
+    if draw(st.booleans()):
+        row = (rng.random(d) < rng.uniform(0.0, 1.0)).astype(np.uint8)
+    else:
+        row = u[rng.integers(0, k, size=rng.integers(1, 4))].max(axis=0)
+        row ^= (rng.random(d) < draw(st.sampled_from([0.0, 0.05, 0.15]))
+                ).astype(np.uint8)
+    probability = st.one_of(st.sampled_from(CLIP_VALUES + (0.5,)),
+                            st.floats(0.0, 1.0))
+    return row, BinaryMatrix(u), draw(probability), draw(probability)
+
+
+class TestBound:
+    @given(bound_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_bound_holds_every_pattern_set(self, inputs):
+        row, u, r, eps = inputs
+        logs, pats = engine._model(u, r, eps)
+        x = packed(row)
+        ones = x.bit_count()
+        touching = [(j, p) for j, p in enumerate(pats) if p & x]
+        bound = engine._bound(x, touching, ones, u.cols, logs)
+        best = -np.inf
+        for mask in range(1 << u.rows):
+            covered = 0
+            for j, p in enumerate(pats):
+                if mask >> j & 1:
+                    covered |= p
+            n11 = (covered & x).bit_count()
+            best = max(best, engine._set_ll(n11, covered.bit_count() - n11,
+                                            ones, u.cols, logs))
+        # no tolerance: a set's counts are those of one of the bound's
+        # terms, or worse by about 1e-6 or more
+        assert bound >= best

@@ -223,6 +223,15 @@ class TestCategoryDivergence:
             kl = category_divergence(z, categories, smoothing=1e308)
         assert kl.tolist() == pytest.approx([0.0] * 3, abs=1e-12)
 
+    def test_zero_smoothing_gives_inf_without_warning(self):
+        # the first pattern misses category b, the second holds both
+        z = matrix_from_rows([[1, 1], [1, 1], [0, 1], [0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kl = category_divergence(z, list("aabb"), smoothing=0.0)
+        assert kl[0] == math.inf
+        assert kl[1] == pytest.approx(0.0, abs=1e-12)
+
     def test_each_pattern_as_if_alone(self):
         # the K values of one call equal K one-pattern calls
         rng = np.random.default_rng(10)

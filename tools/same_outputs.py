@@ -52,7 +52,14 @@ On those apps no greedy start but the empty one changes an assignment, so
 a scoring set built to tie is compared too, on the same three paths: small
 K and D, duplicate and empty patterns and unions of patterns, rows that
 are unions of patterns with and without a few entries flipped, at r and
-epsilon 0.5 and at the clip bounds 1e-6 and 1 - 1e-6.
+epsilon 0.5 and at the clip bounds 1e-6 and 1 - 1e-6.  Those rows mostly
+end at a perfect cover, a set of patterns that covers every requested
+entry and no other, so a near-cover scoring set is compared as well, on
+the same three paths and at the same r and epsilon: rows that are unions
+of 1-3 patterns with one entry of one of them dropped, with one entry of
+a pattern outside the union added, or with one entry that no pattern
+covers added, against the planted K=30 Android patterns and against the
+patterns of the set built to tie.
 Prints each file, fit, step and scoring that differs and exits 1 if any
 does.
 """
@@ -87,6 +94,9 @@ SELECT_KS, SELECT_REPETITIONS = (4, 5, 6), 2
 # the clip bounds, where a tie breaks by the least
 TIE_SEED, TIE_CASES, TIE_ROWS, TIE_SLICE = 25, 400, 6, 4
 TIE_PROBABILITIES = (0.5, 1e-6, 1 - 1e-6)
+# the near-cover scoring set: its seed and its rows against the Android
+# patterns (those against each tie-built case are TIE_ROWS)
+NEAR_SEED, NEAR_ANDROID_ROWS = 26, 600
 SELECT_K = ("select-k", "--k-min", str(SELECT_KS[0]),
             "--k-max", str(SELECT_KS[-1]),
             "--repetitions", str(SELECT_REPETITIONS), "--threads", "2")
@@ -271,6 +281,8 @@ def score_digests(scorings) -> dict[str, str]:
             single, sliced = (found["assign_patterns"],
                               found[f"assign_matrix in slices of {size}"])
             facebook.append((x, (u, r, eps), single, sliced))
+        else:
+            android = u
     # each Facebook model's single and sliced assignments once more, with
     # the calls alternating between the models
     again = [([], []) for _ in facebook]
@@ -287,15 +299,49 @@ def score_digests(scorings) -> dict[str, str]:
         sys.exit("the Facebook models' assignments differ when their calls "
                  "alternate")
     digests["facebook models alternating"] = digest(np.vstack(again))
-    # the scoring set built to tie, every case at every (r, epsilon)
-    cases = tie_cases()
-    for r in TIE_PROBABILITIES:
-        for eps in TIE_PROBABILITIES:
-            found = [paths(x, u, r, eps, TIE_SLICE) for x, u in cases]
-            for entry in found[0]:
-                digests[f"tie set r={r} epsilon={eps} {entry}"] = digest(
-                    np.concatenate([z[entry].ravel() for z in found]))
+    # the sets built to tie and to fall short of a perfect cover, every
+    # case at every (r, epsilon)
+    ties = tie_cases()
+    rng = np.random.default_rng(NEAR_SEED)
+    sets = {"tie set": ties,
+            "near-cover set android K=30": [(near_cover_rows(
+                rng, android.data, NEAR_ANDROID_ROWS), android)],
+            "near-cover set tie-built": [
+                (near_cover_rows(rng, u.data, TIE_ROWS), u) for _, u in ties]}
+    for set_name, cases in sets.items():
+        for r in TIE_PROBABILITIES:
+            for eps in TIE_PROBABILITIES:
+                found = [paths(x, u, r, eps, TIE_SLICE) for x, u in cases]
+                for entry in found[0]:
+                    digests[f"{set_name} r={r} epsilon={eps} {entry}"] = (
+                        digest(np.concatenate([z[entry].ravel()
+                                               for z in found])))
     return digests
+
+
+def near_cover_rows(rng, u, rows):
+    """rows rows, each the union of 1-3 of the patterns u (a K x D 0/1
+    array) made to miss a perfect cover in one of three ways, drawn
+    evenly: one entry of one of its patterns dropped, one entry of a
+    pattern outside the union added, or one entry that no pattern covers
+    added.  A row stays the union where the way drawn finds no entry."""
+    k, d = u.shape
+    x = np.zeros((rows, d), dtype=np.uint8)
+    for row in x:
+        picks = rng.choice(k, size=min(k, int(rng.integers(1, 4))),
+                           replace=False)
+        row[:] = u[picks].max(axis=0)
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            pool = np.flatnonzero(u[rng.choice(picks)])
+        elif kind == 1:
+            others = np.setdiff1d(np.arange(k), picks)
+            pool = np.flatnonzero(u[others].max(axis=0, initial=0) > row)
+        else:
+            pool = np.flatnonzero(u.max(axis=0) == 0)
+        if pool.size:
+            row[rng.choice(pool)] ^= 1
+    return x
 
 
 def tie_cases():
