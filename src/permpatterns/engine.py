@@ -495,42 +495,23 @@ def _search(x: int, pats: tuple, d: int, logs) -> list:
     # it ties it, and the scan keeps neither.  Selected patterns have m1 = 0
     # too, so they need no mask.
     touching = [(j, p) for j, p in enumerate(pats) if p & x]
-    # A start from the singleton of a pattern that shares no entry with the
-    # row or with any pattern that touches the row is not searched; an
-    # empty pattern is one.  Its pattern covers no entry of the row or of
-    # any add candidate, so its add phase keeps what the empty start's
-    # keeps, with the same m1 and m0.  In the prune, removing it gains
-    # |pattern| * (match0 - miss0) >= about 1e-6 at every step and changes
-    # no other removal's counts, so the prune drops it and otherwise makes
-    # the empty start's removals.  The start ends at the empty start's set
-    # with the same counts and so the same value, and the start scan keeps
-    # the earlier, empty start.  This leans on rounding as the filter above
-    # does: the add scan compares values whose n10 is offset by |pattern|.
-    # Exactly tied values (at r = 0.5 different count pairs tie) round
-    # apart by a few ulps of |ll|, under 1e-12 while |ll| < 1024, so both
-    # starts keep the same candidate; further out the two roundings could
-    # part a tie by more than 1e-12 in one start and not in the other.
-    reach = x
-    for _, p in touching:
-        reach |= p
-    # held: every set of patterns, as a bit mask over their indices, that an
-    # add phase has held.  Both phases depend only on the set, through its
-    # cover and integer counts, so a start that reaches one of them would
-    # end at an earlier start's set and value, which the scan has seen.
-    best, chosen, held, bound = -np.inf, [], set(), None
-    starts = [-1] + [j for j, p in enumerate(pats) if p & reach]
-    for start in starts:
+    # A later start ends at some set, and against _bound's term at that
+    # set's t the set has the same counts, and so the same value to the
+    # bit, or fewer in n11 or more in n10, and so a value at least about
+    # 1e-6 lower, as above.  Either way it scores at most the bound and is
+    # not kept, so the scan ends once a kept value reaches the bound; a
+    # perfect cover always does, at the bound's t = 0 term.  The margin is
+    # 1e-6, so the exit is exact while |ll| is below about 1e8.
+    bound = _bound(x, touching, ones, d, logs)
+    best, chosen = -np.inf, []
+    for start in range(-1, len(pats)):
         sel = [start] if start >= 0 else []
-        key = 1 << start if start >= 0 else 0
         covered = pats[start] if start >= 0 else 0
         n11 = (covered & x).bit_count()
         n10 = covered.bit_count() - n11
         ll = _set_ll(n11, n10, ones, d, logs)
-        while key not in held:      # add
-            held.add(key)
+        while True:                 # add
             need, free = x & ~covered, ~(x | covered)
-            if not need:            # no candidate has m1 > 0
-                break
             pick, top = -1, ll
             for j, p in touching:
                 m1 = (p & need).bit_count()
@@ -542,11 +523,8 @@ def _search(x: int, pats: tuple, d: int, logs) -> list:
             if pick < 0:
                 break
             sel.append(pick)
-            key |= 1 << pick
             covered |= pats[pick]
             n11, n10, ll = n11 + g1, n10 + g0, top
-        else:
-            continue                # rejoined an earlier start's add path
         sel.sort()
         # With n10 = 0 a removal uncovers only requested entries, m0 = 0, and
         # scores the same counts or loses m1 * (match1 - miss1): never kept
@@ -570,27 +548,8 @@ def _search(x: int, pats: tuple, d: int, logs) -> list:
             n11, n10, ll = n11 - g1, n10 - g0, top
         if ll > best + 1e-12:
             best, chosen = ll, sel
-            # A perfect cover scores ones * match1 + (d - ones) * match0, and
-            # any other counts at least min(match1 - miss1, match0 - miss0),
-            # about 1e-6 or more, lower: no later start is kept.  The margin
-            # is the add filter's, above the rounding of |ll| below about 1e8.
-            if n11 == ones and not n10:
+            if ll >= bound:
                 break
-            # Short of that, a kept value at _bound's upper bound ends the
-            # scan too.  A later start ends at some set, and against the
-            # bound's term at that set's t, the set has the same counts,
-            # and so the same value to the bit, or fewer in n11 or more in
-            # n10, and so a value at least about 1e-6 lower, as above.
-            # Either way it scores at most the bound and is not kept.  The
-            # margin is again 1e-6, not the 1e-12 of the start skip, so
-            # the exit is exact while |ll| is below about 1e8.  The bound
-            # costs a pass over the touching patterns, so it is worked out
-            # only here, at most once a row, and only when a start is left.
-            if start != starts[-1]:
-                if bound is None:
-                    bound = _bound(x, touching, ones, d, logs)
-                if ll >= bound:
-                    break
     return chosen
 
 
@@ -599,22 +558,15 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     """Greedy maximum-likelihood pattern assignment for a single row.
 
     Runs the add-then-prune greedy from the empty set and, to escape
-    single-pattern traps, from the singletons of the patterns that can
-    change the result; the highest-likelihood result wins.  A start from
-    the singleton of a pattern that shares no entry with the row or with
-    any pattern that touches the row is not searched: it would end at the
-    empty start's set with the same log-likelihood, and that start comes
-    first.  Nor are the starts searched that come after the first kept
-    perfect cover, a set that covers every requested entry and no other,
-    or after a kept set that scores _bound's upper bound on the row's
-    log-likelihood, worked out at most once a row when a start is kept
-    short of a perfect cover with starts left; and a start is dropped as
-    soon as its add phase reaches a set that an earlier start's add phase
-    held.  Neither exit changes the result while the rounding of the
-    log-likelihood stays below about 1e-6.  Deterministic; ties go to the
-    earliest start and lowest pattern index: a greedy step scans the
-    candidates by index and keeps one only when it beats the best so far
-    by more than 1e-12, and the starts are scanned the same way.
+    single-pattern traps, from each pattern's singleton in index order; the
+    highest-likelihood result wins.  The starts stop once a kept result
+    scores _bound's upper bound on the row's log-likelihood, which a
+    perfect cover (every requested entry covered and no other) always
+    does; that changes no result while the rounding of the log-likelihood
+    stays below about 1e-6.  Deterministic; ties go to the earliest start
+    and lowest pattern index: a greedy step scans the candidates by index
+    and keeps one only when it beats the best so far by more than 1e-12,
+    and the starts are scanned the same way.
 
     The row is packed into a Python int bit set and searched by _search
     against the patterns' bit sets, which _model packs once per model;

@@ -316,6 +316,101 @@ class TestIngestExitCodes:
         assert_input_error(result, message)
 
 
+@st.composite
+def small_input(draw):
+    """(format, content) of a small valid input: a header and 0-4 apps over
+    up to three permissions, each app requesting none, all or some of them,
+    so that a row or a column can be all zeros or all ones (an all-zero
+    column in a subset of the apps that ``mine`` splits off); ratings and
+    rating counts on both sides of the default reputation thresholds;
+    maybe a duplicate id and maybe a byte-order mark."""
+    fmt = draw(st.sampled_from(["csv", "json"]))
+    perms = ["p0", "p1", "p2"]
+    apps = []
+    for i in range(draw(st.integers(0, 4))):
+        requested = draw(st.sampled_from([[], perms])
+                         | st.lists(st.sampled_from(perms), unique=True))
+        # two high-reputation (rating, count) pairs, one low and one unrated
+        rating, count = draw(st.sampled_from([(4.5, 500), (5, 500), (1, 5),
+                                              (None, 0)]))
+        apps.append({"id": f"a{i}", "name": f"App {i}",
+                     "category": draw(st.sampled_from(["Tools", "Games"])),
+                     "price": draw(st.sampled_from([0, 0.99])),
+                     "avg_rating": rating, "num_ratings": count,
+                     "permissions": ";".join(requested)})
+    if len(apps) > 1 and draw(st.integers(0, 3)) == 3:
+        apps[-1]["id"] = apps[0]["id"]
+    if fmt == "json":
+        text = json.dumps(apps)
+    else:
+        text = CSV_HEADER + "".join(
+            ",".join("" if v is None else str(v) for v in app.values()) + "\n"
+            for app in apps)
+    bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
+    return fmt, bom + text.encode()
+
+
+@st.composite
+def command_line(draw):
+    """(command, reputation config or None): a command and its options,
+    each value drawn from its edges: the least value the option takes, 1
+    or 2, and a huge one; NaN, inf and a negative value for
+    --kl-smoothing.  Every draw that sizes work stays small: --sim-n at
+    most 7, at most two repetitions on one thread, and a huge K or test
+    size exits before any fit."""
+    def edge(*values):
+        return str(draw(st.sampled_from(values)))
+
+    name = draw(st.sampled_from(["stats", "simulate", "mine", "select-k"]))
+    reputation = None
+    if name == "stats":
+        args = ["--top-n", edge(0, 1, 10 ** 9)]
+    elif name == "simulate":
+        args = ["--bins", edge(1, 2, 50), "--sim-n", edge(1, 2, 7)]
+    elif name == "mine":
+        # NaN, inf and -1 in fewer draws, since they exit 2 before the
+        # input is read
+        args = ["-k", edge(1, 2, 3, 10 ** 9), "--kl-smoothing",
+                edge(0.0, 0.5, 1e308) if draw(st.integers(0, 3)) < 3
+                else edge("nan", "inf", -1)]
+        if draw(st.booleans()):
+            reputation = {
+                "min_num_ratings": draw(st.sampled_from([0, 100])),
+                "max_low_num_ratings": draw(st.sampled_from([0, 10])),
+                "test_size": draw(st.sampled_from([0, 1, 10 ** 9]))}
+    else:
+        args = ["--k-min", edge(1, 2), "--k-max", edge(1, 2, 3, 10 ** 9),
+                "--repetitions", edge(1, 2), "--threads", "1"]
+    return [name, *args, "--seed", edge(0, 2 ** 32 - 1, 2 ** 63)], reputation
+
+
+class TestExitCodeContract:
+    @settings(max_examples=100, deadline=None)
+    @given(line=command_line(), case=small_input())
+    def test_small_inputs_and_edge_options(self, tmp_path_factory, line,
+                                           case):
+        (command, reputation), (fmt, content) = line, case
+        folder = tmp_path_factory.mktemp("contract")
+        path, out = folder / f"apps.{fmt}", folder / "out"
+        path.write_bytes(content)
+        if reputation is not None:
+            config = folder / "reputation.json"
+            config.write_text(json.dumps(reputation))
+            command = [*command, "--reputation-config", str(config)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = CliRunner().invoke(main, [*command, "--input", str(path),
+                                               "--out-dir", str(out)])
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], caught
+        assert_exit_contract(result)
+        if result.exit_code == 2:
+            assert not out.exists()
+        else:
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert all(Path(p).is_file() for p in manifest["outputs"])
+
+
 @pytest.mark.parametrize("command", [
     ("select-k", "--k-min", "0", "--k-max", "2"),
     ("select-k", "--k-min", "1", "--k-max", "0"),

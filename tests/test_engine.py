@@ -963,12 +963,12 @@ SET_CASES = {
                          cols(0, 10) | cols(20, 30) | cols(900, 908),
                          cols(10, 20) | cols(30, 40) | cols(908, 916)],
                   1e-6, 1e-6, [1, 1, 1]),
-    # pattern 1 is empty, so its start is not searched; searched, it would
-    # end at pattern 0 plus itself, tied with the empty start's result
+    # pattern 1 is empty: searched, its start would end at pattern 0 plus
+    # itself, tied with the empty start's result
     "start tie": (WIDE, [cols(0, 10), set()], 1e-6, 1e-6, [1, 0]),
     # pattern 0 shares no entry with the row or with pattern 1, the one
-    # pattern that touches it, so its start is not searched; searched, it
-    # would add 1 and drop 0, the empty start's result
+    # pattern that touches it: searched, its start would add 1 and drop 0,
+    # the empty start's result
     "start apart from the row and its patterns": (
         (8, range(4)), [{6, 7}, cols(0, 5)], 0.5, 0.1, [0, 1]),
     # Pattern 0 shares no entry with the row, but it holds the unrequested
@@ -1005,13 +1005,13 @@ SET_CASES = {
         0.5, 0.1, [1, 1, 1, 0, 0]),
     # The empty start adds 0, which holds the unrequested entry 6, then 3,
     # and misses the row's exact cover.  The start from 2 adds 3 and covers
-    # the row exactly, and the search ends there; the start from 4 would
-    # cover it too, with 3 and 4.
+    # the row exactly, and the search ends there at the bound; the start
+    # from 4 would cover it too, with 3 and 4.
     "perfect cover after a miss": (
         (8, range(6)), [{0, 1, 2, 3, 4, 6}, {5, 7}, {0, 1, 2}, {3, 4, 5},
                         {0, 1, 2}], 0.5, 0.1, [0, 0, 1, 1, 0]),
-    # The empty start adds 0, then 1.  The start from 1 adds 0 and so holds
-    # the set the empty start held, in the other order: it is dropped there
+    # The empty start adds 0, then 1, and reaches the bound.  The starts
+    # from 0 and 1 would each end at the same set.
     "rejoined add path": (WIDE, [cols(0, 10), cols(10, 15, 900)],
                           1e-6, 1e-6, [1, 1]),
 }
@@ -1068,7 +1068,8 @@ class TestAssignOracle:
                                       seed=33)
         assert_all_paths_equal(x.data, u, r, eps)
 
-    def test_batch_searches_only_starts_that_can_win(self, monkeypatch):
+    def test_batch_out_of_reach_patterns_change_no_assignment(self,
+                                                             monkeypatch):
         x, _, u = plant_factorization(16, 130, 30, 0.03, 0.1, 0.02, 0.5,
                                       seed=28)
         # 10 more patterns over 10 new columns that no row requests: each
@@ -1085,7 +1086,8 @@ class TestAssignOracle:
         calls.clear()
         got = assign_matrix(BinaryMatrix(wide_x), BinaryMatrix(wide_u), 0.5,
                             0.02).data
-        # no start from, and no candidate of, the new patterns is scored
+        # the new patterns touch no row, so none is an add candidate, and
+        # every row reaches the bound before the starts from them
         assert calls == scored
         assert got.tolist() == np.hstack(
             [want, np.zeros((x.rows, 10), dtype=np.uint8)]).tolist()
@@ -1094,67 +1096,60 @@ class TestAssignOracle:
 
     def test_batch_stops_at_perfect_covers(self, monkeypatch):
         calls = spied_set_ll(monkeypatch)
-        for case, scored in (("two perfect covers", 1 + 5 + 4 + 2),
+        for case, scored in (("two perfect covers", 1 + 1 + 5 + 4 + 2),
                              ("perfect cover after a miss",
-                              10 + 1 + 1 + 7 + 4)):
+                              1 + 10 + 5 + 7 + 4)):
             x, u, r, eps = set_case(case)
             calls.clear()
             got = assign_matrix(BinaryMatrix(np.repeat(x, 3, axis=0)), u, r,
                                 eps).data
             assert got.tolist() == [SET_CASES[case][-1]] * 3
-            # one search of the repeated row, which ends at its first kept
-            # perfect cover as assign_patterns' does
+            # one search of the repeated row, which ends at the bound, here
+            # the perfect cover's value, as assign_patterns' does
             assert len(calls) == scored
-            assert (int(x.sum()), 0) in calls
+            assert calls[0] == calls[-1] == (int(x.sum()), 0)
 
     def test_search_ends_at_kept_perfect_cover(self, monkeypatch):
         x, u, r, eps = set_case("two perfect covers")
         calls = spied_set_ll(monkeypatch)
         assert engine.assign_patterns(x[0], u, r, eps).tolist() == [1, 1, 1,
                                                                     0, 0]
-        # the empty start's value, then its 5, 4 and 2 add candidates; it
-        # covers the row exactly, so no other start is searched
-        assert len(calls) == 1 + 5 + 4 + 2
-        calls.clear()
-        x, u, r, eps = set_case("perfect cover after a miss")
-        assert engine.assign_patterns(x[0], u, r, eps).tolist() == [0, 0, 1,
-                                                                    1, 0]
-        # each start's own value and its candidates: the empty start 1 + 5
-        # + 2 and 2 in the prune, then the bound's one term, since the
-        # clean patterns 2 and 3 cover every requested entry; the start
-        # from 0 holds a set the empty start held; from 1, 1 + 4 and 2 in
-        # the prune; from 2, 1 + 3, and its exact cover ends the search
-        # before the starts from 3 and 4
-        assert len(calls) == 10 + 1 + 1 + 7 + 4
-        assert calls[10] == (6, 0)
-        assert calls[-1] == (6, 0)
+        # the bound's one term, every pattern being clean; then the empty
+        # start's value and its 5, 4 and 2 add candidates.  Its perfect
+        # cover reaches the bound, so no other start is searched.
+        assert calls == [
+            (10, 0),                            # the bound
+            (0, 0), (5, 0), (4, 0), (1, 0), (5, 0), (5, 0),     # add 0
+            (9, 0), (6, 0), (7, 0), (8, 0),     # add 1
+            (10, 0), (10, 0)]                   # add 2
 
-    def test_start_dropped_where_it_rejoins_a_searched_path(self,
-                                                           monkeypatch):
+    def test_starts_searched_in_order_until_the_bound(self, monkeypatch):
         x, u, r, eps = set_case("rejoined add path")
         calls = spied_set_ll(monkeypatch)
         assert engine.assign_patterns(x[0], u, r, eps).tolist() == [1, 1]
         # (n11, n10) of each set scored
         assert calls == [
+            (10, 0), (15, 1),                   # the bound's terms, t = 0, 1
             (0, 0), (10, 0), (5, 1), (15, 1),   # empty start: add 0, add 1
-            (5, 1), (10, 0),                    # its prune keeps both
-            # the bound's terms at t = 0 and 1: the kept value reaches the
-            # second, so the starts from 0 and 1, which would each reach a
-            # set the empty start held, are not searched
-            (10, 0), (15, 1)]
-        # Where the bound lies above the kept value the starts go on: in
-        # "perfect cover after a miss" the start from 0 scores its own set,
-        # which the empty start's add phase held, and is dropped there
+            # its prune keeps both, and the kept value reaches the bound's
+            # second term, so no other start is searched
+            (5, 1), (10, 0)]
+        # Where the empty start's set misses the bound the starts go on, in
+        # index order, until a kept set reaches it: in "perfect cover after
+        # a miss" the start from 2 covers the row exactly
         x, u, r, eps = set_case("perfect cover after a miss")
         calls.clear()
         assert engine.assign_patterns(x[0], u, r, eps).tolist() == [0, 0, 1,
                                                                     1, 0]
-        assert calls[:13] == [
+        assert calls == [
+            (6, 0),                             # the bound: 2 and 3 clean
             (0, 0), (5, 1), (1, 1), (3, 0), (3, 0), (3, 0),  # empty start
             (6, 2), (6, 1), (3, 0), (5, 1),
-            (6, 0),                             # the bound
-            (5, 1),                             # start from 0: held
-            (1, 1)]                             # start from 1
+            # the start from 0 reaches the empty start's set and value,
+            # which it does not beat
+            (5, 1), (6, 2), (6, 1), (3, 0), (5, 1),
+            (1, 1), (6, 2), (4, 1), (3, 1), (4, 1), (1, 1), (5, 1),  # from 1
+            (3, 0), (5, 1), (4, 1), (6, 0)]     # from 2: add 3, the cover
 
     @given(assignment_inputs())
     @settings(max_examples=60, deadline=None)
@@ -1311,18 +1306,19 @@ class TestSearch:
     @pytest.mark.parametrize("row", [[0, 0, 0, 0, 0], [0, 0, 0, 1, 1]],
                              ids=["empty", "untouched"])
     def test_untouched_row_scores_only_the_empty_set(self, monkeypatch, row):
-        # no pattern shares an entry with the row: no start other than the
-        # empty one, and no add candidate, is scored
+        # no pattern shares an entry with the row: the bound is the empty
+        # set's value, and the empty start, with no add candidate, reaches
+        # it, so no other start is scored
         u = matrix_from_rows([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0]])
         logs, pats = engine._model(u, 0.3, 0.1)
         calls = spied_set_ll(monkeypatch)
         assert engine._search(packed(row), pats, 5, logs) == []
-        assert calls == [(0, 0)]
+        assert calls == [(0, 0), (0, 0)]
 
     def test_one_dropped_entry_ends_after_the_empty_start(self,
                                                          monkeypatch):
         # the row is pattern 0 without its entry 3, plus pattern 1; pattern
-        # 2 lies apart from both and is no start
+        # 2 lies apart from both
         u = matrix_from_rows([[1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
                               [0, 0, 0, 0, 1, 1, 1, 0, 0, 0],
                               [0, 0, 0, 0, 0, 0, 0, 1, 1, 0]])
@@ -1331,12 +1327,13 @@ class TestSearch:
         row = packed([1, 1, 1, 0, 1, 1, 1, 0, 0, 0])
         assert engine._search(row, pats, 10, logs) == [0, 1]
         assert calls == [
-            (0, 0), (3, 1), (3, 0), (6, 1),     # empty start: add 1, add 0
-            (3, 0), (3, 1),                     # its prune keeps both
             # the bound: clean pattern 1 alone, or with pattern 0's three
-            # requested entries at its one unrequested entry; the kept
-            # value is the second, so the starts from 0 and 1 are not run
-            (3, 0), (6, 1)]
+            # requested entries at its one unrequested entry
+            (3, 0), (6, 1),
+            (0, 0), (3, 1), (3, 0), (6, 1),     # empty start: add 1, add 0
+            # its prune keeps both; the kept value is the bound's second
+            # term, so the starts from 0, 1 and 2 are not run
+            (3, 0), (3, 1)]
 
     def test_equal_patterns_keep_the_lowest_index(self):
         u = matrix_from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
@@ -1347,47 +1344,58 @@ class TestSearch:
 
 @st.composite
 def bound_inputs(draw):
-    """(row, u, r, epsilon) with K 1-10 and D 1-24; a pattern is random or
-    a copy of an earlier one, and the row is random or the union of 1-3
-    patterns with a few entries flipped, so that many rows fall just short
-    of a perfect cover.  r and epsilon come from CLIP_VALUES, 0.5 or a
-    uniform draw."""
+    """(x, u, r, epsilon) with K 1-10, D 1-24 and 1-6 rows; a pattern is
+    random or a copy of an earlier one, and a row is random or the union of
+    1-3 patterns with a few entries flipped, so that many rows fall just
+    short of a perfect cover.  r and epsilon come from CLIP_VALUES, 0.5 or
+    a uniform draw."""
     k, d = draw(st.integers(1, 10)), draw(st.integers(1, 24))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u = (rng.random((k, d)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
     for j in range(1, k):
         if draw(st.booleans()):
             u[j] = u[rng.integers(0, j)]
-    if draw(st.booleans()):
-        row = (rng.random(d) < rng.uniform(0.0, 1.0)).astype(np.uint8)
-    else:
-        row = u[rng.integers(0, k, size=rng.integers(1, 4))].max(axis=0)
-        row ^= (rng.random(d) < draw(st.sampled_from([0.0, 0.05, 0.15]))
-                ).astype(np.uint8)
+    x = np.zeros((draw(st.integers(1, 6)), d), dtype=np.uint8)
+    for row in x:
+        if draw(st.booleans()):
+            row[:] = rng.random(d) < rng.uniform(0.0, 1.0)
+        else:
+            row[:] = u[rng.integers(0, k, size=rng.integers(1, 4))].max(axis=0)
+            row ^= (rng.random(d) < draw(st.sampled_from([0.0, 0.05, 0.15]))
+                    ).astype(np.uint8)
     probability = st.one_of(st.sampled_from(CLIP_VALUES + (0.5,)),
                             st.floats(0.0, 1.0))
-    return row, BinaryMatrix(u), draw(probability), draw(probability)
+    return x, BinaryMatrix(u), draw(probability), draw(probability)
 
 
 class TestBound:
     @given(bound_inputs())
     @settings(max_examples=150, deadline=None)
     def test_bound_holds_every_pattern_set(self, inputs):
-        row, u, r, eps = inputs
+        rows, u, r, eps = inputs
         logs, pats = engine._model(u, r, eps)
-        x = packed(row)
-        ones = x.bit_count()
-        touching = [(j, p) for j, p in enumerate(pats) if p & x]
-        bound = engine._bound(x, touching, ones, u.cols, logs)
-        best = -np.inf
+        unions = []
         for mask in range(1 << u.rows):
             covered = 0
             for j, p in enumerate(pats):
                 if mask >> j & 1:
                     covered |= p
-            n11 = (covered & x).bit_count()
-            best = max(best, engine._set_ll(n11, covered.bit_count() - n11,
-                                            ones, u.cols, logs))
-        # no tolerance: a set's counts are those of one of the bound's
-        # terms, or worse by about 1e-6 or more
-        assert bound >= best
+            unions.append(covered)
+        for row in rows:
+            x = packed(row)
+            ones = x.bit_count()
+            touching = [(j, p) for j, p in enumerate(pats) if p & x]
+            bound = engine._bound(x, touching, ones, u.cols, logs)
+            best = max(engine._set_ll((c & x).bit_count(),
+                                      (c & ~x).bit_count(), ones, u.cols,
+                                      logs) for c in unions)
+            # no tolerance: a set's counts are those of one of the bound's
+            # terms, or worse by about 1e-6 or more
+            assert bound >= best
+
+    @given(bound_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_near_cover_rows_equal_oracle(self, inputs):
+        # the rows where the search most often ends at the bound short of
+        # its last start
+        assert_all_paths_equal(*inputs)

@@ -54,12 +54,14 @@ K and D, duplicate and empty patterns and unions of patterns, rows that
 are unions of patterns with and without a few entries flipped, at r and
 epsilon 0.5 and at the clip bounds 1e-6 and 1 - 1e-6.  Those rows mostly
 end at a perfect cover, a set of patterns that covers every requested
-entry and no other, so a near-cover scoring set is compared as well, on
-the same three paths and at the same r and epsilon: rows that are unions
-of 1-3 patterns with one entry of one of them dropped, with one entry of
-a pattern outside the union added, or with one entry that no pattern
-covers added, against the planted K=30 Android patterns and against the
-patterns of the set built to tie.
+entry and no other, which reaches the search's upper bound on the row's
+log-likelihood at once.  So a near-cover scoring set is compared as
+well, whose rows end at the bound short of a perfect cover or run on
+to later starts: on the same three paths and at the same r and epsilon,
+rows that are unions of 1-3 patterns with one entry of one of them
+dropped, with one entry of a pattern outside the union added, or with
+one entry that no pattern covers added, against the planted K=30
+Android patterns and against the patterns of the set built to tie.
 Prints each file, fit, step and scoring that differs and exits 1 if any
 does.
 """
