@@ -46,6 +46,9 @@ PARAM_FLOOR = 1e-6
 START_TEMPERATURE = 2.0
 END_TEMPERATURE = 0.05
 
+# A byte of a binary row as the ASCII digit of its bit.
+_DIGITS = bytes.maketrans(bytes(range(256)), b"0" + b"1" * 255)
+
 # The flip search takes rows in chunks bounded by this many (row, candidate,
 # perm) cells so it never materializes huge 3-d temporaries.
 _CHUNK_CELLS = 20_000_000
@@ -448,20 +451,20 @@ def _set_ll(n11, n10, ones, d: int, logs):
 
 def _bound(x: int, touching: list, ones: int, d: int, logs) -> float:
     """An upper bound on the log-likelihood of any set of patterns for the
-    row x, whose touching patterns, as (index, bit set) pairs, are
-    touching.  A clean pattern holds no unrequested entry; c counts the
-    requested entries the clean patterns cover.  A dirty entry is a
-    requested one that a touching pattern covers and no clean one does;
-    its mu is the fewest unrequested entries of a touching pattern that
-    covers it, at least 1.  A set whose largest mu among the dirty entries
-    it covers is t (0 if none) holds a pattern with at least t unrequested
-    entries, so n10 >= t, and covers at most c requested entries plus the
-    dirty ones of mu <= t; patterns that touch no requested entry only add
-    to n10.  _set_ll rises with n11 and falls with n10, so the bound is
-    its largest value at those counts over t in 0 and the mu values."""
+    row x, whose touching patterns, as (index, bit set, requested count,
+    unrequested count) tuples, are touching.  A clean pattern holds no
+    unrequested entry; c counts the requested entries the clean patterns
+    cover.  A dirty entry is a requested one that a touching pattern covers
+    and no clean one does; its mu is the fewest unrequested entries of a
+    touching pattern that covers it, at least 1.  A set whose largest mu
+    among the dirty entries it covers is t (0 if none) holds a pattern with
+    at least t unrequested entries, so n10 >= t, and covers at most c
+    requested entries plus the dirty ones of mu <= t; patterns that touch
+    no requested entry only add to n10.  _set_ll rises with n11 and falls
+    with n10, so the bound is its largest value at those counts over t in 0
+    and the mu values."""
     clean, by_extra = 0, {}
-    for _, p in touching:
-        extra = (p & ~x).bit_count()
+    for _, p, _, extra in touching:
         if extra:
             by_extra[extra] = by_extra.get(extra, 0) | (p & x)
         else:
@@ -493,8 +496,12 @@ def _search(x: int, pats: tuple, d: int, logs) -> list:
     # two values (a few ulps of |ll| <= 28 * D, about 1e-12 at D = 130).  So
     # with m0 >= 1 it is strictly worse than the current value, with m0 = 0
     # it ties it, and the scan keeps neither.  Selected patterns have m1 = 0
-    # too, so they need no mask.
-    touching = [(j, p) for j, p in enumerate(pats) if p & x]
+    # too, so they need no mask.  Each touching pattern comes with its
+    # counts of requested and unrequested entries, which are _bound's input
+    # and, against an empty cover, an add candidate's m1 and m0.
+    unrequested = ~x
+    touching = [(j, p, (p & x).bit_count(), (p & unrequested).bit_count())
+                for j, p in enumerate(pats) if p & x]
     # A later start ends at some set, and against _bound's term at that
     # set's t the set has the same counts, and so the same value to the
     # bit, or fewer in n11 or more in n10, and so a value at least about
@@ -511,15 +518,18 @@ def _search(x: int, pats: tuple, d: int, logs) -> list:
         n10 = covered.bit_count() - n11
         ll = _set_ll(n11, n10, ones, d, logs)
         while True:                 # add
-            need, free = x & ~covered, ~(x | covered)
+            if covered:             # else the scan takes touching's counts
+                need, free = x & ~covered, ~(x | covered)
             pick, top = -1, ll
-            for j, p in touching:
-                m1 = (p & need).bit_count()
-                if m1:
+            for j, p, m1, m0 in touching:
+                if covered:
+                    m1 = (p & need).bit_count()
+                    if not m1:
+                        continue
                     m0 = (p & free).bit_count()
-                    v = _set_ll(n11 + m1, n10 + m0, ones, d, logs)
-                    if v > top + 1e-12:
-                        pick, top, g1, g0 = j, v, m1, m0
+                v = _set_ll(n11 + m1, n10 + m0, ones, d, logs)
+                if v > top + 1e-12:
+                    pick, top, g1, g0 = j, v, m1, m0
             if pick < 0:
                 break
             sel.append(pick)
@@ -568,30 +578,43 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     and keeps one only when it beats the best so far by more than 1e-12,
     and the starts are scanned the same way.
 
-    The row is packed into a Python int bit set and searched by _search
-    against the patterns' bit sets, which _model packs once per model;
-    assign_matrix runs the same search on each distinct row.
+    The row is packed into a Python int bit set, big-endian and padded to
+    whole bytes as _model packs the patterns once per model, and searched
+    by _search against the patterns' bit sets; assign_matrix runs the same
+    search on each distinct row.
     """
     x_row = np.asarray(x_row)
     if x_row.shape != (u.cols,):
         raise DimensionError(f"row length {x_row.shape} != D={u.cols}")
     check_binary(x_row)
     logs, pats = _model(u, r, epsilon)
-    x = int.from_bytes(np.packbits(x_row == 1).tobytes(), "big")
+    # the row's bytes, one an entry, as ASCII digits read in base 2 and
+    # shifted to whole bytes; wider entries are compared to 1 first, and
+    # the leading 0 reads a row of no columns as 0
+    if x_row.itemsize != 1:
+        x_row = x_row == 1
+    x = int(b"0" + x_row.tobytes().translate(_DIGITS), 2) << (-u.cols % 8)
     out = np.zeros(len(pats), dtype=np.uint8)
-    out[_search(x, pats, u.cols, logs)] = 1
+    for j in _search(x, pats, u.cols, logs):
+        out[j] = 1
     return out
 
 
 def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
                   r: float, epsilon: float) -> BinaryMatrix:
     """assign_patterns applied to every row of x: the distinct rows are
-    packed into bit sets together, and _search runs once on each."""
+    packed into bit sets together, _search runs once on each, and each
+    row of x takes its distinct row's assignment."""
     if x.cols != u.cols:
         raise DimensionError(f"row length {x.cols} != D={u.cols}")
     first, group = _group(_keys(x.data))
     logs, pats = _model(u, r, epsilon)
-    out = np.zeros((first.size, u.rows), dtype=np.uint8)
-    for i, row in enumerate(np.packbits(x.data[first], axis=1)):
-        out[i, _search(int.from_bytes(row, "big"), pats, u.cols, logs)] = 1
-    return BinaryMatrix(out[group])
+    k, width = u.rows, (u.cols + 7) // 8
+    rows = np.packbits(x.data[first], axis=1).tobytes()
+    out = bytearray(first.size * k)
+    for i in range(first.size):
+        row = int.from_bytes(rows[i * width:(i + 1) * width], "big")
+        for j in _search(row, pats, u.cols, logs):
+            out[i * k + j] = 1
+    return BinaryMatrix(np.frombuffer(out, dtype=np.uint8)
+                        .reshape(first.size, k)[group])

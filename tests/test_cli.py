@@ -316,14 +316,28 @@ class TestIngestExitCodes:
         assert_input_error(result, message)
 
 
+# column maps: a valid rename (the input's columns then carry the new
+# names), one naming a column the input lacks, a non-object and one with
+# non-string values, one of them unhashable
+COLUMN_MAPS = {"rename": {"id": "app_id", "permissions": "perms"},
+               "missing": {"category": "genre"},
+               "non-object": ["id"],
+               "non-string": {"id": 3, "permissions": ["perms"]}}
+
+# a value one below the range of each option that takes a count
+BELOW_RANGE = {"--top-n": "-1", "--bins": "0", "--sim-n": "0", "-k": "0",
+               "--repetitions": "0", "--threads": "0"}
+
+
 @st.composite
 def small_input(draw):
-    """(format, content) of a small valid input: a header and 0-4 apps over
-    up to three permissions, each app requesting none, all or some of them,
-    so that a row or a column can be all zeros or all ones (an all-zero
-    column in a subset of the apps that ``mine`` splits off); ratings and
-    rating counts on both sides of the default reputation thresholds;
-    maybe a duplicate id and maybe a byte-order mark."""
+    """(format, content, column map or None) of a small input: a header and
+    0-4 apps over up to three permissions, each app requesting none, all or
+    some of them, so that a row or a column can be all zeros or all ones
+    (an all-zero column in a subset of the apps that ``mine`` splits off);
+    ratings and rating counts on both sides of the default reputation
+    thresholds; maybe a duplicate id, maybe a byte-order mark, and in
+    about half the draws one of COLUMN_MAPS."""
     fmt = draw(st.sampled_from(["csv", "json"]))
     perms = ["p0", "p1", "p2"]
     apps = []
@@ -340,22 +354,29 @@ def small_input(draw):
                      "permissions": ";".join(requested)})
     if len(apps) > 1 and draw(st.integers(0, 3)) == 3:
         apps[-1]["id"] = apps[0]["id"]
+    kind = draw(st.none() | st.sampled_from(sorted(COLUMN_MAPS)))
+    renamed = COLUMN_MAPS["rename"] if kind == "rename" else {}
+    apps = [{renamed.get(k, k): v for k, v in app.items()} for app in apps]
     if fmt == "json":
         text = json.dumps(apps)
     else:
-        text = CSV_HEADER + "".join(
+        text = ",".join(renamed.get(k, k) for k in CSV_HEADER[:-1].split(","))
+        text += "\n" + "".join(
             ",".join("" if v is None else str(v) for v in app.values()) + "\n"
             for app in apps)
     bom = codecs.BOM_UTF8 if draw(st.booleans()) else b""
-    return fmt, bom + text.encode()
+    columns = None if kind is None else COLUMN_MAPS[kind]
+    return fmt, bom + text.encode(), columns
 
 
 @st.composite
 def command_line(draw):
-    """(command, reputation config or None): a command and its options,
-    each value drawn from its edges: the least value the option takes, 1
-    or 2, and a huge one; NaN, inf and a negative value for
-    --kl-smoothing.  Every draw that sizes work stays small: --sim-n at
+    """(command, reputation config or None, option below its range or
+    None): a command and its options, each value drawn from its edges: the
+    least value the option takes, 1 or 2, and a huge one; NaN, inf and a
+    negative value for --kl-smoothing.  In about a quarter of the draws one
+    option that takes a count gets its BELOW_RANGE value instead, which
+    click rejects.  Every draw that sizes work stays small: --sim-n at
     most 7, at most two repetitions on one thread, and a huge K or test
     size exits before any fit."""
     def edge(*values):
@@ -381,7 +402,12 @@ def command_line(draw):
     else:
         args = ["--k-min", edge(1, 2), "--k-max", edge(1, 2, 3, 10 ** 9),
                 "--repetitions", edge(1, 2), "--threads", "1"]
-    return [name, *args, "--seed", edge(0, 2 ** 32 - 1, 2 ** 63)], reputation
+    below = None
+    if draw(st.integers(0, 3)) == 0:
+        below = draw(st.sampled_from([o for o in args if o in BELOW_RANGE]))
+        args[args.index(below) + 1] = BELOW_RANGE[below]
+    command = [name, *args, "--seed", edge(0, 2 ** 32 - 1, 2 ** 63)]
+    return command, reputation, below
 
 
 class TestExitCodeContract:
@@ -389,21 +415,31 @@ class TestExitCodeContract:
     @given(line=command_line(), case=small_input())
     def test_small_inputs_and_edge_options(self, tmp_path_factory, line,
                                            case):
-        (command, reputation), (fmt, content) = line, case
+        (command, reputation, below), (fmt, content, columns) = line, case
         folder = tmp_path_factory.mktemp("contract")
         path, out = folder / f"apps.{fmt}", folder / "out"
         path.write_bytes(content)
-        if reputation is not None:
-            config = folder / "reputation.json"
-            config.write_text(json.dumps(reputation))
-            command = [*command, "--reputation-config", str(config)]
+        for option, config in (("--reputation-config", reputation),
+                               ("--column-map", columns)):
+            if config is not None:
+                config_path = folder / f"{option[2:]}.json"
+                config_path.write_text(json.dumps(config))
+                command = [*command, option, str(config_path)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = CliRunner().invoke(main, [*command, "--input", str(path),
                                                "--out-dir", str(out)])
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], caught
-        assert_exit_contract(result)
+        if below:
+            # click's usage error, before anything is read
+            assert result.exit_code == 2, result.output
+            error = result.output.splitlines()[-1]
+            assert error.startswith(f"Error: Invalid value for '{below}'")
+            assert "is not in the range" in error
+            assert "Traceback" not in result.output
+        else:
+            assert_exit_contract(result)
         if result.exit_code == 2:
             assert not out.exists()
         else:

@@ -839,9 +839,38 @@ class TestAssignPatterns:
 
     def test_non_binary_row_rejected(self):
         u = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
-        for row in ([2, 0.5, 1.0], [257, 257, 0]):
-            with pytest.raises(ValueError):
-                assign_patterns(np.array(row), u, 0.5, 0.05)
+        rows = [np.array([2, 0.5, 1.0]), np.array([257, 257, 0])]
+        # every 1-byte dtype: 48 and 49 are the ASCII codes of "0" and "1",
+        # which a packer reading the row's bytes as digits would take
+        rows += [np.array(row, dtype=np.uint8) for row in (
+            [1, 2, 0], [1, 48, 0], [0, 49, 0], [1, 255, 0], [49, 48, 49])]
+        rows.append(np.array([1, -1, 0], dtype=np.int8))
+        for row in rows:
+            with pytest.raises(ValueError, match="exactly 0 or 1"):
+                assign_patterns(row, u, 0.5, 0.05)
+        row = np.array([True, True, False])
+        assert assign_patterns(row, u, 0.5, 0.05).tolist() == [1, 0]
+
+    @pytest.mark.parametrize("k", [0, 1, 6])
+    def test_returned_arrays_are_not_shared(self, k):
+        rng = np.random.default_rng(36 + k)
+        u = random_binary(rng, (k, 19), 0.3)
+        x = random_binary(rng, (8, 19), 0.4).data
+        single = assign_patterns(x[0], u, 0.3, 0.1)
+        assert single.dtype == np.uint8 and single.shape == (k,)
+        assert single.flags.c_contiguous
+        batch = assign_matrix(BinaryMatrix(x), u, 0.3, 0.1).data
+        want_single, want_batch = single.tolist(), batch.tolist()
+        # the caller writes into a later result of the same row, and more
+        # calls follow
+        again = assign_patterns(x[0], u, 0.3, 0.1)
+        again[:] = 1 - again
+        for row in x:
+            assign_patterns(row, u, 0.3, 0.1)
+        assign_matrix(BinaryMatrix(x[::-1]), u, 0.3, 0.1)
+        assert single.tolist() == want_single
+        assert batch.tolist() == want_batch
+        assert again.tolist() == [1 - v for v in want_single]
 
     def test_row_length_checked(self):
         u = matrix_from_rows([[1, 1, 0], [0, 1, 1]])
@@ -1168,7 +1197,9 @@ class TestAssignOracle:
             assert assignment_ll(x[0], u, want, r, eps) < -16384
         assert_all_paths_equal(x, u, r, eps)
 
-    @pytest.mark.parametrize("k, d", [(0, 6), (3, 0), (1, 6), (0, 0)])
+    # the D of 1-17 pad a row to one, two or three whole bytes
+    @pytest.mark.parametrize("k, d", [(0, 6), (3, 0), (1, 6), (0, 0)]
+                             + [(4, d) for d in (1, 7, 8, 9, 15, 16, 17)])
     def test_single_rows_equal_matrix_at_edges(self, k, d):
         rng = np.random.default_rng(29 + 7 * k + d)
         u = random_binary(rng, (k, d), 0.4)
@@ -1384,7 +1415,8 @@ class TestBound:
         for row in rows:
             x = packed(row)
             ones = x.bit_count()
-            touching = [(j, p) for j, p in enumerate(pats) if p & x]
+            touching = [(j, p, (p & x).bit_count(), (p & ~x).bit_count())
+                        for j, p in enumerate(pats) if p & x]
             bound = engine._bound(x, touching, ones, u.cols, logs)
             best = max(engine._set_ll((c & x).bit_count(),
                                       (c & ~x).bit_count(), ones, u.cols,

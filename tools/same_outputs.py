@@ -42,10 +42,12 @@ model its ``mine`` run fitted (this checkout's ``factorization.json``).
 Each tree scores them with ``assign_matrix`` as one batch, with
 ``assign_matrix`` in slices of the benchmark's batch size (22 Android
 apps, 100 Facebook apps) and with ``assign_patterns`` one app at a time,
-and every assignment must be equal.  The three paths run one search, but
-they call it with different rows and at different points of the model
-cache, so a model kept across calls that leaks into the wrong one shows
-as a difference between them.  The Facebook apps are then scored
+and every assignment must be equal.  ``assign_patterns`` packs a row by
+its dtype, so it also scores them as ``bool``, ``int64`` and ``float64``
+rows and as Python lists, each a scoring of its own.  The paths run one
+search, but they call it with different rows and at different points of
+the model cache, so a model kept across calls that leaks into the wrong
+one shows as a difference between them.  The Facebook apps are then scored
 once more with the two models' calls alternating, app by app and slice
 by slice, and these assignments must equal the per-model ones as well.
 On those apps no greedy start but the empty one changes an assignment, so
@@ -247,7 +249,8 @@ def score_digests(scorings) -> dict[str, str]:
     """For each (name, apps, model, slice size) in scorings, the SHA-256
     of the assignments of the apps (an .npy file) against the model (a
     JSON file with u, r and epsilon): by assign_matrix in one batch and in
-    slices of the given size, and by assign_patterns one app at a time.
+    slices of the given size, and by assign_patterns one app at a time,
+    the apps given as uint8, bool, int64 and float64 rows and as lists.
     Then the apps of the Facebook scorings once more, with their models
     alternating app by app with assign_patterns and slice by slice with
     assign_matrix, so that what a call keeps of one model cannot reach
@@ -279,6 +282,12 @@ def score_digests(scorings) -> dict[str, str]:
         found = paths(x, u, r, eps, size)
         for entry, z in found.items():
             digests[f"{name} {entry}"] = digest(z)
+        for kind, rows in (("bool", x.astype(bool)),
+                           ("int64", x.astype(np.int64)),
+                           ("float64", x.astype(np.float64)),
+                           ("list", x.tolist())):
+            digests[f"{name} assign_patterns on {kind} rows"] = digest(
+                np.array([assign_patterns(row, u, r, eps) for row in rows]))
         if name.startswith("facebook"):
             single, sliced = (found["assign_patterns"],
                               found[f"assign_matrix in slices of {size}"])
