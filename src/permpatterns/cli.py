@@ -41,7 +41,7 @@ from .evaluation import (
 # _instability_job is bound here too: perfbench/tracer.py traces the
 # select-k pool job as cli._instability_job
 from .selection import _instability_job, select_k  # noqa: F401
-from .simulate import (marginal_probs, pcp_bin_edges, pcp_histogram,
+from .simulate import (marginal_probs, pcp_bins, pcp_histogram,
                        simulate_independent)
 
 def _sha256(path: Path) -> str:
@@ -306,7 +306,7 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
     started, out = time.monotonic(), Path(out_dir)
     # numpy refuses an array larger than its index range with ValueError
     try:
-        edges = pcp_bin_edges(bins)
+        edges, centers = pcp_bins(bins)
     except (MemoryError, ValueError):
         _fail(f"--bins {bins}: {bins} bins do not fit in memory")
     x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
@@ -321,13 +321,13 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
               "permissions do not fit in memory")
     pcp_real, undef_real = pcp_matrix(x)
     pcp_sim, undef_sim = pcp_matrix(sim)
-    hist = pcp_histogram(pcp_real, pcp_sim, bins=edges)
     avg_real, flag_real = average_pcp(pcp_real, undef_real)
     avg_sim, flag_sim = average_pcp(pcp_sim, undef_sim)
     outputs = [
         _write_csv(out / "pcp_histogram.csv",
                    ["bin_center", "count_real", "count_sim"],
-                   zip(hist.bin_centers, hist.counts_real, hist.counts_sim)),
+                   zip(centers, pcp_histogram(pcp_real, edges),
+                       pcp_histogram(pcp_sim, edges))),
         _write_json(out / "pcp_summary.json", {
             "average_pcp_real": avg_real,
             "average_pcp_simulated": avg_sim,

@@ -144,26 +144,26 @@ class InstabilityReport:
 
 
 def _fit_jobs(x: BinaryMatrix, ks, repetitions: int, config: FitConfig):
-    """One (half, other half or None, K, config) job per fit: K by K in the
-    given order, then repetition by repetition, first half first.  The data
-    is split once per repetition; every K fits the same halves."""
+    """One (x, K, half, config) job per fit: K by K in the given order,
+    then repetition by repetition, first half (0) first.  A repetition's
+    config has seed config.seed + repetition; each job splits x at that
+    seed itself, so no split is kept before its fit."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    splits = [(split_dataset(x, config.seed + rep),
-               replace(config, seed=config.seed + rep))
-              for rep in range(repetitions)]
-    return [job for k in ks for (half1, half2), cfg in splits
-            for job in ((half1, half2, k, cfg), (half2, None, k, cfg))]
+    return [(x, k, half, replace(config, seed=config.seed + rep))
+            for k in ks for rep in range(repetitions) for half in (0, 1)]
 
 
-def _fit_half(half: BinaryMatrix, other: BinaryMatrix | None, k: int,
+def _fit_half(x: BinaryMatrix, k: int, half: int,
               config: FitConfig) -> tuple[Factorization, BinaryMatrix | None]:
-    """Fit one half; a first half's model is also transferred onto the
-    other half with the greedy assignment classifier."""
-    fact = fit(half, k, config)
-    if other is None:
-        return fact, None
-    return fact, assign_matrix(other, fact.u, fact.r, fact.epsilon)
+    """Fit one half of x split at config.seed; the first half's model is
+    also transferred onto the second half with the greedy assignment
+    classifier."""
+    first, second = split_dataset(x, config.seed)
+    if half:
+        return fit(second, k, config), None
+    fact = fit(first, k, config)
+    return fact, assign_matrix(second, fact.u, fact.r, fact.epsilon)
 
 
 def _record(k: int, fits) -> InstabilityRecord:

@@ -1,7 +1,6 @@
-"""Synthetic data: independent-request null models and planted factorizations."""
+"""Synthetic data: independent-request null models, planted factorizations,
+and the log-binned PCP histogram that compares real and simulated apps."""
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,7 +8,6 @@ from .core import BinaryMatrix, DimensionError
 from .engine import boolean_product
 
 UNDERFLOW_THRESHOLD = 0.001
-DEFAULT_BINS = 20
 # Rows per block of simulate_independent's draw.
 _BLOCK_ROWS = 1 << 14
 
@@ -59,44 +57,17 @@ def plant_factorization(n: int, d: int, k: int, pattern_density: float,
     return BinaryMatrix(x), z_true, u_true
 
 
-@dataclass(frozen=True)
-class PcpHistogram:
-    """Log-binned counts of PCP values for a real/simulated dataset pair."""
+def pcp_bins(bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges of `bins` log-spaced bins on [0.001, 1] and the bins'
+    geometric centers; a count too large for an array raises MemoryError
+    or ValueError."""
+    edges = np.logspace(np.log10(UNDERFLOW_THRESHOLD), 0.0, bins + 1)
+    return edges, np.sqrt(edges[:-1] * edges[1:])
 
-    bin_centers: np.ndarray
-    counts_real: np.ndarray
-    counts_sim: np.ndarray
 
-
-def _bin_counts(pcp: np.ndarray, edges: np.ndarray) -> np.ndarray:
-    d = pcp.shape[0]
-    off_diag = ~np.eye(d, dtype=bool)
-    vals = pcp[off_diag]
+def pcp_histogram(pcp: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Counts of one PCP matrix's off-diagonal values over the bin edges
+    from pcp_bins; values below the lowest edge count in the lowest bin."""
+    vals = pcp[~np.eye(pcp.shape[0], dtype=bool)]
     counts, _ = np.histogram(np.clip(vals, edges[0], 1.0), bins=edges)
-    # everything below the threshold was clipped into the lowest bin
     return counts
-
-
-def pcp_bin_edges(bins: int) -> np.ndarray:
-    """The edges of `bins` log-spaced bins on [0.001, 1]; a count too large
-    for an array raises MemoryError or ValueError."""
-    return np.logspace(np.log10(UNDERFLOW_THRESHOLD), 0.0, bins + 1)
-
-
-def pcp_histogram(pcp_real: np.ndarray, pcp_sim: np.ndarray,
-                  bins: int | np.ndarray = DEFAULT_BINS) -> PcpHistogram:
-    """Histogram both PCP matrices over log-spaced bins on [0.001, 1];
-    pairs below 0.001 accumulate in the lowest bin.  bins is a bin count
-    or the edges pcp_bin_edges gives for one."""
-    pcp_real = np.asarray(pcp_real, dtype=float)
-    pcp_sim = np.asarray(pcp_sim, dtype=float)
-    if pcp_real.shape != pcp_sim.shape:
-        raise DimensionError(
-            f"shape mismatch: {pcp_real.shape} vs {pcp_sim.shape}")
-    edges = bins if isinstance(bins, np.ndarray) else pcp_bin_edges(bins)
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    return PcpHistogram(
-        bin_centers=centers,
-        counts_real=_bin_counts(pcp_real, edges),
-        counts_sim=_bin_counts(pcp_sim, edges),
-    )

@@ -12,13 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import permpatterns
 from permpatterns import ConfigError, cli, selection
 from permpatterns.cli import main
 from permpatterns.dataset import load_dataset
-from permpatterns.simulate import plant_factorization
+from permpatterns.evaluation import pcp_matrix
+from permpatterns.simulate import (marginal_probs, pcp_bins, pcp_histogram,
+                                  plant_factorization, simulate_independent)
 
 CSV_HEADER = "id,name,category,price,avg_rating,num_ratings,permissions\n"
 
@@ -267,6 +269,34 @@ def assert_exit_contract(result):
     assert "Traceback" not in result.output
 
 
+# output CSV columns that hold names rather than numbers
+TEXT_COLUMNS = {"permission", "dataset", "permissions"}
+
+
+def assert_outputs_finite(out, kl_smoothing=None):
+    """Every JSON file in out parses strictly, with no NaN or Infinity, and
+    every numeric CSV cell is a finite number, except kl_bits: empty only
+    for a pattern no app has, and inf only at --kl-smoothing 0."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a JSON output")
+
+    for path in out.iterdir():
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=refuse)
+            continue
+        header, rows = read_table(path)
+        for row in rows:
+            cells = dict(zip(header, row))
+            for column, cell in cells.items():
+                if column == "kl_bits" and cell == "":
+                    assert float(cells["frequency"]) == 0, (path.name, row)
+                elif column == "kl_bits" and cell == "inf":
+                    assert kl_smoothing == 0, (path.name, row)
+                elif column not in TEXT_COLUMNS:
+                    assert math.isfinite(float(cell)), (path.name, column,
+                                                        row)
+
+
 def assert_input_error(result, message):
     """Exit 2 with one error line that holds message, and no traceback."""
     assert result.exit_code == 2, (result.exit_code, result.exception)
@@ -410,9 +440,24 @@ def command_line(draw):
     return command, reputation, below
 
 
+# two apps, one of which requests nothing: mine -k 3 leaves a pattern that
+# no app has (an empty kl_bits cell), and at --kl-smoothing 0 the others'
+# apps miss a category (inf); few drawn lines reach exit 0 in mine or
+# select-k, so these run every time
+TWO_APPS = ("csv", (CSV_HEADER + "a0,App 0,Tools,0,4.5,500,p0;p1;p2\n"
+                    "a1,App 1,Games,0,4.5,500,\n").encode(), None)
+
+
 class TestExitCodeContract:
     @settings(max_examples=100, deadline=None)
     @given(line=command_line(), case=small_input())
+    @example(line=(["mine", "-k", "3", "--kl-smoothing", "0.0", "--seed", "0"],
+                   None, None), case=TWO_APPS)
+    @example(line=(["mine", "-k", "3", "--kl-smoothing", "0.5", "--seed", "0"],
+                   None, None), case=TWO_APPS)
+    @example(line=(["select-k", "--k-min", "1", "--k-max", "2",
+                    "--repetitions", "2", "--threads", "1", "--seed", "0"],
+                   None, None), case=TWO_APPS)
     def test_small_inputs_and_edge_options(self, tmp_path_factory, line,
                                            case):
         (command, reputation, below), (fmt, content, columns) = line, case
@@ -445,6 +490,9 @@ class TestExitCodeContract:
         else:
             manifest = json.loads((out / "manifest.json").read_text())
             assert all(Path(p).is_file() for p in manifest["outputs"])
+            smoothing = (float(command[command.index("--kl-smoothing") + 1])
+                         if "--kl-smoothing" in command else None)
+            assert_outputs_finite(out, smoothing)
 
 
 @pytest.mark.parametrize("command", [
@@ -896,6 +944,24 @@ class TestSimulate:
             assert sum(int(row[col]) for row in rows) == d * (d - 1)
         for name in ("pcp_summary.json", "manifest.json"):
             assert_json_format(out / name)
+
+    def test_counts_are_the_pcp_histograms(self, runner, tmp_path):
+        data = planted_csv(tmp_path / "apps.csv", n=300, d=12, k=3)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--input", str(data),
+                                      "--out-dir", str(out), "--bins", "7",
+                                      "--sim-n", "150", "--seed", "3"])
+        assert result.exit_code == 0, result.output
+        _, rows = read_table(out / "pcp_histogram.csv")
+        x = load_dataset(data).to_matrix()
+        sim = simulate_independent(marginal_probs(x), 150, 3)
+        edges, centers = pcp_bins(7)
+        real = pcp_histogram(pcp_matrix(x)[0], edges).tolist()
+        simulated = pcp_histogram(pcp_matrix(sim)[0], edges).tolist()
+        assert real != simulated
+        assert [[float(row[0]), int(row[1]), int(row[2])] for row in rows] \
+            == [list(cells) for cells in zip(centers.tolist(), real,
+                                             simulated)]
 
     def test_no_apps_exits_2(self, runner, tmp_path):
         data = tmp_path / "apps.csv"

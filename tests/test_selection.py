@@ -212,6 +212,28 @@ class TestSelectK:
         assert "at least 1" in serial.failed_k[0]
         assert "exceeds" in serial.failed_k[12]
 
+    def test_splits_are_made_as_the_fits_need_them(self, monkeypatch):
+        # no repetition's halves are built ahead of the first fit, so a
+        # sweep's memory does not grow with the repetitions
+        events = []
+        selection = permpatterns.selection
+        real_split, real_fit = selection.split_dataset, selection.fit
+
+        def split_dataset(x, seed):
+            events.append("split")
+            return real_split(x, seed)
+
+        def fit(x, k, config):
+            events.append("fit")
+            return real_fit(x, k, config)
+
+        monkeypatch.setattr(selection, "split_dataset", split_dataset)
+        monkeypatch.setattr(selection, "fit", fit)
+        x, _, _ = plant_factorization(60, 10, 2, 0.3, 0.4, 0.05, 0.5, seed=17)
+        select_k(x, [2], repetitions=3, config=FAST)
+        assert events.count("fit") == 6
+        assert events.index("fit") <= 1
+
     def test_all_k_failed(self):
         x = BinaryMatrix(np.eye(4, dtype=int))
         report = select_k(x, [5, 6], repetitions=1, config=FAST)

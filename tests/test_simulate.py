@@ -14,7 +14,7 @@ from permpatterns import (
 )
 from permpatterns.core import DimensionError
 from permpatterns import simulate
-from permpatterns.simulate import pcp_histogram
+from permpatterns.simulate import pcp_bins, pcp_histogram
 
 from helpers import matrix_from_rows
 
@@ -108,37 +108,65 @@ class TestPlantFactorization:
             plant_factorization(10, 5, 2, 1.5, 0.3, 0.0, 0.5, seed=0)
 
 
-class TestPcpHistogram:
-    def test_identical_inputs(self):
-        rng = np.random.default_rng(8)
-        x = BinaryMatrix((rng.random((40, 8)) < 0.4).astype(np.uint8))
-        pcp, _ = pcp_matrix(x)
-        hist = pcp_histogram(pcp, pcp)
-        assert np.array_equal(hist.counts_real, hist.counts_sim)
+def histogram_by_value(pcp, edges):
+    """Independent oracle: each off-diagonal PCP value placed one by one in
+    the bin [edges[i], edges[i + 1]) that holds it, the last bin closed at
+    1, and a value below edges[0] in the lowest bin."""
+    edges = edges.tolist()
+    counts = [0] * (len(edges) - 1)
+    for s, row in enumerate(pcp.tolist()):
+        for t, v in enumerate(row):
+            if s == t:
+                continue
+            i = 0
+            while i < len(counts) - 1 and v >= edges[i + 1]:
+                i += 1
+            counts[i] += 1
+    return counts
 
+
+class TestPcpHistogram:
     def test_all_zero_pairs_in_lowest_bin(self):
-        pcp = np.zeros((5, 5))
-        hist = pcp_histogram(pcp, pcp)
-        assert hist.counts_real[0] == 20
-        assert hist.counts_real[1:].sum() == 0
+        counts = pcp_histogram(np.zeros((5, 5)), pcp_bins(20)[0])
+        assert counts[0] == 20
+        assert counts[1:].sum() == 0
 
     def test_totals_equal_pair_count(self):
         rng = np.random.default_rng(9)
         x = BinaryMatrix((rng.random((60, 10)) < 0.3).astype(np.uint8))
         sim = simulate_independent(marginal_probs(x), 60, seed=10)
-        hist = pcp_histogram(pcp_matrix(x)[0], pcp_matrix(sim)[0])
-        assert hist.counts_real.sum() == 10 * 9
-        assert hist.counts_sim.sum() == 10 * 9
+        edges, _ = pcp_bins(20)
+        assert pcp_histogram(pcp_matrix(x)[0], edges).sum() == 10 * 9
+        assert pcp_histogram(pcp_matrix(sim)[0], edges).sum() == 10 * 9
 
     def test_bin_centers_log_spaced(self):
-        hist = pcp_histogram(np.zeros((3, 3)), np.zeros((3, 3)), bins=10)
-        ratios = hist.bin_centers[1:] / hist.bin_centers[:-1]
+        edges, centers = pcp_bins(10)
+        ratios = centers[1:] / centers[:-1]
         assert np.allclose(ratios, ratios[0])
-        assert len(hist.bin_centers) == 10
+        assert len(centers) == 10 and len(edges) == 11
+        assert edges[0] == pytest.approx(0.001) and edges[-1] == 1.0
+        assert np.allclose(centers, np.sqrt(edges[:-1] * edges[1:]))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            pcp_histogram(np.zeros((3, 3)), np.zeros((4, 4)))
+    @pytest.mark.parametrize("bins", [1, 7, 20, 50])
+    def test_matches_per_value_oracle(self, bins):
+        edges, _ = pcp_bins(bins)
+        d = 16
+        # values below 0.001, exactly 0.001 and 1, the inner edges
+        # themselves, and random values spread over every decade
+        special = [0.0, 1e-9, 0.0005, 0.000999, 0.001, 1.0, 1.0,
+                   *edges[1:-1].tolist()]
+        rng = np.random.default_rng(bins)
+        off = 10.0 ** rng.uniform(-4.5, 0.0, d * (d - 1))
+        off[:len(special)] = special
+        drawn = np.full((d, d), 0.5)       # the diagonal is left out
+        drawn[~np.eye(d, dtype=bool)] = rng.permutation(off)
+        # and the ratios of counts that a real PCP matrix holds
+        x, _, _ = plant_factorization(300, 20, 3, 0.2, 0.3, 0.05, 0.5,
+                                      seed=21)
+        for pcp in (drawn, pcp_matrix(x)[0]):
+            counts = pcp_histogram(pcp, edges)
+            assert counts.tolist() == histogram_by_value(pcp, edges)
+            assert counts.sum() == len(pcp) * (len(pcp) - 1)
 
     def test_structured_exceeds_simulated(self):
         from permpatterns.evaluation import average_pcp

@@ -11,10 +11,12 @@ OTHER_SRC is a directory holding the ``permpatterns`` package, such as the
 The corpora come from ``perfbench/corpus.py``, which is imported by path
 and only read: ``mine -k 5`` and ``select-k`` over K 4..6 run on two
 Facebook-shaped corpora, ``stats`` and ``simulate`` on a 30,000-app
-Android-shaped one.  That corpus is written with "\\n" line ends and no
-quotes, which the loader splits as plain text, so ``stats`` and
-``simulate`` also run on a copy with "\\r\\n" line ends, which the loader
-reads with the csv module.  Every command runs once with this checkout's
+Android-shaped one, ``simulate`` twice: with its defaults (20 bins, as
+many simulated apps as real ones) and with ``--bins 7 --sim-n 5000``.
+That corpus is written with "\\n" line ends and no quotes, which the
+loader splits as plain text, so ``stats`` and both ``simulate`` runs also
+run on a copy with "\\r\\n" line ends, which the loader reads with the
+csv module.  Every command runs once with this checkout's
 ``src`` on ``PYTHONPATH`` and once with OTHER_SRC, one BLAS thread per
 process, and the outputs are compared byte for byte.  Manifests are compared after
 dropping ``duration_seconds`` and the output-directory prefix of the
@@ -101,6 +103,8 @@ TIE_PROBABILITIES = (0.5, 1e-6, 1 - 1e-6)
 # the near-cover scoring set: its seed and its rows against the Android
 # patterns (those against each tie-built case are TIE_ROWS)
 NEAR_SEED, NEAR_ANDROID_ROWS = 26, 600
+# simulate's non-default run, beside the one at its default 20 bins
+SIMULATE_BINS = ("simulate", "--bins", "7", "--sim-n", "5000")
 SELECT_K = ("select-k", "--k-min", str(SELECT_KS[0]),
             "--k-max", str(SELECT_KS[-1]),
             "--repetitions", str(SELECT_REPETITIONS), "--threads", "2")
@@ -149,6 +153,8 @@ def write_inputs(work: Path, out_root: Path):
         runs.append((f"stats{suffix}", ("stats", "--top-n", "130"), source,
                      ANDROID_SEED))
         runs.append((f"simulate{suffix}", ("simulate",), source,
+                     ANDROID_SEED))
+        runs.append((f"simulate-bins{suffix}", SIMULATE_BINS, source,
                      ANDROID_SEED))
     apps, model = work / "android-apps.npy", work / "android-model.json"
     np.save(apps, corpus.android_apps([ANDROID_SEED, 1], data.u, SCORED_APPS))
