@@ -126,6 +126,15 @@ def histogram_by_value(pcp, edges):
 
 
 class TestPcpHistogram:
+    def test_identical_inputs(self):
+        rng = np.random.default_rng(8)
+        x = BinaryMatrix((rng.random((40, 8)) < 0.4).astype(np.uint8))
+        pcp, _ = pcp_matrix(x)
+        edges, _ = pcp_bins(20)
+        counts = pcp_histogram(pcp, edges)
+        assert np.array_equal(counts, pcp_histogram(pcp.copy(), edges))
+        assert counts.tolist() == histogram_by_value(pcp, edges)
+
     def test_all_zero_pairs_in_lowest_bin(self):
         counts = pcp_histogram(np.zeros((5, 5)), pcp_bins(20)[0])
         assert counts[0] == 20
