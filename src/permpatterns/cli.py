@@ -107,8 +107,7 @@ def _write_manifest(out_dir: Path, command: str, input_path: str, seed: int,
     })
 
 
-def _read_dataset(input_path: str, fmt: str | None,
-                  column_map_path: str | None) -> Dataset:
+def _read_dataset(input_path: str, column_map_path: str | None) -> Dataset:
     """Load the input; an unreadable or malformed input or column map
     exits with code 2."""
     column_map = None
@@ -123,7 +122,7 @@ def _read_dataset(input_path: str, fmt: str | None,
             _fail(f"bad column map: {column_map_path} is not a JSON object "
                   "of column names")
     try:
-        return load_dataset(input_path, fmt=fmt, column_map=column_map)
+        return load_dataset(input_path, column_map=column_map)
     except DatasetError as exc:
         _fail(str(exc))
 
@@ -142,8 +141,6 @@ def main():
 
 common_input = [
     click.option("--input", "input_path", required=True, help="CSV/JSON dataset."),
-    click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-                 default=None, help="Input format (default: by extension)."),
     click.option("--column-map", "column_map_path", default=None,
                  help="JSON file mapping schema columns to input columns."),
     click.option("--seed", default=0, show_default=True,
@@ -165,10 +162,10 @@ def with_options(options):
 @with_options(common_input)
 @click.option("--top-n", default=15, show_default=True,
               type=click.IntRange(min=0))
-def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
+def stats(input_path, column_map_path, seed, out_dir, top_n):
     """Descriptive statistics: permission frequencies, prices, ratings."""
     started, out = time.monotonic(), Path(out_dir)
-    summary = summary_stats(_read_dataset(input_path, fmt, column_map_path),
+    summary = summary_stats(_read_dataset(input_path, column_map_path),
                             top_n=top_n)
     outputs = [
         _write_csv(out / "permission_frequencies.csv",
@@ -193,13 +190,13 @@ def stats(input_path, fmt, column_map_path, seed, out_dir, top_n):
               type=click.IntRange(min=1),
               help="Worker processes; each fit of a half is one job. "
                    "Results do not depend on it.")
-def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
+def select_k_cmd(input_path, column_map_path, seed, out_dir,
                  k_min, k_max, repetitions, threads):
     """Instability sweep over K; selects the minimum-median K."""
     started, out = time.monotonic(), Path(out_dir)
     if k_min > k_max:
         _fail(f"invalid K range [{k_min}, {k_max}]")
-    x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
+    x = _read_dataset(input_path, column_map_path).to_matrix()
     if k_max > x.cols:
         _fail(f"k_max={k_max} exceeds the number of permissions D={x.cols}")
     if x.rows < 2:
@@ -228,7 +225,7 @@ def select_k_cmd(input_path, fmt, column_map_path, seed, out_dir,
               help="JSON with min_avg_rating, min_num_ratings, "
                    "max_low_num_ratings, test_size, split_seed.")
 @click.option("--kl-smoothing", default=0.5, show_default=True, type=float)
-def mine(input_path, fmt, column_map_path, seed, out_dir, k,
+def mine(input_path, column_map_path, seed, out_dir, k,
          reputation_path, kl_smoothing):
     """Fit patterns on high-reputation apps and evaluate all three subsets."""
     started, out = time.monotonic(), Path(out_dir)
@@ -242,7 +239,7 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
                 criteria = ReputationCriteria(**json.load(fh))
         except (OSError, RecursionError, TypeError, ValueError) as exc:
             _fail(f"bad reputation config: {exc}")
-    ds = _read_dataset(input_path, fmt, column_map_path)
+    ds = _read_dataset(input_path, column_map_path)
     try:
         train_ds, test_high_ds, test_low_ds = filter_reputation(ds, criteria)
     except DatasetError as exc:
@@ -300,8 +297,7 @@ def mine(input_path, fmt, column_map_path, seed, out_dir, k,
               type=click.IntRange(min=1))
 @click.option("--sim-n", default=None, type=click.IntRange(min=1),
               help="Simulated dataset size (default: same as input).")
-def simulate(input_path, fmt, column_map_path, seed, out_dir,
-             bins, sim_n):
+def simulate(input_path, column_map_path, seed, out_dir, bins, sim_n):
     """Independent-request null model versus the real PCP distribution."""
     started, out = time.monotonic(), Path(out_dir)
     # numpy refuses an array larger than its index range with ValueError
@@ -309,7 +305,7 @@ def simulate(input_path, fmt, column_map_path, seed, out_dir,
         edges, centers = pcp_bins(bins)
     except (MemoryError, ValueError):
         _fail(f"--bins {bins}: {bins} bins do not fit in memory")
-    x = _read_dataset(input_path, fmt, column_map_path).to_matrix()
+    x = _read_dataset(input_path, column_map_path).to_matrix()
     if x.rows < 1:
         _fail("simulate needs at least one app")
     sim_n = x.rows if sim_n is None else sim_n

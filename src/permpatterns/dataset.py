@@ -14,8 +14,8 @@ import numbers
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter, ne
+from itertools import chain, count, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -231,39 +231,26 @@ def _convert(cells, convert, fill, dtype, failures: list
     JSON null also reads as) and ``fill`` for each empty one, as an array,
     with the mask of the cells that are not empty.
 
-    Apps repeat values, so ``convert`` runs once per distinct cell.  JSON
-    cells that are equal but not alike (1 and True, 0 and -0.0) share the
-    first one's result: they convert alike but for the sign of a zero,
-    which no valid rating has.  The first cell that ``convert`` rejects
-    goes into ``failures`` as (index, message), and the cells whose value
-    first appears after it are left as ``fill``."""
+    Apps repeat values, so ``convert`` runs once per distinct cell, in
+    order of first appearance.  JSON cells that are equal but not alike
+    (1 and True, 0 and -0.0) share the first one's result: they convert
+    alike but for the sign of a zero, which no valid rating has.  The first
+    value rejected stops it: its first cell, the first cell rejected, goes
+    into ``failures`` as (index, message), and later values are left as
+    ``fill`` and counted empty."""
     table, codes = _distinct(cells)
-    present = np.fromiter(map(ne, table, repeat("")), dtype=bool,
-                          count=len(table))
     values = np.full(len(table), fill, dtype=dtype)
-    taken = list(compress(table, present))
-    try:
-        values[present] = np.fromiter(map(convert, taken), dtype=dtype,
-                                      count=len(taken))
-    except (TypeError, ValueError, OverflowError):
-        for j in np.flatnonzero(present).tolist():
-            try:
-                values[j] = convert(table[j])
-            except (TypeError, ValueError, OverflowError) as exc:
-                # the first cell of the first value rejected is the first
-                # cell rejected
-                failures.append((int((codes == j).argmax()), str(exc)))
-                break
+    present = np.zeros(len(table), dtype=bool)
+    for j, cell in enumerate(table):
+        if cell == "":
+            continue
+        present[j] = True
+        try:
+            values[j] = convert(cell)
+        except (TypeError, ValueError, OverflowError) as exc:
+            failures.append((int((codes == j).argmax()), str(exc)))
+            break
     return values[codes], present[codes]
-
-
-def _first_repeat(ids: tuple[str, ...]) -> int:
-    """Index of the first id that an earlier one equals."""
-    seen = set()
-    for i, app_id in enumerate(ids):
-        if app_id in seen:
-            return i
-        seen.add(app_id)
 
 
 def _price(cell) -> float:
@@ -311,8 +298,9 @@ def _cyclic_gc_paused():
             gc.enable()
 
 
-def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Dataset:
-    """Load a CSV or JSON application dump.
+def load_dataset(path, column_map: dict | None = None) -> Dataset:
+    """Load a CSV or JSON application dump: a file whose suffix is
+    ".json", in any case, is read as JSON and any other file as CSV.
 
     ``column_map`` maps schema names to the file's column names, e.g.
     ``{"id": "package", "permissions": "perm_list"}``, so external dumps
@@ -324,23 +312,19 @@ def load_dataset(path, fmt: str = None, column_map: dict | None = None) -> Datas
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"input file not found: {path}")
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    if fmt not in ("csv", "json"):
-        raise DatasetError(f"unsupported format {fmt!r}")
     column_map = column_map or {}
     # the parse makes a few objects per value and no reference cycles
     with _cyclic_gc_paused():
-        return _load(path, fmt, column_map)
+        return _load(path, column_map)
 
 
-def _load(path: Path, fmt: str, column_map: dict) -> Dataset:
-    """load_dataset once the file is found and its format known."""
+def _load(path: Path, column_map: dict) -> Dataset:
+    """load_dataset once the file is found."""
     try:
-        if fmt == "csv":
-            columns, first_line = _read_csv(path, column_map), 2
-        else:
+        if path.suffix.lower() == ".json":
             columns, first_line = _read_json(path, column_map), 1
+        else:
+            columns, first_line = _read_csv(path, column_map), 2
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -355,7 +339,9 @@ def _load(path: Path, fmt: str, column_map: dict) -> Dataset:
     if "" in ids:
         failures.append((ids.index(""), "empty id"))
     if len(set(ids)) < len(ids):
-        i = _first_repeat(ids)
+        # _distinct numbers the ids 0, 1, 2, ... up to the first repeat,
+        # which takes an earlier id's number
+        i = int((_distinct(ids)[1] != np.arange(len(ids))).argmax())
         failures.append((i, f"duplicate app id {ids[i]!r}"))
     price, _ = _convert(price_col, _price, 0.0, np.float64, failures)
     rating, rated = _convert(rating_col, float, np.nan, np.float64, failures)

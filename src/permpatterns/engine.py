@@ -232,13 +232,16 @@ def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
     """
     q = np.exp(np.minimum(log_q, 0.0))
     one_minus_q = np.maximum(1.0 - q, 1e-300)
-    mask = zu.T.astype(float)[:, :, None]                      # (K, U, 1)
-    # in [0, 1] where beta is: 1 - beta >= 0
-    fired = np.minimum((1.0 - beta[:, None, :]) / one_minus_q, 1.0)
+    (k, d), (pattern, vector) = beta.shape, np.nonzero(zu.T)
+    # each assigned (pattern, vector) pair, pattern by pattern in vector
+    # order, adds into its pattern's cells; fired is in [0, 1] where beta is
+    cells = (pattern[:, None] * d + np.arange(d)).ravel()
+    w0, w1 = w0[vector], w1[vector]
+    fired = np.minimum((1.0 - beta[pattern]) / one_minus_q[vector], 1.0)
     # one summation for both, so that beta stays exactly 1 where no
     # x = 1 entry credits pattern k
-    denom = (mask * (w0 + w1)).sum(axis=1)                     # (K, D)
-    num = (mask * (w0 + w1 * (1.0 - fired))).sum(axis=1)
+    denom, num = (np.bincount(cells, w.ravel(), k * d).reshape(k, d)
+                  for w in (w0 + w1, w0 + w1 * (1.0 - fired)))
     with np.errstate(invalid="ignore", divide="ignore"):
         upd = num / denom
     # 0 <= num <= denom, and where denom is 0 the NaN is not taken
@@ -411,7 +414,7 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
 
     # order patterns by how many applications request them
     counts = state.z.sum(axis=0)
-    order = np.lexsort((np.arange(k), -counts))
+    order = np.argsort(-counts.astype(np.int64), kind="stable")
     z = state.z[:, order]
     beta = state.beta[order]
     ll = log_likelihood(x, FitState(beta=beta, z=z, r=state.r,

@@ -170,15 +170,14 @@ def reference_assign(x_row, u, r, eps):
     return np.array(finals[best], dtype=np.uint8)
 
 
-def reference_load_dataset(path, fmt=None, column_map=None):
+def reference_load_dataset(path, column_map=None):
     """dataset.load_dataset with every CSV file read by the csv module,
     one value converted at a time and every check written out per column.
     Besides the checks of the per-value loader it replaces, it rejects a
     price that is negative or not finite (after every other check) and a
     JSON count with a fraction."""
     path = Path(path)
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
+    fmt = "json" if path.suffix.lower() == ".json" else "csv"
     column_map = column_map or {}
     names = [column_map.get(k, k) for k in REQUIRED_COLUMNS]
     if fmt == "csv":

@@ -19,6 +19,7 @@ from permpatterns import (
     load_dataset,
     marginal_probs,
 )
+from permpatterns import dataset
 from permpatterns.dataset import summary_stats
 
 from helpers import reference_load_dataset
@@ -57,11 +58,6 @@ class TestLoadDataset:
         ds = load_dataset(path)
         assert ds.vocabulary == ("a", "b")
         assert ds.to_matrix().data.tolist() == [[1, 0], [1, 1]]
-
-    def test_unsupported_format(self, tmp_path):
-        path = write_csv(tmp_path / "apps.csv", ["app1,One,Tools,0,4.5,200,a\n"])
-        with pytest.raises(DatasetError, match="unsupported format 'xml'"):
-            load_dataset(path, fmt="xml")
 
     def test_empty_permission_field(self, tmp_path):
         path = write_csv(tmp_path / "apps.csv", [
@@ -253,6 +249,23 @@ class TestLoadDataset:
         line = FIRST_LINE[fmt] + 1
         with pytest.raises(DatasetError, match=f"^line {line}: "):
             load_dataset(path)
+
+    def test_each_count_converted_once_until_the_first_rejected(
+            self, tmp_path, monkeypatch):
+        converted = []
+        whole = dataset._whole
+
+        def counted(cell):
+            converted.append(cell)
+            return whole(cell)
+
+        monkeypatch.setattr(dataset, "_whole", counted)
+        path = write_records(tmp_path, "csv", [
+            dict(VALID, id=f"app{i}", num_ratings=count)
+            for i, count in enumerate(["5", "x", "5", "7"])])
+        with pytest.raises(DatasetError, match="^line 3: invalid literal"):
+            load_dataset(path)
+        assert converted == ["5", "x"]
 
     def test_short_csv_row_loads_with_defaults(self, tmp_path):
         path = write_csv(tmp_path / "apps.csv", [

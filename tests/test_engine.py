@@ -724,6 +724,34 @@ class TestFit:
         counts = fact.z.data.sum(axis=0)
         assert list(counts) == sorted(counts, reverse=True)
 
+    @pytest.mark.parametrize("case", [None, 4, 23, 37, 57], ids=lambda c:
+                             "two-rows" if c is None else f"search-{c}")
+    def test_pattern_order_matches_oracle(self, monkeypatch, case):
+        # fits that leave a pattern with no row before the sort, not as the
+        # last pattern: the rows [1, 1, 1] and [0, 0, 0] at K=3, and small
+        # random inputs found by search, each fitted with its case's seed
+        if case is None:
+            x, k, seed = matrix_from_rows([[1, 1, 1], [0, 0, 0]]), 3, 0
+        else:
+            rng = np.random.default_rng(case)
+            n, d = int(rng.integers(2, 12)), int(rng.integers(2, 7))
+            k, seed = int(rng.integers(2, d + 1)), case
+            x = BinaryMatrix(rng.random((n, d)) < rng.uniform(0.1, 0.6))
+        states = []
+        converge = engine._converge
+
+        def spied(x, state, temperature, config):
+            states.append(converge(x, state, temperature, config))
+            return states[-1]
+
+        monkeypatch.setattr(engine, "_converge", spied)
+        fact = fit(x, k, FitConfig(seed=seed))
+        count = states[-1].z.sum(axis=0).tolist()
+        assert 0 in count[:-1]
+        order = sorted(range(k), key=lambda j: (-count[j], j))
+        assert np.array_equal(fact.z.data, states[-1].z[:, order])
+        assert np.array_equal(fact.beta, states[-1].beta[order])
+
     def test_json_round_shape(self):
         x, _, _ = plant_factorization(80, 10, 2, 0.3, 0.3, 0.0, 0.5, seed=11)
         fact = fit(x, 2, FitConfig(seed=0))

@@ -16,11 +16,18 @@ many simulated apps as real ones) and with ``--bins 7 --sim-n 5000``.
 That corpus is written with "\\n" line ends and no quotes, which the
 loader splits as plain text, so ``stats`` and both ``simulate`` runs also
 run on a copy with "\\r\\n" line ends, which the loader reads with the
-csv module.  Every command runs once with this checkout's
-``src`` on ``PYTHONPATH`` and once with OTHER_SRC, one BLAS thread per
-process, and the outputs are compared byte for byte.  Manifests are compared after
-dropping ``duration_seconds`` and the output-directory prefix of the
-listed outputs.
+csv module, and on a JSON copy.  ``mine -k 5`` runs on a JSON copy of the
+first Facebook corpus as well.  A JSON copy holds the apps as an array of
+objects: price, rating and count as JSON numbers, except that on every
+other app a number equal to 0 or 1 is written as false or true, an
+unrated app's rating as null and the permissions as a list.  So the
+JSON runs compare every kind of cell that the loader converts: numbers,
+booleans, null, and equal numbers and booleans in one column.  Every
+command runs once with this checkout's ``src`` on ``PYTHONPATH`` and once
+with OTHER_SRC, one BLAS thread per process, and the outputs are compared
+byte for byte.  Manifests are compared after dropping
+``duration_seconds`` and the output-directory prefix of the listed
+outputs.
 
 The written files round beta, so the fits behind them are compared as
 well: on each Facebook corpus, the ``mine`` training set at K=5 and every
@@ -72,6 +79,7 @@ does.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import importlib.util
 import json
@@ -138,6 +146,9 @@ def write_inputs(work: Path, out_root: Path):
         path = work / f"facebook-{seed}.csv"
         corpus.write_csv(data, path)
         runs.append((f"mine-{seed}", ("mine", "-k", "5"), path, seed))
+        if seed == FACEBOOK_SEEDS[0]:
+            runs.append((f"mine-{seed}-json", ("mine", "-k", "5"),
+                         write_json_copy(path), seed))
         runs.append((f"select-k-{seed}", SELECT_K, path, seed))
         apps = work / f"facebook-{seed}-apps.npy"
         np.save(apps, corpus.facebook_apps([seed, 1], data.u, SCORED_APPS))
@@ -149,7 +160,8 @@ def write_inputs(work: Path, out_root: Path):
     corpus.write_csv(data, path)
     crlf = work / "android-crlf.csv"
     crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    for suffix, source in (("", path), ("-crlf", crlf)):
+    for suffix, source in (("", path), ("-crlf", crlf),
+                           ("-json", write_json_copy(path))):
         runs.append((f"stats{suffix}", ("stats", "--top-n", "130"), source,
                      ANDROID_SEED))
         runs.append((f"simulate{suffix}", ("simulate",), source,
@@ -165,6 +177,24 @@ def write_inputs(work: Path, out_root: Path):
     rows = work / "android-step-rows.npy"
     np.save(rows, np.unique(data.x[:STEP_APPS], axis=0))
     return runs, scorings, (str(rows), str(model))
+
+
+def write_json_copy(path: Path) -> Path:
+    """Write the apps of a CSV corpus as a JSON array of objects beside it:
+    price, rating and count as JSON numbers, but as false or true on every
+    other app where they equal 0 or 1, an unrated app's rating as null and
+    the permissions as a list.  Returns the JSON file's path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        apps = list(csv.DictReader(fh))
+    for i, app in enumerate(apps):
+        for key in ("price", "avg_rating", "num_ratings"):
+            value = json.loads(app[key]) if app[key] else None
+            app[key] = bool(value) if i % 2 and value in (0, 1) else value
+        perms = app["permissions"]
+        app["permissions"] = perms.split(";") if perms else []
+    copy = path.with_suffix(".json")
+    copy.write_text(json.dumps(apps))
+    return copy
 
 
 def _env(src: Path) -> dict[str, str]:
@@ -473,7 +503,7 @@ def main() -> int:
                   if not all((side / f).is_file() for side in sides)
                   or comparable(sides[0], f) != comparable(sides[1], f)]
         corpora = [(str(path), seed) for _, command, path, seed in runs
-                   if command[0] == "mine"]
+                   if command[0] == "mine" and path.suffix == ".csv"]
         compared = []
         for what, function, arg in (("fit", "fit_digests", corpora),
                                     ("step", "step_digests", steps),
