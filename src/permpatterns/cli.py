@@ -188,8 +188,8 @@ def stats(input_path, column_map_path, seed, out_dir, top_n):
               type=click.IntRange(min=1))
 @click.option("--threads", default=1, show_default=True,
               type=click.IntRange(min=1),
-              help="Worker processes; each fit of a half is one job. "
-                   "Results do not depend on it.")
+              help="Worker processes, at most one per CPU; each fit of a "
+                   "half is one job. Results do not depend on it.")
 def select_k_cmd(input_path, column_map_path, seed, out_dir,
                  k_min, k_max, repetitions, threads):
     """Instability sweep over K; selects the minimum-median K."""

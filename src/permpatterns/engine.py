@@ -21,7 +21,8 @@ log q and terms the flip search found for each group's vector, else a
 fresh tabulation of the new state (``_tabulate``).  The fitting loop
 (``_converge``) hands it on, and at a new temperature turns its log q
 into new terms on its grouping, so a state's log q is computed once and
-a plan lasts until a row moves.
+a plan lasts until a row moves.  Every log-likelihood is the entry sum
+of a table (``_entry_sum``); a step's is that of the table it hands on.
 """
 from __future__ import annotations
 
@@ -248,22 +249,20 @@ def _update_beta(zu: np.ndarray, beta: np.ndarray, log_q: np.ndarray,
     return np.where(denom > 0, np.minimum(upd, 1.0), beta)
 
 
-def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
-              max_passes: int):
+def _update_z(x: np.ndarray, state: FitState, grouped: _Rows):
     """Greedy single-bit flips per row, accepting only tempered-LL gains.
 
     Rows are independent, so one flip per row per pass is applied
     simultaneously; the result does not depend on row order.  A row that
     did not flip would not flip again, so a pass searches only the last
-    pass's flipped rows.  A row's candidates are its z and its K single-bit
-    flips (_plan); the terms of x = 0 and x = 1 are tabulated once per
-    distinct candidate vector, and a row's score is the x = 0 sum plus x
-    times the difference.  grouped is the E-step's grouping of state.z's
-    rows, whose plan the first pass uses when it searches every row in one
-    chunk.  Returns the new z, the tempered log-likelihood at it (the sum
-    of each row's score at its final z) and, if that first pass moved no
-    row, the next step's E-step input: grouped, with its plan, and the
-    log q and terms of each group's own vector, else None.
+    pass's flipped rows, for at most 2K passes.  A row's candidates are its
+    z and its K single-bit flips (_plan); the terms of x = 0 and x = 1 are
+    tabulated once per distinct candidate vector, and a row's score is the
+    x = 0 sum plus x times the difference.  grouped is the E-step's
+    grouping of state.z's rows, whose plan the first pass uses when it
+    searches every row in one chunk.  Returns the new z and, if that first
+    pass moved no row, the next step's E-step input: grouped, with its
+    plan, and the log q and terms of each group's own vector, else None.
     """
     z = state.z.copy()
     n = z.shape[0]
@@ -272,9 +271,8 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
     r, eps, inv_t = state.r, state.epsilon, 1.0 / state.temperature
     log_beta = _log_beta(state.beta)
     chunk = max(1, _CHUNK_CELLS // ((k_count + 1) * d))
-    row_ll = np.empty(n)
     search = np.arange(n)
-    for p in range(max_passes):
+    for p in range(2 * k_count):
         flipped = []
         for lo in range(0, search.size, chunk):
             rows = search[lo:lo + chunk]
@@ -293,19 +291,16 @@ def _update_z(x: np.ndarray, state: FitState, grouped: _Rows,
                      + f0.sum(axis=-1)[which])
             delta = score[:, 1:] - score[:, :1]
             best = np.argmax(delta, axis=1)
-            at = np.arange(rows.size)
-            gain = delta[at, best] > 1e-12
+            gain = delta[np.arange(rows.size), best] > 1e-12
             z[rows[gain], best[gain]] ^= 1
-            row_ll[rows] = score[at, np.where(gain, best + 1, 0)]
             flipped.append(rows[gain])
         search = np.concatenate(flipped)
         if not search.size:
             break
-    ll = float(row_ll.sum())
     if p == 0 and not search.size and n <= chunk:
         # no row moved, and the one chunk held the terms of every group
-        return z, ll, (grouped, log_q, f0[own], f1[own])
-    return z, ll, None
+        return z, (grouped, log_q, f0[own], f1[own])
+    return z, None
 
 
 def em_step(x: BinaryMatrix, state: FitState,
@@ -317,7 +312,8 @@ def em_step(x: BinaryMatrix, state: FitState,
     evaluated directly on the tempered log-likelihood.  Every term depends
     on an entry only through its bit and its row's z, so the terms are
     computed once per distinct z and the rows enter through counts.  The
-    step's log-likelihood is the flip search's score of the final z.
+    step's log-likelihood is the entry sum of the table it hands on, as
+    tempered_log_likelihood sums a fresh one.
     tabled is the E-step's input, _tabulate's (grouping, log q, f0, f1) of
     x and the state at its clipped epsilon and temperature, or None to work
     it out, which checks the shapes.  The returned state's table is the
@@ -346,10 +342,10 @@ def em_step(x: BinaryMatrix, state: FitState,
                         n0 * (1.0 - rho0), n1 * (1.0 - rho1))
     new = FitState(beta=beta, z=state.z, r=r, epsilon=new_eps,
                    temperature=state.temperature)
-    new.z, new.log_likelihood, new.table = _update_z(
-        xd, new, rows, max_passes=2 * state.z.shape[1])
+    new.z, new.table = _update_z(xd, new, rows)
     if new.table is None:
         new.table = _tabulate(xd, new, new_eps, inv_t)
+    new.log_likelihood = _entry_sum(new.table)
     return new
 
 

@@ -8,6 +8,7 @@ instability over repeated splits.
 """
 from __future__ import annotations
 
+import os
 import statistics
 from dataclasses import dataclass, field, replace
 from itertools import permutations
@@ -143,31 +144,8 @@ class InstabilityReport:
     failed_k: dict[int, str] = field(default_factory=dict)   # K -> error
 
 
-def _fit_jobs(x: BinaryMatrix, ks, repetitions: int, config: FitConfig):
-    """One (x, K, half, config) job per fit: K by K in the given order,
-    then repetition by repetition, first half (0) first.  A repetition's
-    config has seed config.seed + repetition; each job splits x at that
-    seed itself, so no split is kept before its fit."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    return [(x, k, half, replace(config, seed=config.seed + rep))
-            for k in ks for rep in range(repetitions) for half in (0, 1)]
-
-
-def _fit_half(x: BinaryMatrix, k: int, half: int,
-              config: FitConfig) -> tuple[Factorization, BinaryMatrix | None]:
-    """Fit one half of x split at config.seed; the first half's model is
-    also transferred onto the second half with the greedy assignment
-    classifier."""
-    first, second = split_dataset(x, config.seed)
-    if half:
-        return fit(second, k, config), None
-    fact = fit(first, k, config)
-    return fact, assign_matrix(second, fact.u, fact.r, fact.epsilon)
-
-
 def _record(k: int, fits) -> InstabilityRecord:
-    """One K's record from its fits in job order (see ``_fit_jobs``)."""
+    """One K's record from its fits in job order (see ``select_k``)."""
     values, seeds = [], []
     for (fact1, transferred), (fact2, _) in zip(fits[0::2], fits[1::2]):
         pi = match_patterns(fact1.u, fact2.u)
@@ -184,48 +162,54 @@ def _record(k: int, fits) -> InstabilityRecord:
     )
 
 
-def instability(x: BinaryMatrix, k: int, repetitions: int,
-                config: FitConfig) -> InstabilityRecord:
-    """Instability of K-pattern factorizations over repeated random splits.
-
-    Each repetition fits both halves, transfers the first model onto the
-    second half with the greedy assignment classifier, aligns labels, and
-    scores the row-wise disagreement.
-    """
-    return _record(k, [_fit_half(*job)
-                       for job in _fit_jobs(x, [k], repetitions, config)])
-
-
 def _instability_job(job) -> tuple[Factorization, BinaryMatrix | None] | str:
-    """One fit of the sweep; a failed fit comes back as its error message."""
+    """One fit of the sweep, of the (x, K, half, config) job: that half of
+    x split at config.seed, and for the first half its model transferred
+    onto the second half with the greedy assignment classifier.  A failed
+    fit comes back as its error message."""
+    x, k, half, config = job
+    first, second = split_dataset(x, config.seed)
     try:
-        return _fit_half(*job)
+        fact = fit(second if half else first, k, config)
     except ConfigError as exc:
         return str(exc)
+    return fact, None if half else assign_matrix(second, fact.u, fact.r,
+                                                 fact.epsilon)
 
 
 def select_k(x: BinaryMatrix, k_range, repetitions: int,
              config: FitConfig, threads: int = 1) -> InstabilityReport:
     """Run the instability analysis for each K; pick the minimum median,
-    ties broken toward smaller K.
+    ties broken toward smaller K.  A K repeated in k_range gets one record,
+    where it first occurs.
 
-    Every fit of a half is one job, and the jobs of all K and repetitions
-    run in one sweep, largest K first.  With ``threads > 1`` they run in a
-    pool of that many worker processes; the report is the same as a serial
-    sweep's.  A K whose fits raise ``ConfigError`` is listed in
-    ``failed_k`` with the first such error in (repetition, half) order, and
-    the sweep goes on; any other exception propagates.
+    Each repetition splits x into halves at seed config.seed + repetition,
+    fits both, transfers the first model onto the second half with the
+    greedy assignment classifier, aligns labels, and scores the row-wise
+    disagreement.  Every fit of a half is one job, and the jobs of all K
+    and repetitions run in one sweep, largest K first.  With ``threads >
+    1`` they run in a pool of that many worker processes, but no more than
+    there are jobs or CPUs; the report is the same as a serial sweep's.  A
+    K whose fits raise ``ConfigError`` is listed in ``failed_k`` with the
+    first such error in (repetition, half) order, and the sweep goes on;
+    any other exception propagates.
     """
-    k_range = list(k_range)
+    k_range = list(dict.fromkeys(k_range))
     if not k_range:
         raise ValueError("k_range must be nonempty")
-    # the slowest fits start first, so that the workers finish together
-    ks = sorted(set(k_range), reverse=True)
-    jobs = _fit_jobs(x, ks, repetitions, config)
-    if threads > 1:
+    if repetitions < 1:
+        raise ValueError("repetitions must be >= 1")
+    # one job per fit: K by K, the slowest first so that the workers finish
+    # together, then repetition by repetition, first half (0) first; each
+    # job splits x itself, so no split is kept before its fit
+    ks = sorted(k_range, reverse=True)
+    jobs = [(x, k, half, replace(config, seed=config.seed + rep))
+            for k in ks for rep in range(repetitions) for half in (0, 1)]
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: the other commands need no pool, nor its import time
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_instability_job, jobs))
     else:
         outcomes = list(map(_instability_job, jobs))
@@ -242,3 +226,14 @@ def select_k(x: BinaryMatrix, k_range, repetitions: int,
     return InstabilityReport(records=tuple(records),
                              selected_k=None if best is None else best.k,
                              failed_k=failed)
+
+
+def instability(x: BinaryMatrix, k: int, repetitions: int,
+                config: FitConfig) -> InstabilityRecord:
+    """Instability of K-pattern factorizations over repeated random splits:
+    the record of select_k's sweep over K alone.  A fit that fails raises
+    ConfigError with the message select_k lists in ``failed_k``."""
+    report = select_k(x, [k], repetitions, config)
+    if report.failed_k:
+        raise ConfigError(report.failed_k[k])
+    return report.records[0]

@@ -71,7 +71,8 @@ def test_tracer_installs_records_and_uninstalls(tmp_path):
     names = [span["name"] for span in recorded]
     assert {"selection.select_k", "engine.fit"} <= set(names)
     # one pool job per fit of a half: 2 halves x 2 repetitions x 2 K values
-    assert names.count("cli.instability_job") == 8
+    # in the sweep, and 2 halves x 1 repetition in instability's sweep
+    assert names.count("cli.instability_job") == 10
     assert [span["k"] for span in recorded
             if span["name"] == "selection.instability"] == [2]
     after = bindings(tracer)

@@ -411,21 +411,26 @@ class TestEmStepOracle:
             assert new.log_likelihood == pytest.approx(
                 tempered_log_likelihood(x, new), rel=1e-12, abs=0)
 
-    def test_log_likelihood_when_pass_budget_ends(self):
-        rng = np.random.default_rng(0)
-        x, state = shared_rows_state(rng, 30, 5, 14, 1.0)
-
-        def one_pass(state):
-            grouped = engine._Rows.of(x.data, state.z)
-            return engine._update_z(x.data, state, grouped, max_passes=1)
-
-        z, ll, hand_off = one_pass(state)
-        # a second pass would still flip rows
-        assert not np.array_equal(one_pass(replace(state, z=z))[0], z)
-        assert ll == pytest.approx(
-            tempered_log_likelihood(x, replace(state, z=z)), rel=1e-12, abs=0)
-        # rows moved, so em_step tabulates the next step's input afresh
-        assert hand_off is None
+    @pytest.mark.parametrize("temperature", [2.0, 1.0, 0.05])
+    def test_log_likelihood_is_the_sum_of_the_handed_table(self,
+                                                           temperature):
+        # exactly, not within a tolerance: a step sums the table it hands
+        # on, as tempered_log_likelihood sums a fresh tabulation
+        rng = np.random.default_rng(24)
+        seen = set()
+        for _ in range(10):
+            x, state = shared_rows_state(rng, 30, 9, 14, temperature)
+            for _ in range(5):
+                new = em_step(x, state, state.table)
+                if np.array_equal(new.z, state.z):
+                    seen.add("still")
+                    assert new.log_likelihood == engine._entry_sum(new.table)
+                else:
+                    seen.add("moved")
+                    assert new.log_likelihood == tempered_log_likelihood(
+                        x, new)
+                state = new
+        assert seen == {"moved", "still"}
 
     def test_hand_off_keeps_grouping_when_no_row_flips(self):
         rng = np.random.default_rng(18)

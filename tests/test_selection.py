@@ -1,6 +1,8 @@
+import concurrent.futures
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import permutations
 from pathlib import Path
 
@@ -17,7 +19,7 @@ from permpatterns import (
     match_patterns_exhaustive,
     select_k,
 )
-from permpatterns.core import DimensionError
+from permpatterns.core import ConfigError, DimensionError
 from permpatterns.selection import split_dataset
 from permpatterns.simulate import plant_factorization
 
@@ -179,6 +181,23 @@ class TestInstability:
         with pytest.raises(ValueError):
             instability(x, 0, repetitions=1, config=FAST)
 
+    def test_equals_the_one_k_sweep(self):
+        x, _, _ = plant_factorization(120, 12, 3, 0.3, 0.4, 0.05, 0.5, seed=18)
+        config = replace(FAST, seed=5)
+        rec = instability(x, 3, repetitions=3, config=config)
+        # every field: k, values, seeds, median and std
+        assert rec == select_k(x, [3], repetitions=3,
+                               config=config).records[0]
+        assert rec.seeds == (5, 6, 7)
+
+    def test_failed_fit_raises_the_sweep_message(self):
+        x = BinaryMatrix(np.eye(4, dtype=int))
+        message = select_k(x, [5], repetitions=1, config=FAST).failed_k[5]
+        assert "exceeds" in message
+        with pytest.raises(ConfigError) as info:
+            instability(x, 5, repetitions=1, config=FAST)
+        assert str(info.value) == message
+
 
 class TestSelectK:
     def test_single_k(self):
@@ -233,6 +252,45 @@ class TestSelectK:
         select_k(x, [2], repetitions=3, config=FAST)
         assert events.count("fit") == 6
         assert events.index("fit") <= 1
+
+    def test_repeated_k_gets_one_record(self):
+        x, _, _ = plant_factorization(60, 10, 2, 0.3, 0.4, 0.05, 0.5, seed=19)
+        report = select_k(x, [3, 2, 3], repetitions=1, config=FAST)
+        assert [rec.k for rec in report.records] == [3, 2]
+        assert report == select_k(x, [3, 2], repetitions=1, config=FAST)
+
+    @pytest.mark.parametrize("threads, cpus, pool", [
+        (500, 3, 3), (2, 3, 2), (500, 8, 4), (500, None, None),
+        (1, 8, None)])
+    def test_pool_has_no_more_workers_than_cpus(self, monkeypatch, threads,
+                                                cpus, pool):
+        # a stand-in pool records its size and runs the jobs serially, so
+        # no worker process is started
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        x, _, _ = plant_factorization(60, 10, 2, 0.3, 0.4, 0.05, 0.5, seed=20)
+        # 2 K values x 1 repetition x 2 halves: 4 jobs
+        report = select_k(x, [2, 3], repetitions=1, config=FAST,
+                          threads=threads)
+        assert sizes == ([] if pool is None else [pool])
+        monkeypatch.undo()
+        assert report == select_k(x, [2, 3], repetitions=1, config=FAST)
 
     def test_all_k_failed(self):
         x = BinaryMatrix(np.eye(4, dtype=int))

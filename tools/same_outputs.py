@@ -44,6 +44,9 @@ against the planted patterns, beta 0.05 on the patterns and 0.95
 elsewhere, the planted r and epsilon and T = 1, each tree runs 12 steps,
 each on the table the step before handed on, and the z, beta, r,
 epsilon and log-likelihood after every step must be equal bit for bit.
+For each step that differs, the script says whether z is equal and
+prints the largest relative difference of beta, r, epsilon and the
+log-likelihood.
 
 Scoring is compared on held-out apps: those of the Android corpus against
 its planted K=30 model, and those of each Facebook corpus against the
@@ -264,11 +267,12 @@ def fit_digests(corpora) -> dict[str, dict]:
     return digests
 
 
-def fit_difference(ours: dict, theirs: dict) -> str:
-    """How two fit_digests entries of one fit differ: whether z and u are
-    equal, and the largest relative difference of each float."""
+def difference(ours: dict, theirs: dict) -> str:
+    """How two fit_digests or step_digests entries of one fit or step
+    differ: whether z and, for a fit, u are equal, and the largest
+    relative difference of each float."""
     parts = [f"{name} {'equal' if ours[name] == theirs[name] else 'differ'}"
-             for name in ("z", "u")]
+             for name in ("z", "u") if name in ours]
     for name in ("beta", "r", "epsilon", "log_likelihood"):
         a, b = np.asarray(ours[name]), np.asarray(theirs[name])
         if a.shape != b.shape:
@@ -427,13 +431,14 @@ def tie_cases():
     return cases
 
 
-def step_digests(arg) -> dict[str, str]:
+def step_digests(arg) -> dict[str, dict]:
     """The SHA-256 of the exact z, beta, r, epsilon and log-likelihood
     after each of STEPS EM steps on the rows (an .npy file) from the start
     the model (a JSON file with u, r and epsilon) gives: z assigned by
     assign_matrix, beta 0.05 on the patterns and 0.95 elsewhere, the
-    model's r and epsilon and T = 1.  Each step runs on the table the step
-    before handed on.  Runs with the package that is on the path."""
+    model's r and epsilon and T = 1, with those values, z as the SHA-256
+    of its bytes.  Each step runs on the table the step before handed on.
+    Runs with the package that is on the path."""
     from permpatterns import BinaryMatrix, assign_matrix
     from permpatterns.engine import FitState, em_step
 
@@ -449,9 +454,14 @@ def step_digests(arg) -> dict[str, str]:
     for step in range(STEPS):
         state = em_step(x, state, state.table)
         values = (state.r, state.epsilon, state.log_likelihood)
-        digests[f"android K=30 step {step + 1}"] = hashlib.sha256(
-            state.z.tobytes() + state.beta.tobytes()
-            + repr(values).encode()).hexdigest()
+        digests[f"android K=30 step {step + 1}"] = {
+            "digest": hashlib.sha256(
+                state.z.tobytes() + state.beta.tobytes()
+                + repr(values).encode()).hexdigest(),
+            "z": hashlib.sha256(state.z.tobytes()).hexdigest(),
+            "beta": state.beta.tolist(), "r": state.r,
+            "epsilon": state.epsilon,
+            "log_likelihood": state.log_likelihood}
     return digests
 
 
@@ -469,7 +479,7 @@ def run_child(src: Path, function: str, arg) -> dict[str, str]:
 
 
 def _digest(entry):
-    """The digest of a fit_digests or score_digests entry."""
+    """The digest of a fit_digests, step_digests or score_digests entry."""
     return entry["digest"] if isinstance(entry, dict) else entry
 
 
@@ -518,8 +528,8 @@ def main() -> int:
     for what, ours, theirs, names in compared:
         for name in names:
             print(f"{what} differs: {name}")
-            if what == "fit" and name in theirs:
-                print(f"  {fit_difference(ours[name], theirs[name])}")
+            if what != "scoring" and name in theirs:
+                print(f"  {difference(ours[name], theirs[name])}")
     print(f"{len(differ)} of {len(files)} files differ")
     for what, ours, _, names in compared:
         print(f"{len(names)} of {len(ours)} {what}s differ")
