@@ -76,9 +76,11 @@ def hamming_distance(a: BinaryMatrix, b: BinaryMatrix) -> int:
 class FitConfig:
     """The EM fitter's cooling rate per temperature level, its convergence
     test (at most ``max_inner_iterations`` steps per level, stopping at a
-    relative change of ``tolerance``) and the seed of its initial state."""
+    relative change of ``tolerance``) and the seed of its initial state.
+    At the default factor of 0.8 the fit cools from 2.0 to 0.05 in 18
+    levels and then refines at T = 1, 19 levels in all."""
 
-    cooling_factor: float = 0.95
+    cooling_factor: float = 0.8
     tolerance: float = 1e-5
     max_inner_iterations: int = 50
     seed: int = 0
@@ -86,8 +88,14 @@ class FitConfig:
     def __post_init__(self):
         if not 0.0 < self.cooling_factor < 1.0:
             raise ConfigError("cooling factor must lie in (0, 1)")
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:                  # rejects NaN
             raise ConfigError("tolerance must be positive")
+        # a bool is not a count or a seed
+        for name in ("max_inner_iterations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name.replace('_', ' ')} must be an "
+                                  f"integer, got {value!r}")
         if self.max_inner_iterations < 1:
             raise ConfigError("max inner iterations must be >= 1")
         if self.seed < 0:

@@ -144,3 +144,28 @@ def test_fit_config_validation():
     # numpy's generators take only non-negative seeds
     with pytest.raises(ConfigError, match="seed must be non-negative"):
         FitConfig(seed=-1)
+
+
+def test_fit_config_rejects_nan_tolerance():
+    # a NaN tolerance passes `tolerance <= 0`, and the convergence test
+    # then never holds, so every level would run out its step budget
+    with pytest.raises(ConfigError, match="tolerance must be positive"):
+        FitConfig(tolerance=float("nan"))
+
+
+@pytest.mark.parametrize("field", ["max_inner_iterations", "seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, False, "3", None,
+                                   np.float64(3.0)],
+                         ids=["2.5", "3.0", "True", "False", "str", "None",
+                              "float64"])
+def test_fit_config_rejects_non_integer_counts(field, value):
+    # fit would hand these to range or SeedSequence, which raise TypeError
+    # or take a bool as 0 or 1
+    with pytest.raises(ConfigError, match="must be an integer"):
+        FitConfig(**{field: value})
+
+
+def test_fit_config_accepts_integers():
+    config = FitConfig(max_inner_iterations=1, seed=0)
+    assert (config.max_inner_iterations, config.seed) == (1, 0)
+    assert FitConfig().cooling_factor == 0.8

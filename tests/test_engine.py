@@ -673,6 +673,15 @@ class TestBinarize:
         assert binarize(np.array([[0.5]])).data.tolist() == [[0]]
 
 
+def cooled(factor):
+    """fit's temperatures at a cooling factor: 2.0 times the factor a
+    level while above the 0.05 floor, clamped at it, then T = 1."""
+    temperatures = [2.0]
+    while temperatures[-1] > 0.05:
+        temperatures.append(max(temperatures[-1] * factor, 0.05))
+    return temperatures + [1.0]
+
+
 class TestFit:
     def test_all_zero_input(self):
         x = BinaryMatrix(np.zeros((30, 8), dtype=int))
@@ -691,7 +700,14 @@ class TestFit:
         with pytest.raises(ConfigError, match="nonempty"):
             fit(BinaryMatrix(np.zeros(shape, dtype=np.uint8)), 1)
 
-    def test_annealing_schedule(self, monkeypatch):
+    @pytest.mark.parametrize("config, expected, levels", [
+        # halving from 2.0, clamped at 0.05, then the refinement at T = 1
+        (FitConfig(seed=0, cooling_factor=0.5),
+         [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.05, 1.0], 8),
+        # the default: 0.8 a level, 19 levels where 0.95 made 74
+        (FitConfig(seed=0), cooled(0.8), 19),
+    ], ids=["halving", "default"])
+    def test_annealing_schedule(self, monkeypatch, config, expected, levels):
         temperatures = []
         converge = engine._converge
 
@@ -701,9 +717,8 @@ class TestFit:
 
         monkeypatch.setattr(engine, "_converge", spied)
         x, _, _ = plant_factorization(40, 8, 2, 0.3, 0.3, 0.02, 0.5, seed=12)
-        fit(x, 2, FitConfig(seed=0, cooling_factor=0.5))
-        # halving from 2.0, clamped at 0.05, then the refinement at T = 1
-        assert temperatures == [2.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.05, 1.0]
+        fit(x, 2, config)
+        assert temperatures == expected and len(temperatures) == levels
 
     def test_deterministic_for_fixed_seed(self):
         x, _, _ = plant_factorization(120, 15, 3, 0.25, 0.3, 0.05, 0.5, seed=8)

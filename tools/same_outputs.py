@@ -126,11 +126,11 @@ CHILD = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
          "sys.argv[2])(json.loads(sys.argv[3]))))")
 
 
-def _corpus_module():
-    """perfbench/corpus.py, loaded without writing its bytecode cache."""
+def _perfbench(name: str):
+    """perfbench/<name>.py, loaded without writing its bytecode cache."""
     sys.dont_write_bytecode = True
     spec = importlib.util.spec_from_file_location(
-        "corpus", ROOT / "perfbench" / "corpus.py")
+        name, ROOT / "perfbench" / f"{name}.py")
     module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -142,7 +142,7 @@ def write_inputs(work: Path, out_root: Path):
     run, the (name, apps, model, slice size) of each scoring, a Facebook
     model being the factorization.json that the corpus's mine run writes
     under out_root, and the (rows, model) of the K=30 steps."""
-    corpus = _corpus_module()
+    corpus = _perfbench("corpus")
     runs, scorings = [], []
     for seed in FACEBOOK_SEEDS:
         data = corpus.facebook(seed, FACEBOOK_APPS)
