@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -86,16 +87,19 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # a bool is not a count, a seed or a rate, and a str or None would
+        # make the range checks raise TypeError
+        for name, kind in (("cooling_factor", Real), ("tolerance", Real),
+                           ("max_inner_iterations", int), ("seed", int)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                what = "an integer" if kind is int else "a real number"
+                raise ConfigError(f"{name.replace('_', ' ')} must be {what}, "
+                                  f"got {value!r}")
         if not 0.0 < self.cooling_factor < 1.0:
             raise ConfigError("cooling factor must lie in (0, 1)")
         if not self.tolerance > 0:                  # rejects NaN
             raise ConfigError("tolerance must be positive")
-        # a bool is not a count or a seed
-        for name in ("max_inner_iterations", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name.replace('_', ' ')} must be an "
-                                  f"integer, got {value!r}")
         if self.max_inner_iterations < 1:
             raise ConfigError("max inner iterations must be >= 1")
         if self.seed < 0:

@@ -424,33 +424,32 @@ def fit(x: BinaryMatrix, k: int, config: FitConfig | None = None) -> Factorizati
 def _model(u: BinaryMatrix, r: float, epsilon: float):
     """What scoring against patterns u at r and epsilon in [0, 1] (else
     ValueError) needs, built once per (u, r, epsilon), u being cached by
-    identity with read-only data: the log-probabilities of an entry at r
-    and epsilon clipped, covered with x = 1, uncovered with x = 0,
-    uncovered with x = 1 and covered with x = 0; and each pattern as a
-    Python int bit set read big-endian, column 0 the top bit of the first
-    byte."""
+    identity with read-only data: _score's weights at r and epsilon
+    clipped, and each pattern as a Python int bit set read big-endian,
+    column 0 the top bit of the first byte."""
     if not (0.0 <= r <= 1.0 and 0.0 <= epsilon <= 1.0):     # rejects NaN
         raise ValueError(f"r and epsilon must lie in [0, 1]: {r}, {epsilon}")
     r, eps = _clip(r), _clip(epsilon)
-    # covered and x agree -> eps*p_N + (1-eps); disagree -> eps*p_N
-    logs = tuple(float(np.log(p)) for p in (eps * r + (1 - eps),
-                 eps * (1 - r) + (1 - eps), eps * r, eps * (1 - r)))
+    weights = (float(np.log1p((1 - eps) / (eps * r))),
+               float(np.log1p((1 - eps) / (eps * (1 - r)))))
     pats = tuple(int.from_bytes(b, "big") for b in np.packbits(u.data, axis=1))
-    return logs, pats
+    return weights, pats
 
 
-def _set_ll(n11, n10, ones, d: int, logs):
-    """Log-likelihood of a row with `ones` of d entries requested when the
-    assigned patterns cover n11 requested and n10 unrequested entries;
-    logs is _model's first item."""
-    match1, match0, miss1, miss0 = logs
-    return (n11 * match1 + (d - ones - n10) * match0
-            + (ones - n11) * miss1 + n10 * miss0)
+def _score(n11, n10, weights):
+    """The log-likelihood of a row less the empty set's when the assigned
+    patterns cover n11 requested and n10 unrequested entries.  An entry's
+    log-probability is log(eps * p_N + 1 - eps) where they cover it as x
+    says, else log(eps * p_N), so weights, _model's (gain, cost), are log(1
+    + (1 - eps) / (eps * r)) and log(1 + (1 - eps) / (eps * (1 - r))),
+    each between about 1e-6 and 27.6 with r and eps clipped."""
+    gain, cost = weights
+    return gain * n11 - cost * n10
 
 
-def _bound(x: int, touching: list, ones: int, d: int, logs) -> float:
-    """An upper bound on the log-likelihood of any set of patterns for the
-    row x, whose touching patterns, as (index, bit set, requested count,
+def _bound(x: int, touching: list, weights) -> float:
+    """An upper bound on the score of any set of patterns for the row x,
+    whose touching patterns, as (index, bit set, requested count,
     unrequested count) tuples, are touching.  A clean pattern holds no
     unrequested entry; c counts the requested entries the clean patterns
     cover.  A dirty entry is a requested one that a touching pattern covers
@@ -459,105 +458,100 @@ def _bound(x: int, touching: list, ones: int, d: int, logs) -> float:
     among the dirty entries it covers is t (0 if none) holds a pattern with
     at least t unrequested entries, so n10 >= t, and covers at most c
     requested entries plus the dirty ones of mu <= t; patterns that touch
-    no requested entry only add to n10.  _set_ll rises with n11 and falls
-    with n10, so the bound is its largest value at those counts over t in 0
-    and the mu values."""
+    no requested entry only add to n10.  _score rises with n11 and falls
+    with n10, also as rounded, so the bound is its largest value at those
+    counts over t in 0 and the mu values."""
     clean, by_extra = 0, {}
     for _, p, _, extra in touching:
         if extra:
             by_extra[extra] = by_extra.get(extra, 0) | (p & x)
         else:
             clean |= p
-    bound = _set_ll(clean.bit_count(), 0, ones, d, logs)
+    bound = _score(clean.bit_count(), 0, weights)
     reached = clean
     for t in sorted(by_extra):
         # the dirty entries of mu t are those t's patterns add to reached
         grown = reached | by_extra[t]
         if grown != reached:
             reached = grown
-            bound = max(bound, _set_ll(reached.bit_count(), t, ones, d, logs))
+            bound = max(bound, _score(reached.bit_count(), t, weights))
     return bound
 
 
-def _search(x: int, pats: tuple, d: int, logs) -> list:
-    """assign_patterns' search for the row whose d entries are the bit set
-    x, against the patterns pats and the entry logs of _model: the indices
-    of the chosen patterns, ascending.  Every count is a popcount of Python
+def _search(x: int, pats: tuple, weights) -> list:
+    """assign_patterns' search for the row whose entries are the bit set
+    x, against the patterns pats and the weights of _model: the indices of
+    the chosen patterns, ascending.  Every count is a popcount of Python
     ints, so a row costs a few hundred integer operations, and a set's
-    value is _set_ll of its integer counts n11 and n10."""
-    ones = x.bit_count()
-    # An add candidate that covers no still-uncovered requested entry (m1 =
-    # 0) cannot be kept, so only patterns that touch x are scanned.  It
-    # would score the current value minus m0 * (match0 - miss0), where m0
-    # counts the unrequested entries it newly covers, and with r and
-    # epsilon clipped to [1e-6, 1 - 1e-6], match0 - miss0 = log(1 + (1 -
-    # eps) / (eps * (1 - r))) >= about 1e-6, far above the rounding of the
-    # two values (a few ulps of |ll| <= 28 * D, about 1e-12 at D = 130).  So
-    # with m0 >= 1 it is strictly worse than the current value, with m0 = 0
-    # it ties it, and the scan keeps neither.  Selected patterns have m1 = 0
-    # too, so they need no mask.  Each touching pattern comes with its
-    # counts of requested and unrequested entries, which are _bound's input
-    # and, against an empty cover, an add candidate's m1 and m0.
+    value is _score of its integer counts n11 and n10."""
+    # Both weights are positive, and a product or difference of floats
+    # rounds monotonically, so _score's rounded value never rises with n10
+    # nor falls with n11.  An add candidate that covers no still-uncovered
+    # requested entry (m1 = 0) scores at most the current value and is not
+    # kept, so only patterns that touch x are scanned.  Selected patterns
+    # have m1 = 0 too, so they need no mask.  Each touching pattern comes
+    # with its counts of requested and unrequested entries, which are
+    # _bound's input and, against an empty cover, an add candidate's m1
+    # and m0.
     unrequested = ~x
     touching = [(j, p, (p & x).bit_count(), (p & unrequested).bit_count())
                 for j, p in enumerate(pats) if p & x]
-    # A later start ends at some set, and against _bound's term at that
-    # set's t the set has the same counts, and so the same value to the
-    # bit, or fewer in n11 or more in n10, and so a value at least about
-    # 1e-6 lower, as above.  Either way it scores at most the bound and is
-    # not kept, so the scan ends once a kept value reaches the bound; a
-    # perfect cover always does, at the bound's t = 0 term.  The margin is
-    # 1e-6, so the exit is exact while |ll| is below about 1e8.
-    bound = _bound(x, touching, ones, d, logs)
+    # A later start's set scores at most the bound, so once a kept value
+    # is within the keep margin of it no later one is kept, and the scan
+    # ends; a perfect cover always gets there, at the t = 0 term.  At r =
+    # 0.5 the weights are equal, and pairs with equal n11 - n10 tie but
+    # can round an ulp apart: |score| <= 14.5 * D, an ulp 2.3e-13 at D =
+    # 130, so the exit takes the margin too.
+    bound = _bound(x, touching, weights)
     best, chosen = -np.inf, []
     for start in range(-1, len(pats)):
         sel = [start] if start >= 0 else []
         covered = pats[start] if start >= 0 else 0
         n11 = (covered & x).bit_count()
         n10 = covered.bit_count() - n11
-        ll = _set_ll(n11, n10, ones, d, logs)
+        score = _score(n11, n10, weights)
         while True:                 # add
             if covered:             # else the scan takes touching's counts
                 need, free = x & ~covered, ~(x | covered)
-            pick, top = -1, ll
+            pick, top = -1, score
             for j, p, m1, m0 in touching:
                 if covered:
                     m1 = (p & need).bit_count()
                     if not m1:
                         continue
                     m0 = (p & free).bit_count()
-                v = _set_ll(n11 + m1, n10 + m0, ones, d, logs)
+                v = _score(n11 + m1, n10 + m0, weights)
                 if v > top + 1e-12:
                     pick, top, g1, g0 = j, v, m1, m0
             if pick < 0:
                 break
             sel.append(pick)
             covered |= pats[pick]
-            n11, n10, ll = n11 + g1, n10 + g0, top
+            n11, n10, score = n11 + g1, n10 + g0, top
         sel.sort()
-        # With n10 = 0 a removal uncovers only requested entries, m0 = 0, and
-        # scores the same counts or loses m1 * (match1 - miss1): never kept
+        # With n10 = 0 a removal uncovers only requested entries, m0 = 0,
+        # and scores at most the current value: never kept
         while n10:                  # prune, candidates in index order
             seen = twice = 0
             for j in sel:
                 twice |= seen & pats[j]
                 seen |= pats[j]
             once = seen & ~twice    # entries exactly one selected pattern covers
-            pick, top = -1, ll
+            pick, top = -1, score
             for j in sel:
                 lost = pats[j] & once
                 m1 = (lost & x).bit_count()
                 m0 = lost.bit_count() - m1
-                v = _set_ll(n11 - m1, n10 - m0, ones, d, logs)
+                v = _score(n11 - m1, n10 - m0, weights)
                 if v > top + 1e-12:
                     pick, top, g1, g0 = j, v, m1, m0
             if pick < 0:
                 break
             sel.remove(pick)
-            n11, n10, ll = n11 - g1, n10 - g0, top
-        if ll > best + 1e-12:
-            best, chosen = ll, sel
-            if ll >= bound:
+            n11, n10, score = n11 - g1, n10 - g0, top
+        if score > best + 1e-12:
+            best, chosen = score, sel
+            if score + 1e-12 >= bound:
                 break
     return chosen
 
@@ -568,14 +562,13 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
 
     Runs the add-then-prune greedy from the empty set and, to escape
     single-pattern traps, from each pattern's singleton in index order; the
-    highest-likelihood result wins.  The starts stop once a kept result
-    scores _bound's upper bound on the row's log-likelihood, which a
-    perfect cover (every requested entry covered and no other) always
-    does; that changes no result while the rounding of the log-likelihood
-    stays below about 1e-6.  Deterministic; ties go to the earliest start
-    and lowest pattern index: a greedy step scans the candidates by index
-    and keeps one only when it beats the best so far by more than 1e-12,
-    and the starts are scanned the same way.
+    highest-likelihood result wins, scored by _score.  The starts stop
+    once a kept result scores within 1e-12 of _bound's upper bound on the
+    score, as a perfect cover (every requested entry covered and no other)
+    always does.  Deterministic; ties go to the earliest start and lowest
+    pattern index: a greedy step scans the candidates by index and keeps
+    one only when it beats the best so far by more than 1e-12, and the
+    starts are scanned the same way.
 
     The row is packed into a Python int bit set, big-endian and padded to
     whole bytes as _model packs the patterns once per model, and searched
@@ -586,7 +579,7 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
     if x_row.shape != (u.cols,):
         raise DimensionError(f"row length {x_row.shape} != D={u.cols}")
     check_binary(x_row)
-    logs, pats = _model(u, r, epsilon)
+    weights, pats = _model(u, r, epsilon)
     # the row's bytes, one an entry, as ASCII digits read in base 2 and
     # shifted to whole bytes; wider entries are compared to 1 first, and
     # the leading 0 reads a row of no columns as 0
@@ -594,7 +587,7 @@ def assign_patterns(x_row: np.ndarray, u: BinaryMatrix,
         x_row = x_row == 1
     x = int(b"0" + x_row.tobytes().translate(_DIGITS), 2) << (-u.cols % 8)
     out = np.zeros(len(pats), dtype=np.uint8)
-    for j in _search(x, pats, u.cols, logs):
+    for j in _search(x, pats, weights):
         out[j] = 1
     return out
 
@@ -607,13 +600,13 @@ def assign_matrix(x: BinaryMatrix, u: BinaryMatrix,
     if x.cols != u.cols:
         raise DimensionError(f"row length {x.cols} != D={u.cols}")
     first, group = _group(_keys(x.data))
-    logs, pats = _model(u, r, epsilon)
+    weights, pats = _model(u, r, epsilon)
     k, width = u.rows, (u.cols + 7) // 8
     rows = np.packbits(x.data[first], axis=1).tobytes()
     out = bytearray(first.size * k)
     for i in range(first.size):
         row = int.from_bytes(rows[i * width:(i + 1) * width], "big")
-        for j in _search(row, pats, u.cols, logs):
+        for j in _search(row, pats, weights):
             out[i * k + j] = 1
     return BinaryMatrix(np.frombuffer(out, dtype=np.uint8)
                         .reshape(first.size, k)[group])

@@ -165,6 +165,21 @@ def test_fit_config_rejects_non_integer_counts(field, value):
         FitConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["cooling_factor", "tolerance"])
+@pytest.mark.parametrize("value", ["0.5", None, True, False, 0.5j],
+                         ids=["str", "None", "True", "False", "complex"])
+def test_fit_config_rejects_non_real_numbers(field, value):
+    # the range checks would raise TypeError on these, or take a bool as
+    # 0 or 1
+    with pytest.raises(ConfigError, match="must be a real number"):
+        FitConfig(**{field: value})
+
+
+def test_fit_config_accepts_real_numbers():
+    config = FitConfig(cooling_factor=np.float32(0.5), tolerance=1)
+    assert (config.cooling_factor, config.tolerance) == (0.5, 1)
+
+
 def test_fit_config_accepts_integers():
     config = FitConfig(max_inner_iterations=1, seed=0)
     assert (config.max_inner_iterations, config.seed) == (1, 0)

@@ -1105,16 +1105,16 @@ def set_case(name):
     return x, BinaryMatrix(u), r, eps
 
 
-def spied_set_ll(monkeypatch):
-    """Record the counts (n11, n10) of each _set_ll call."""
+def spied_score(monkeypatch):
+    """Record the counts (n11, n10) of each _score call."""
     calls = []
-    set_ll = engine._set_ll
+    score = engine._score
 
-    def spy(n11, n10, ones, d, logs):
+    def spy(n11, n10, weights):
         calls.append((n11, n10))
-        return set_ll(n11, n10, ones, d, logs)
+        return score(n11, n10, weights)
 
-    monkeypatch.setattr(engine, "_set_ll", spy)
+    monkeypatch.setattr(engine, "_score", spy)
     return calls
 
 
@@ -1157,7 +1157,7 @@ class TestAssignOracle:
         wide_x = np.hstack([x.data, np.zeros((x.rows, 10), dtype=np.uint8)])
         wide_u = np.block([[u.data, np.zeros((u.rows, 10), dtype=np.uint8)],
                            [np.zeros((10, u.cols), dtype=np.uint8), extra]])
-        calls = spied_set_ll(monkeypatch)
+        calls = spied_score(monkeypatch)
         want = assign_matrix(x, u, 0.5, 0.02).data
         scored = list(calls)
         calls.clear()
@@ -1172,7 +1172,7 @@ class TestAssignOracle:
                                  for row in x.data]
 
     def test_batch_stops_at_perfect_covers(self, monkeypatch):
-        calls = spied_set_ll(monkeypatch)
+        calls = spied_score(monkeypatch)
         for case, scored in (("two perfect covers", 1 + 1 + 5 + 4 + 2),
                              ("perfect cover after a miss",
                               1 + 10 + 5 + 7 + 4)):
@@ -1188,7 +1188,7 @@ class TestAssignOracle:
 
     def test_search_ends_at_kept_perfect_cover(self, monkeypatch):
         x, u, r, eps = set_case("two perfect covers")
-        calls = spied_set_ll(monkeypatch)
+        calls = spied_score(monkeypatch)
         assert engine.assign_patterns(x[0], u, r, eps).tolist() == [1, 1, 1,
                                                                     0, 0]
         # the bound's one term, every pattern being clean; then the empty
@@ -1202,7 +1202,7 @@ class TestAssignOracle:
 
     def test_starts_searched_in_order_until_the_bound(self, monkeypatch):
         x, u, r, eps = set_case("rejoined add path")
-        calls = spied_set_ll(monkeypatch)
+        calls = spied_score(monkeypatch)
         assert engine.assign_patterns(x[0], u, r, eps).tolist() == [1, 1]
         # (n11, n10) of each set scored
         assert calls == [
@@ -1326,18 +1326,24 @@ class TestAssignOracle:
 
 
 class TestModel:
-    def test_bit_sets_and_logs(self):
+    def test_bit_sets_and_weights(self):
         # 9 columns pad to two bytes: column j is bit 15 - j
         u = matrix_from_rows([[1, 0, 0, 0, 0, 0, 0, 0, 1],
                               [0, 0, 0, 0, 0, 0, 0, 0, 0],
                               [0, 1, 1, 0, 0, 0, 0, 0, 0]])
         model = engine._model(u, 0.2, 0.1)
-        logs, pats = model
+        weights, pats = model
         assert pats == (2 ** 15 + 2 ** 7, 0, 2 ** 14 + 2 ** 13)
-        # covered with x = 1, uncovered with x = 0, uncovered with x = 1,
-        # covered with x = 0
-        assert logs == pytest.approx(np.log([0.92, 0.98, 0.02, 0.08]))
+        # gain = log(0.92 / 0.02) of covering a requested entry, cost =
+        # log(0.98 / 0.08) of covering an unrequested one
+        assert weights == pytest.approx((np.log(46), np.log(12.25)))
         assert engine._model(u, 0.2, 0.1) is model
+        # the add scan's skip of patterns that cover no requested entry
+        # and the search's exit at the bound need both weights positive
+        for r in CLIP_VALUES + (0.5,):
+            for eps in CLIP_VALUES + (0.5,):
+                gain, cost = engine._model(u, r, eps)[0]
+                assert gain > 0 and cost > 0
         empty = BinaryMatrix(np.zeros((2, 0), dtype=np.uint8))
         assert engine._model(empty, 0.2, 0.1)[1] == (0, 0)
 
@@ -1372,9 +1378,9 @@ class TestSearch:
     def test_packed_rows_equal_assign_patterns(self):
         rng = np.random.default_rng(35)
         u = random_binary(rng, (7, 21), 0.3)
-        logs, pats = engine._model(u, 0.4, 0.1)
+        weights, pats = engine._model(u, 0.4, 0.1)
         for row in random_binary(rng, (30, 21), 0.35).data:
-            got = engine._search(packed(row), pats, u.cols, logs)
+            got = engine._search(packed(row), pats, weights)
             # the chosen indices, ascending
             assert got == sorted(got)
             assert got == np.flatnonzero(
@@ -1389,9 +1395,9 @@ class TestSearch:
         # set's value, and the empty start, with no add candidate, reaches
         # it, so no other start is scored
         u = matrix_from_rows([[1, 1, 0, 0, 0], [0, 1, 1, 0, 0]])
-        logs, pats = engine._model(u, 0.3, 0.1)
-        calls = spied_set_ll(monkeypatch)
-        assert engine._search(packed(row), pats, 5, logs) == []
+        weights, pats = engine._model(u, 0.3, 0.1)
+        calls = spied_score(monkeypatch)
+        assert engine._search(packed(row), pats, weights) == []
         assert calls == [(0, 0), (0, 0)]
 
     def test_one_dropped_entry_ends_after_the_empty_start(self,
@@ -1401,10 +1407,10 @@ class TestSearch:
         u = matrix_from_rows([[1, 1, 1, 1, 0, 0, 0, 0, 0, 0],
                               [0, 0, 0, 0, 1, 1, 1, 0, 0, 0],
                               [0, 0, 0, 0, 0, 0, 0, 1, 1, 0]])
-        logs, pats = engine._model(u, 0.5, 0.1)
-        calls = spied_set_ll(monkeypatch)
+        weights, pats = engine._model(u, 0.5, 0.1)
+        calls = spied_score(monkeypatch)
         row = packed([1, 1, 1, 0, 1, 1, 1, 0, 0, 0])
-        assert engine._search(row, pats, 10, logs) == [0, 1]
+        assert engine._search(row, pats, weights) == [0, 1]
         assert calls == [
             # the bound: clean pattern 1 alone, or with pattern 0's three
             # requested entries at its one unrequested entry
@@ -1414,11 +1420,39 @@ class TestSearch:
             # term, so the starts from 0, 1 and 2 are not run
             (3, 0), (3, 1)]
 
+    def test_exit_within_the_keep_margin_of_the_bound(self, monkeypatch):
+        # Each pattern covers the row's one requested entry and one
+        # unrequested entry.  At r = 0.5 those counts tie the empty set,
+        # whose value reaches the bound's (1, 1) term and ends the search
+        # before the starts from the two patterns
+        u = matrix_from_rows([[1, 0, 0, 0, 0, 0, 1], [0, 1, 0, 0, 0, 0, 1]])
+        weights, pats = engine._model(u, 0.5, 0.5)
+        calls = spied_score(monkeypatch)
+        assert engine._search(packed([0, 0, 0, 0, 0, 0, 1]), pats,
+                              weights) == []
+        assert calls == [
+            (0, 0), (1, 1),                     # the bound: t = 0, 1
+            (0, 0), (1, 1), (1, 1)]             # empty start: no add
+        # Here the empty start keeps pattern 0 at (2, 1), and the bound's
+        # (4, 3) term, of equal n11 - n10, rounds an ulp above its value
+        u = matrix_from_rows([[1, 1, 0, 0, 1, 0, 0, 0],
+                              [0, 0, 1, 1, 0, 1, 1, 1]])
+        weights, pats = engine._model(u, 0.5, 0.5)
+        assert (engine._score(4, 3, weights)
+                > engine._score(2, 1, weights))
+        calls.clear()
+        assert engine._search(packed([1, 1, 1, 1, 0, 0, 0, 0]), pats,
+                              weights) == [0]
+        assert calls == [
+            (0, 0), (2, 1), (4, 3),             # the bound: t = 0, 1, 3
+            (0, 0), (2, 1), (2, 3), (4, 4),     # empty start: add 0
+            (0, 0)]                             # prune: keep 0
+
     def test_equal_patterns_keep_the_lowest_index(self):
         u = matrix_from_rows([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]])
-        logs, pats = engine._model(u, 0.5, 0.05)
-        assert engine._search(packed([0, 0, 1, 1]), pats, 4, logs) == [1]
-        assert engine._search(packed([1, 1, 1, 1]), pats, 4, logs) == [0, 1]
+        weights, pats = engine._model(u, 0.5, 0.05)
+        assert engine._search(packed([0, 0, 1, 1]), pats, weights) == [1]
+        assert engine._search(packed([1, 1, 1, 1]), pats, weights) == [0, 1]
 
 
 @st.composite
@@ -1452,7 +1486,7 @@ class TestBound:
     @settings(max_examples=150, deadline=None)
     def test_bound_holds_every_pattern_set(self, inputs):
         rows, u, r, eps = inputs
-        logs, pats = engine._model(u, r, eps)
+        weights, pats = engine._model(u, r, eps)
         unions = []
         for mask in range(1 << u.rows):
             covered = 0
@@ -1462,15 +1496,15 @@ class TestBound:
             unions.append(covered)
         for row in rows:
             x = packed(row)
-            ones = x.bit_count()
             touching = [(j, p, (p & x).bit_count(), (p & ~x).bit_count())
                         for j, p in enumerate(pats) if p & x]
-            bound = engine._bound(x, touching, ones, u.cols, logs)
-            best = max(engine._set_ll((c & x).bit_count(),
-                                      (c & ~x).bit_count(), ones, u.cols,
-                                      logs) for c in unions)
-            # no tolerance: a set's counts are those of one of the bound's
-            # terms, or worse by about 1e-6 or more
+            bound = engine._bound(x, touching, weights)
+            best = max(engine._score((c & x).bit_count(),
+                                     (c & ~x).bit_count(), weights)
+                       for c in unions)
+            # no tolerance: against one of the bound's terms a set has the
+            # same counts, or fewer in n11 or more in n10, and the rounded
+            # score is monotone in each
             assert bound >= best
 
     @given(bound_inputs())
